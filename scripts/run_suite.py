@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run the fixed demo suite end to end and report one line per pair.
 
-For every (r, g) pair: synthesize a relation word, then re-verify it with
-the letter-at-a-time evaluator that shares no code with the synthesizer's
-fast route.  Exit status is nonzero if any pair fails either check.
+For every (r, g) pair: synthesize a relation word, then re-check it with
+`verify_word`, the syllable-by-syllable route behind `ietrel verify`.  That
+route shares only the exact scalars and the input data with the
+synthesizer's fast route (see its docstring).  Exit status is nonzero if any
+pair fails either check.
 """
 
 from __future__ import annotations
@@ -11,33 +13,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from ietrel.relations import DEFAULT_M_CAP, synthesize_with_context
 from ietrel.sampling import demo_suite
-from ietrel.words import eval_word_naive
-
-
-@dataclass(frozen=True)
-class Config:
-    verify: bool
-    m_cap: int
-
-
-def parse_config(argv=None) -> Config:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--skip-verify",
-        action="store_true",
-        help="skip the slow independent re-verification",
-    )
-    parser.add_argument("--m-cap", type=int, default=DEFAULT_M_CAP)
-    args = parser.parse_args(argv)
-    return Config(verify=not args.skip_verify, m_cap=args.m_cap)
+from ietrel.words import verify_word
 
 
 def main(argv=None) -> int:
-    cfg = parse_config(argv)
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--m-cap", type=int, default=DEFAULT_M_CAP)
+    args = parser.parse_args(argv)
     header = (
         f"{'pair':<38} {'branch':<12} {'L':>2} {'d':>2} {'M':>4} "
         f"{'epsilon':>8} {'letters':>7} {'synth':>8} {'verify':>8}"
@@ -48,15 +33,11 @@ def main(argv=None) -> int:
     grand_t0 = time.perf_counter()
     for pair in demo_suite():
         t0 = time.perf_counter()
-        cert, _ = synthesize_with_context(pair.r, pair.g, m_cap=cfg.m_cap)
+        cert, _ = synthesize_with_context(pair.r, pair.g, m_cap=args.m_cap)
         synth = time.perf_counter() - t0
-        if cfg.verify:
-            t0 = time.perf_counter()
-            ok = eval_word_naive(cert.word, pair.r.to_iet(), pair.g).is_identity()
-            verify_col = f"{time.perf_counter() - t0:7.2f}s"
-        else:
-            ok = cert.verified
-            verify_col = "-"
+        t0 = time.perf_counter()
+        ok = verify_word(cert.word, pair.r, pair.g)
+        verify = time.perf_counter() - t0
         if not (ok and cert.verified and not cert.word.is_empty()):
             failures += 1
         mark = "" if ok else "  <-- FAILED"
@@ -66,7 +47,7 @@ def main(argv=None) -> int:
             f"{cert.d if cert.d is not None else '-':>2} "
             f"{cert.M if cert.M is not None else '-':>4} "
             f"{str(cert.epsilon) if cert.epsilon is not None else '-':>8} "
-            f"{cert.word.letter_count():>7} {synth:7.2f}s {verify_col:>8}{mark}"
+            f"{cert.word.letter_count():>7} {synth:7.2f}s {verify:7.2f}s{mark}"
         )
     total = time.perf_counter() - grand_t0
     n = len(demo_suite())

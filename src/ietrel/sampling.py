@@ -6,10 +6,12 @@ tests: rotations with 1 to 4 blocks over D in {2, 3, 5}, with purely
 irrational, mixed rational/irrational and purely rational rate vectors,
 with and without fixed blocks, against random rational IETs.
 
-Rates are chosen so the minimal M stays small enough for the naive
-word-verification oracle to run in seconds; a few pairs deliberately use
-badly approximable rates (sqrt(2)-1, the golden ratio conjugate) to give
-the M-scan real work, paired with a g that keeps the certificate short.
+Rates are chosen so the minimal M stays small enough for the test suite's
+letter-at-a-time cross-check (`eval_word_naive`, whose cost grows with M)
+to run in seconds; `ietrel verify` (`verify_word`) costs the same for any
+M.  A few pairs deliberately use badly approximable rates (sqrt(2)-1, the
+golden ratio conjugate) to give the M-scan real work, paired with a g that
+keeps the certificate short.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from ietrel.relations import (
 from ietrel.rotation import FINITE_ORDER, DisjointRotationSpec
 from ietrel.sampling import SuitePair, demo_suite, random_conjugator, random_iet
 from ietrel.scalars import ONE, ZERO, QuadExt
-from ietrel.words import Word, eval_word_naive, free_reduce
+from ietrel.words import Word, eval_word_naive, free_reduce, verify_word
 
 from conftest import q
 
@@ -210,7 +210,8 @@ def test_criterion_2_randomized_models(capsys):
 
 
 def test_criterion_3_suite_relations_verify(suite_runs, capsys):
-    with criterion(capsys, 3, "suite words verify under naive composition") as rep:
+    what = "suite words verify letter by letter and syllable by syllable"
+    with criterion(capsys, 3, what) as rep:
         assert len(suite_runs) >= 20
         block_counts = set()
         discs = set()
@@ -237,6 +238,7 @@ def test_criterion_3_suite_relations_verify(suite_runs, capsys):
             assert not run.cert.word.is_empty()
             assert free_reduce(run.cert.word.syllables) == run.cert.word
             assert run.naive_identity
+            assert verify_word(run.cert.word, spec, g) == run.naive_identity
             assert run.seconds < 60
         assert block_counts == {1, 2, 3, 4}
         assert discs == {2, 3, 5}

@@ -6,10 +6,12 @@ import csv
 import io
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from ietrel import words
 from ietrel.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -21,8 +23,9 @@ from ietrel.cli import (
 from ietrel.documents import document, emit_document, parse_certificate, parse_document
 from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.rotation import DisjointRotationSpec
+from ietrel.sampling import demo_suite
 from ietrel.scalars import QuadExt
-from ietrel.words import Word
+from ietrel.words import MAX_B_LETTERS, Word
 
 from conftest import q
 
@@ -179,6 +182,58 @@ def test_verify_rejects_an_empty_word(files, capsys):
     code, _, err = run(capsys, "verify", "--word", w, "--r", r, "--g", g)
     assert code == EXIT_VERIFICATION
     assert "empty" in err
+
+
+def test_verify_uses_no_iet_map_arithmetic(files, capsys, monkeypatch):
+    pair = next(p for p in demo_suite() if p.name == "d3-two-blocks-fixed")
+    r = files("r.rot", pair.r)
+    g = files("g.iet", pair.g)
+    cert_path = str(files.dir / "cert.txt")
+    code, _, err = run(capsys, "synthesize", "--r", r, "--g", g, "-o", cert_path)
+    assert code == EXIT_OK and "branch T_sixth" in err
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify called Iet map arithmetic")
+
+    for name in ("compose", "inverse", "power", "apply"):
+        monkeypatch.setattr(Iet, name, forbidden)
+    code, out, _ = run(capsys, "verify", "--word", cert_path, "--r", r, "--g", g)
+    assert code == EXIT_OK
+    assert out.startswith("verified:")
+
+
+def test_verify_huge_rotation_power_is_prompt(files, capsys):
+    r = files("r.rot", DisjointRotationSpec((q(1),), (SQRT2M1,)))
+    g = files("g.iet", Iet.identity())
+    w = files("w.txt", Word.parse("a^100000000000 b"))
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "verify", "--word", w, "--r", r, "--g", g)
+    assert time.perf_counter() - t0 < 5
+    assert code == EXIT_VERIFICATION
+    assert "does not evaluate to the identity" in err
+
+
+def test_verify_caps_b_letters_before_pushing_any_piece(files, capsys, monkeypatch):
+    r = files("r.rot", DisjointRotationSpec((q(1),), (q(F(1, 4)),)))
+    g = files("g.iet", Iet.rotation(q(F(1, 8))))
+    w = files("w.txt", Word.parse(f"b a b^{MAX_B_LETTERS}"))
+
+    def forbidden(*args):
+        raise AssertionError("a piece was pushed")
+
+    monkeypatch.setattr(words, "_push", forbidden)
+    code, _, err = run(capsys, "verify", "--word", w, "--r", r, "--g", g)
+    assert code == EXIT_SEARCH_CAP
+    assert f"MAX_B_LETTERS = {MAX_B_LETTERS}" in err
+
+
+def test_verify_rejects_a_g_that_is_not_a_bijection(files, capsys):
+    r = files("r.rot", DisjointRotationSpec((q(1),), (q(F(1, 4)),)))
+    g = files("g.iet", Iet([q(0), q(F(1, 2))], [q(0), q(F(-1, 2))]))
+    w = files("w.txt", Word.parse("a b"))
+    code, _, err = run(capsys, "verify", "--word", w, "--r", r, "--g", g)
+    assert code == EXIT_PRECONDITION
+    assert "do not tile" in err
 
 
 def test_synthesize_with_conjugator(files, capsys):

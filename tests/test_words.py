@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ietrel.errors import ParseError, PreconditionError
+from ietrel.errors import ParseError, PreconditionError, SearchCapError
 from ietrel.iet import Iet, PermLambdaSpec
-from ietrel.words import Word, eval_word, eval_word_naive, free_reduce
+from ietrel.rotation import DisjointRotationSpec
+from ietrel.sampling import random_iet, random_rotation_spec
+from ietrel.words import (
+    MAX_B_LETTERS,
+    Word,
+    eval_word,
+    eval_word_naive,
+    free_reduce,
+    verify_word,
+)
 
 from conftest import q, seeded_iets
 
@@ -145,3 +156,95 @@ def test_eval_routes_agree_on_random_maps(w, g):
 def test_eval_is_a_homomorphism(v, w):
     r, g = _sample_pair()
     assert eval_word(v * w, r, g) == eval_word(v, r, g).compose(eval_word(w, r, g))
+
+
+# -- syllable-by-syllable verification -----------------------------------------
+
+
+def _random_spec(rng):
+    spec = random_rotation_spec(rng)
+    if rng.randrange(3):
+        return spec
+    # every rate rational, so r has finite order
+    dens = [rng.randrange(2, 7) for _ in spec.rates]
+    rates = tuple(q(Fraction(rng.randrange(d), d)) for d in dens)
+    return DisjointRotationSpec(spec.lengths, rates)
+
+
+def _random_g(rng, spec):
+    if rng.randrange(2):
+        return random_iet(rng, 5, 8)
+    # irrational breakpoints in the spec's field: a rotation map, conjugated
+    disc = max(a.disc for a in spec.rates) or 2
+    other = random_rotation_spec(rng, discs=(disc,), max_blocks=2)
+    return other.to_iet().conjugate(random_iet(rng, 3, 8))
+
+
+def _random_word(rng):
+    raw = []
+    for _ in range(rng.randrange(1, 6)):
+        sign = rng.choice((-1, 1))
+        if rng.randrange(2):
+            raw.append(("a", sign * rng.randrange(1, 8)))
+        else:
+            raw.append(("b", sign * rng.randrange(1, 4)))
+    return free_reduce(raw)
+
+
+def test_verify_word_agrees_with_naive_on_random_cases():
+    rng = random.Random(20261018)
+    seen = Counter()
+    for _ in range(100):
+        spec = _random_spec(rng)
+        g = _random_g(rng, spec)
+        w = _random_word(rng)
+        if rng.randrange(4) == 0:
+            # g = r^j commutes with r, so w a^-e is the identity when e is
+            # the total exponent of r in w
+            j = rng.choice((-2, -1, 1, 2))
+            g = spec.power_spec(j).to_iet()
+            e = sum(exp if gen == "a" else j * exp for gen, exp in w.syllables)
+            w = w * Word.generator("a", -e)
+            seen["g a power of r"] += 1
+        order = spec.classify().order
+        if order is not None and rng.randrange(2):
+            # u a^(+-order) u^-1 is the identity but does not reduce away
+            w = w * Word.generator("a", rng.choice((-1, 1)) * order) * w.inverse()
+            seen["finite order"] += 1
+        for gen, exp in w.syllables:
+            seen["a^-k"] += gen == "a" and exp < 0
+            seen["b^k, |k| >= 2"] += gen == "b" and abs(exp) >= 2
+            seen["rotation by 0"] += gen == "a" and any(
+                a and not (a * exp).mod_one() for a in spec.rates
+            )
+        expected = eval_word_naive(w, spec.to_iet(), g).is_identity()
+        assert verify_word(w, spec, g) == expected, (spec, g, w)
+        seen[expected] += 1
+    cases = (True, False, "g a power of r", "finite order", "a^-k", "b^k, |k| >= 2",
+             "rotation by 0")
+    for key in cases:
+        assert seen[key], key
+
+
+def test_verify_word_anchors():
+    spec = DisjointRotationSpec((q(Fraction(1, 3)), q(Fraction(2, 3))),
+                                (q(Fraction(1, 2)), q(Fraction(1, 4))))
+    r, g = _sample_pair()
+    assert verify_word(Word(), spec, g)
+    assert verify_word(Word.parse("a^4"), spec, g)
+    assert verify_word(Word.parse("a^-8"), spec, g)
+    assert not verify_word(Word.parse("a^2"), spec, g)
+    halves = Iet.rotation(q(Fraction(1, 2)))
+    assert verify_word(Word.parse("b^2"), spec, halves)
+    assert not verify_word(Word.parse("b^3"), spec, halves)
+    assert not verify_word(Word.parse("b a^4 b^-1 a"), spec, g)
+    one_block = DisjointRotationSpec((q(1),), (q(0, 1, 2) - 1,))
+    assert verify_word(Word.parse("a b a^-1 b^-1"), one_block, r)  # rotations commute
+
+
+def test_verify_word_bounds_b_letters():
+    spec = DisjointRotationSpec((q(1),), (q(Fraction(1, 2)),))
+    g = Iet.rotation(q(Fraction(1, MAX_B_LETTERS)))
+    assert verify_word(Word.parse(f"b^{MAX_B_LETTERS}"), spec, g)
+    with pytest.raises(SearchCapError):
+        verify_word(Word.parse(f"b^-1 a b^{MAX_B_LETTERS}"), spec, g)
