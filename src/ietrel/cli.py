@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import logging
 import random
 import sys
 from typing import Optional, Tuple
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

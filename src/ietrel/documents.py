@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ContextMismatchError, ParseError
+from .errors import ContextMismatchError, ParseError, PreconditionError
 from .iet import Iet, PermLambdaSpec
 from .relations import (
     BRANCH_FINITE_ORDER,
@@ -288,7 +288,12 @@ def _parse_payload(kind: str, disc: int, entries: dict):
         t_value, t_n = _take(entries, "translations")
         breakpoints = _parse_scalars(b_value, disc, b_n)
         translations = _parse_scalars(t_value, disc, t_n)
-        return Iet(tuple(breakpoints), tuple(translations))
+        f = Iet(tuple(breakpoints), tuple(translations))
+        if not f.is_bijection():
+            raise PreconditionError(
+                "the iet is not a bijection: its image intervals do not tile [0, 1)"
+            )
+        return f
     if kind == KIND_ROTATION:
         l_value, l_n = _take(entries, "lengths")
         r_value, r_n = _take(entries, "rates")

@@ -178,18 +178,29 @@ class Iet:
             trs.append(self.apply(other.apply(c)) - c)
         return Iet(bps, trs)
 
+    def _tiling_images(self):
+        """(image lo, image hi, translation) sorted by image, or None when the
+        images do not tile [0, 1)."""
+        images = sorted(
+            ((lo + t, hi + t, t) for lo, hi, t in self.pieces()),
+            key=lambda p: p[0],
+        )
+        cursor = ZERO
+        for lo, hi, _ in images:
+            if lo != cursor:
+                return None
+            cursor = hi
+        return images if cursor == ONE else None
+
+    def is_bijection(self) -> bool:
+        """Do the image intervals tile [0, 1)?  The constructor does not check
+        this; every map the group operations build is one."""
+        return self._tiling_images() is not None
+
     def inverse(self) -> "Iet":
         if self._inv is None:
-            images = sorted(
-                ((lo + t, hi + t, t) for lo, hi, t in self.pieces()),
-                key=lambda p: p[0],
-            )
-            cursor = ZERO
-            for lo, hi, _ in images:
-                if lo != cursor:
-                    raise InvariantError("image intervals do not tile [0, 1)")
-                cursor = hi
-            if cursor != ONE:
+            images = self._tiling_images()
+            if images is None:
                 raise InvariantError("image intervals do not tile [0, 1)")
             inv = Iet([lo for lo, _, _ in images], [-t for _, _, t in images])
             inv._inv = self

@@ -20,12 +20,13 @@ it.  The construction:
 The emitted word is, by branch: a^q, the word of h when h is trivial, the
 word of T when T is trivial, and the word of T concatenated six times
 otherwise.  Every branch re-checks that the word evaluates to the identity
-exactly before it is certified.
+exactly before it is certified, with `verify_word`: the syllable-by-syllable
+checker behind `ietrel verify`, which shares no map arithmetic with the Iet
+algebra that built h, k and T.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -34,7 +35,8 @@ from .iet import Iet
 from .intervals import IntervalSet, circular_ball
 from .rotation import FINITE_ORDER, DisjointRotationSpec
 from .scalars import ONE, QuadExt, as_scalar
-from .words import Word, eval_word
+from .words import Word, verify_word
+from .words import eval_word  # noqa: F401 -- perfbench/tracing.py wraps the name here
 
 __all__ = [
     "compute_P",
@@ -56,8 +58,6 @@ __all__ = [
     "BRANCH_T_SIXTH",
     "DEFAULT_M_CAP",
 ]
-
-log = logging.getLogger(__name__)
 
 BRANCH_FINITE_ORDER = "finite_order"
 BRANCH_H_TRIVIAL = "h_trivial"
@@ -98,7 +98,7 @@ class SynthesisContext:
     T: Optional[Iet]
     X: IntervalSet
     X_prime: IntervalSet
-    fallback_used: bool
+    fallback_used = False  # a constant: synthesis has no retry; perfbench/tracing.py reads it
 
     def invariants_hold(self) -> bool:
         """Re-derive the defining conditions of d, epsilon and M."""
@@ -298,58 +298,35 @@ def synthesize_with_context(
 
     With a conjugator c the pair under consideration is (c r c^-1, g); the
     pipeline runs on the normalized pair (r, c^-1 g c) and the word transfers
-    unchanged, since w(r, g) = id iff w(c r c^-1, c g c^-1) = id.
+    unchanged, since w(r, g) = id iff w(c r c^-1, c g c^-1) = id.  The word
+    is certified on the normalized pair.
     """
     if not isinstance(r_spec, DisjointRotationSpec):
         raise PreconditionError("r must be given as a DisjointRotationSpec")
     if not isinstance(g, Iet):
         raise PreconditionError("g must be an Iet")
-    r0 = r_spec.to_iet()
-    if conjugator is not None:
-        r_actual = r0.conjugate(conjugator)
-        g_work = conjugator.inverse().compose(g).compose(conjugator)
-    else:
-        r_actual = r0
-        g_work = g
+    g_work = g if conjugator is None else conjugator.inverse().compose(g).compose(conjugator)
 
     order = r_spec.classify()
     if order.kind == FINITE_ORDER:
         word = Word.generator("a", order.order)
-        cert = _certify(word, BRANCH_FINITE_ORDER, r_actual, g, L=None)
-        return cert, None
+        return _certify(word, BRANCH_FINITE_ORDER, r_spec, g_work, L=None), None
 
     L = r_spec.fixing_power()
     spec_fixed = r_spec.power_spec(L)
     r_fixed = spec_fixed.to_iet()
     supp = r_fixed.support()
-    min_block = r_spec.min_block_length()
+    P = compute_P(spec_fixed, g_work)
+    P_prime = tuple(p for p in P if supp.contains_point(p))
+    d = find_d(r_fixed, P_prime)
+    epsilon = find_epsilon(r_fixed, P, d, min_block=r_spec.min_block_length())
+    M = find_M(spec_fixed, epsilon, m_cap=m_cap)
+    s = r_fixed.power(M)
+    h, word_h = build_h(r_fixed, g_work, M, fixing_power=L)
+    X = neighborhood_union(P, epsilon)
+    if not check_small_support(h, X):
+        raise InvariantError("support of h escaped its neighborhood bound X")
 
-    extra_points: Tuple[QuadExt, ...] = ()
-    fallback_used = False
-    for attempt in range(2):
-        P = tuple(sorted(set(compute_P(spec_fixed, g_work)) | set(extra_points)))
-        P_prime = tuple(p for p in P if supp.contains_point(p))
-        d = find_d(r_fixed, P_prime)
-        epsilon = find_epsilon(r_fixed, P, d, min_block=min_block)
-        M = find_M(spec_fixed, epsilon, m_cap=m_cap)
-        s = r_fixed.power(M)
-        h, word_h = build_h(r_fixed, g_work, M, fixing_power=L)
-        X = neighborhood_union(P, epsilon)
-        if check_small_support(h, X):
-            break
-        # Not expected to happen: h is guaranteed to live inside X.  Retry
-        # once with the wrap points of s added to P, and say so.
-        fallback_used = True
-        extra_points = s.discontinuities()
-        log.warning(
-            "support of h escaped its neighborhood bound; retrying with "
-            "%d wrap points of s added to P",
-            len(extra_points),
-        )
-    else:
-        raise InvariantError("support of h escaped X even after enlarging P")
-
-    X_prime = X.intersect(supp)
     k = None
     T = None
     if h.is_identity():
@@ -367,7 +344,7 @@ def synthesize_with_context(
             word = word_T**6
             branch = BRANCH_T_SIXTH
 
-    cert = _certify(word, branch, r_actual, g, L=L, d=d, epsilon=epsilon, M=M)
+    cert = _certify(word, branch, r_spec, g_work, L=L, d=d, epsilon=epsilon, M=M)
     ctx = SynthesisContext(
         r_spec=spec_fixed,
         g=g_work,
@@ -382,8 +359,7 @@ def synthesize_with_context(
         k=k,
         T=T,
         X=X,
-        X_prime=X_prime,
-        fallback_used=fallback_used,
+        X_prime=X.intersect(supp),
     )
     return cert, ctx
 
@@ -391,8 +367,8 @@ def synthesize_with_context(
 def _certify(
     word: Word,
     branch: str,
-    r_actual: Iet,
-    g_actual: Iet,
+    r_spec: DisjointRotationSpec,
+    g: Iet,
     L: Optional[int],
     d: Optional[int] = None,
     epsilon: Optional[QuadExt] = None,
@@ -400,7 +376,7 @@ def _certify(
 ) -> RelationCertificate:
     if word.is_empty():
         raise InvariantError("synthesized word reduced to the empty word")
-    if not eval_word(word, r_actual, g_actual).is_identity():
+    if not verify_word(word, r_spec, g):
         raise InvariantError("synthesized word does not evaluate to the identity")
     return RelationCertificate(
         word=word, branch=branch, L=L, d=d, epsilon=epsilon, M=M, verified=True

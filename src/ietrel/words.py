@@ -5,10 +5,11 @@ exponents and distinct adjacent generators.  Generator 'a' stands for the
 first map and 'b' for the second; a word reads left to right but composes
 right to left, so the leftmost syllable acts last.
 
-Three evaluators live here.  `eval_word` is the synthesizer's fast route
-(repeated squaring through `Iet.power`), `eval_word_naive` is the
-letter-at-a-time reference that tests compare it with, and `verify_word` is
-the independent check behind `ietrel verify`.
+Three evaluators live here.  `verify_word` is the one relation checker: it
+certifies every synthesized word and backs `ietrel verify`.  `eval_word`
+(repeated squaring through `Iet.power`) and `eval_word_naive` (one letter
+at a time) return the evaluated `Iet`; tests compare them with each other
+and with `verify_word`.
 """
 
 from __future__ import annotations
@@ -186,10 +187,10 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
     pushed through |k| times, and the word may hold at most MAX_B_LETTERS
     b letters (SearchCapError above that).
 
-    What this shares with synthesis: QuadExt arithmetic and comparison, the
-    DisjointRotationSpec fields lengths and rates, and the tuples
-    g.breakpoints and g.translations.  It calls no Iet or
-    DisjointRotationSpec method.
+    What this shares with the construction of h, k and T: QuadExt
+    arithmetic and comparison, the DisjointRotationSpec fields lengths and
+    rates, and the tuples g.breakpoints and g.translations.  It calls no Iet
+    or DisjointRotationSpec method.
     """
     b_letters = sum(abs(exp) for gen, exp in word.syllables if gen == "b")
     if b_letters > MAX_B_LETTERS:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ietrel import words
+from ietrel import relations, words
 from ietrel.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -236,6 +236,32 @@ def test_verify_rejects_a_g_that_is_not_a_bijection(files, capsys):
     assert "do not tile" in err
 
 
+NOT_A_BIJECTION = """ietrel v1
+D = 0
+kind = iet
+breakpoints = 0, 1/2
+translations = 0, -1/2
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ("l1",),
+    ("eval", "--x", "1/4"),
+    ("pow", "--n", "2"),
+    ("compose", "--g", "{map}"),
+    ("disc-growth", "--max-n", "3"),
+], ids=lambda command: command[0])
+def test_a_map_that_is_not_a_bijection_is_rejected_at_load(files, capsys, command):
+    f = files("f.iet", None, text=NOT_A_BIJECTION)
+    name, *rest = command
+    flag = "--f" if name == "compose" else "--map"
+    argv = [name, flag, f] + [arg.format(map=f) for arg in rest]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "not a bijection" in err
+
+
 def test_synthesize_with_conjugator(files, capsys):
     c_map = Iet.from_perm_lambda(PermLambdaSpec(
         pi=(2, 1), lengths=(q(F(1, 4)), q(F(3, 4)))))
@@ -259,6 +285,16 @@ def test_synthesize_with_conjugator(files, capsys):
     from ietrel.words import eval_word_naive
 
     assert eval_word_naive(cert.word, r_conj, Iet.rotation(q(F(3, 8)))).is_identity()
+
+
+def test_synthesize_exits_1_when_the_checker_rejects_the_word(files, capsys, monkeypatch):
+    r = files("r.rot", DisjointRotationSpec((q(1),), (SQRT2M1,)))
+    g = files("g.iet", Iet.identity())
+    monkeypatch.setattr(relations, "verify_word", lambda *args: False)
+    code, out, err = run(capsys, "synthesize", "--r", r, "--g", g)
+    assert code == EXIT_VERIFICATION
+    assert out == ""
+    assert "internal invariant violated" in err
 
 
 def test_synthesize_search_cap(files, capsys):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ietrel.errors import PreconditionError, SearchCapError
+from ietrel import relations, words
+from ietrel.errors import InvariantError, PreconditionError, SearchCapError
 from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.intervals import IntervalSet, circular_ball
 from ietrel.relations import (
@@ -270,6 +271,61 @@ def test_conjugator_moves_the_relation():
     # the word is the one synthesized for the normalized pair
     g_norm = c.inverse().compose(g).compose(c)
     assert cert.word == synthesize(ONE_BLOCK, g_norm).word
+
+
+# -- certification -----------------------------------------------------------------
+
+
+def _t_sixth_pair():
+    pair = next(p for p in demo_suite() if p.name == "d3-two-blocks-fixed")
+    return pair.r, pair.g, None, BRANCH_T_SIXTH
+
+
+def _conjugated_pair():
+    c = Iet.from_perm_lambda(PermLambdaSpec(
+        pi=(3, 2, 1),
+        lengths=(q(F(1, 4)), q(F(1, 4)), q(F(1, 2)))))
+    return ONE_BLOCK, Iet.rotation(q(F(3, 8))), c, BRANCH_T_TRIVIAL
+
+
+@pytest.mark.parametrize("make_pair", [_t_sixth_pair, _conjugated_pair])
+def test_certification_does_not_evaluate_words_as_iets(make_pair, monkeypatch):
+    r_spec, g, c, branch = make_pair()
+
+    def forbidden(*args):
+        raise AssertionError("certification called eval_word")
+
+    monkeypatch.setattr(relations, "eval_word", forbidden)
+    monkeypatch.setattr(words, "eval_word", forbidden)
+    cert = synthesize(r_spec, g, conjugator=c)
+    assert cert.verified
+    assert cert.branch == branch
+
+
+def test_a_word_the_checker_rejects_is_not_certified(monkeypatch):
+    monkeypatch.setattr(relations, "verify_word", lambda *args: False)
+    with pytest.raises(InvariantError, match="does not evaluate to the identity"):
+        synthesize(ONE_BLOCK, _quarter_rotation_g())
+
+
+def test_escaped_support_raises_without_a_retry(monkeypatch):
+    calls = {"compute_P": 0, "find_M": 0}
+
+    def counted(name):
+        original = getattr(relations, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(relations, name, counted(name))
+    monkeypatch.setattr(relations, "check_small_support", lambda h, x: False)
+    with pytest.raises(InvariantError, match="support of h escaped"):
+        synthesize(ONE_BLOCK, _quarter_rotation_g())
+    assert calls == {"compute_P": 1, "find_M": 1}
 
 
 def test_input_type_guards():
