@@ -4,9 +4,15 @@ Commands: compose, pow, eval, orbit, l1, disc-growth, synthesize, verify,
 prop-check.  Inputs are documents (see documents.py); map arguments accept
 iet, perm-lambda or rotation documents interchangeably.
 
-Exit codes: 0 success, 1 verification failure or internal invariant
-violation, 2 parse error, 3 precondition or context error, 4 search cap
-exhausted.
+Exit codes:
+  0  success;
+  1  verification failure or internal invariant violation;
+  2  parse error;
+  3  precondition or context error, such as an iet whose images do not
+     tile [0, 1);
+  4  a search cap exhausted, or an input past a size cap: a discriminant
+     above scalars.MAX_DISC, or a word with more than words.MAX_B_LETTERS
+     b letters.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ class PreconditionError(IetError):
 
 
 class SearchCapError(IetError):
-    """A bounded search exhausted its cap without finding a witness."""
+    """A bounded search exhausted its cap, or an input exceeded a size cap."""
 
 
 class InvariantError(IetError):

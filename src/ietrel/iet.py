@@ -1,5 +1,8 @@
 """Interval exchange transformations of [0, 1) with exact scalar data.
 
+Every Iet is a bijection of [0, 1): the constructor rejects pieces whose
+images do not tile [0, 1), and compose, inverse and power build their
+results without re-checking, since the bijections of [0, 1) form a group.
 An Iet is stored in canonical form: ascending breakpoints starting at 0,
 one translation per interval, adjacent intervals with equal translations
 merged.  Composition follows (f.compose(g))(x) = f(g(x)): the right-hand
@@ -53,6 +56,8 @@ class Iet:
     __slots__ = ("breakpoints", "translations", "_inv")
 
     def __init__(self, breakpoints: Sequence, translations: Sequence):
+        """Check outside data once: raises PreconditionError unless the pieces
+        form a bijection of [0, 1), then stores them in canonical form."""
         bps = [as_scalar(b) for b in breakpoints]
         trs = [as_scalar(t) for t in translations]
         if not bps or len(bps) != len(trs):
@@ -64,23 +69,15 @@ class Iet:
                 raise PreconditionError("breakpoints must be strictly ascending")
         if not bps[-1] < ONE:
             raise PreconditionError("breakpoints must stay below 1")
-        # canonical form: merge adjacent intervals translated by the same amount
-        cbps = [bps[0]]
-        ctrs = [trs[0]]
-        for b, t in zip(bps[1:], trs[1:]):
-            if t == ctrs[-1]:
-                continue
-            cbps.append(b)
-            ctrs.append(t)
-        ends = cbps[1:] + [ONE]
-        for lo, hi, t in zip(cbps, ends, ctrs):
-            if (lo + t) < ZERO or (hi + t) > ONE:
+        _store(self, bps, trs)
+        # the pieces' lengths sum to 1, so abutting images from 0 end at 1
+        cursor = ZERO
+        for lo, hi, _ in self._images():
+            if lo != cursor:
                 raise PreconditionError(
-                    f"interval [{lo}, {hi}) translated by {t} leaves [0, 1)"
+                    "the iet is not a bijection: its image intervals do not tile [0, 1)"
                 )
-        object.__setattr__(self, "breakpoints", tuple(cbps))
-        object.__setattr__(self, "translations", tuple(ctrs))
-        object.__setattr__(self, "_inv", None)
+            cursor = hi
 
     def __setattr__(self, name, value):
         if name == "_inv":
@@ -176,33 +173,21 @@ class Iet:
             prev = c
             bps.append(c)
             trs.append(self.apply(other.apply(c)) - c)
-        return Iet(bps, trs)
+        return _store(object.__new__(Iet), bps, trs)
 
-    def _tiling_images(self):
-        """(image lo, image hi, translation) sorted by image, or None when the
-        images do not tile [0, 1)."""
-        images = sorted(
+    def _images(self):
+        """(image lo, image hi, translation) triples sorted by image lo."""
+        return sorted(
             ((lo + t, hi + t, t) for lo, hi, t in self.pieces()),
             key=lambda p: p[0],
         )
-        cursor = ZERO
-        for lo, hi, _ in images:
-            if lo != cursor:
-                return None
-            cursor = hi
-        return images if cursor == ONE else None
-
-    def is_bijection(self) -> bool:
-        """Do the image intervals tile [0, 1)?  The constructor does not check
-        this; every map the group operations build is one."""
-        return self._tiling_images() is not None
 
     def inverse(self) -> "Iet":
         if self._inv is None:
-            images = self._tiling_images()
-            if images is None:
-                raise InvariantError("image intervals do not tile [0, 1)")
-            inv = Iet([lo for lo, _, _ in images], [-t for _, _, t in images])
+            images = self._images()
+            inv = _store(
+                object.__new__(Iet), [lo for lo, _, _ in images], [-t for _, _, t in images]
+            )
             inv._inv = self
             self._inv = inv
         return self._inv
@@ -256,21 +241,17 @@ class Iet:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> "Iet":
-        """Re-check every structural invariant; raises InvariantError on failure."""
-        if self.breakpoints[0] != ZERO:
-            raise InvariantError("first breakpoint is not 0")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            if not a < b:
-                raise InvariantError("breakpoints not ascending")
-        if not self.breakpoints[-1] < ONE:
-            raise InvariantError("breakpoint at or above 1")
-        for a, b in zip(self.translations, self.translations[1:]):
-            if a == b:
-                raise InvariantError("canonical form violated: equal neighbours")
-        for lo, hi, t in self.pieces():
-            if (lo + t) < ZERO or (hi + t) > ONE:
-                raise InvariantError("image leaves [0, 1)")
-        self.inverse()  # tiles [0, 1) or raises
+        """Re-run the constructor's checks on the stored pieces; raises
+        InvariantError unless they form a bijection of [0, 1) in canonical form.
+
+        Maps built by the group operations are never re-checked, so this is
+        how a test confirms that the algebra kept the invariants."""
+        try:
+            rebuilt = Iet(self.breakpoints, self.translations)
+        except PreconditionError as exc:
+            raise InvariantError(str(exc)) from None
+        if rebuilt != self:
+            raise InvariantError("canonical form violated: equal neighbours")
         return self
 
     # -- identity -----------------------------------------------------------
@@ -291,3 +272,21 @@ class Iet:
             f"[{lo},{hi})+{t}" for lo, hi, t in self.pieces()
         )
         return f"Iet({body})"
+
+
+def _store(f: Iet, bps: Sequence[QuadExt], trs: Sequence[QuadExt]) -> Iet:
+    """Store pieces into f with equal neighbours merged, and return f.
+
+    Nothing is checked: the constructor checks outside data first, and the
+    group operations build their results here, since products and inverses
+    of bijections of [0, 1) are bijections."""
+    cbps = [bps[0]]
+    ctrs = [trs[0]]
+    for b, t in zip(bps[1:], trs[1:]):
+        if t != ctrs[-1]:
+            cbps.append(b)
+            ctrs.append(t)
+    object.__setattr__(f, "breakpoints", tuple(cbps))
+    object.__setattr__(f, "translations", tuple(ctrs))
+    object.__setattr__(f, "_inv", None)
+    return f

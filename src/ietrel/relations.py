@@ -92,7 +92,6 @@ class SynthesisContext:
     d: int
     epsilon: QuadExt
     M: int
-    s: Iet
     h: Iet
     k: Optional[Iet]
     T: Optional[Iet]
@@ -321,7 +320,6 @@ def synthesize_with_context(
     d = find_d(r_fixed, P_prime)
     epsilon = find_epsilon(r_fixed, P, d, min_block=r_spec.min_block_length())
     M = find_M(spec_fixed, epsilon, m_cap=m_cap)
-    s = r_fixed.power(M)
     h, word_h = build_h(r_fixed, g_work, M, fixing_power=L)
     X = neighborhood_union(P, epsilon)
     if not check_small_support(h, X):
@@ -354,7 +352,6 @@ def synthesize_with_context(
         d=d,
         epsilon=epsilon,
         M=M,
-        s=s,
         h=h,
         k=k,
         T=T,

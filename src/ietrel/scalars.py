@@ -1,7 +1,8 @@
 """Exact arithmetic in a real quadratic extension Q(sqrt(D)).
 
 A scalar is rat + coef*sqrt(disc) with rational rat, coef.  All scalars in
-one computation share a single square-free discriminant disc >= 2; pure
+one computation share a single square-free discriminant 2 <= disc <= MAX_DISC,
+checked once where a scalar enters (the constructor and parse); pure
 rationals are the degenerate case coef = 0 and combine freely with any
 context.  Every predicate (sign, ordering, floor) is decided exactly with
 integer arithmetic; floats appear only in diagnostic renderings.
@@ -14,15 +15,23 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ContextMismatchError, ParseError
+from .errors import ContextMismatchError, ParseError, SearchCapError
 
-__all__ = ["QuadExt", "as_scalar", "ZERO", "ONE"]
+__all__ = ["QuadExt", "as_scalar", "ZERO", "ONE", "MAX_DISC"]
+
+
+# Largest accepted discriminant.  The square-free test is trial division,
+# O(sqrt(D)): at the cap its worst case, a prime near 10**10, takes 10-20 ms
+# on CPython 3.11 on one x86 core, while D = 10**30 + 1 would run for years.
+MAX_DISC = 10**10
 
 
 @lru_cache(maxsize=None)
 def _require_valid_disc(disc: int) -> None:
     if disc < 2:
         raise ValueError(f"discriminant must be >= 2, got {disc}")
+    if disc > MAX_DISC:
+        raise SearchCapError(f"discriminant {disc} exceeds MAX_DISC = {MAX_DISC}")
     p = 2
     while p * p <= disc:
         if disc % (p * p) == 0:
@@ -68,6 +77,8 @@ class QuadExt:
         an = a.numerator * b.denominator
         bn = b.numerator * a.denominator
         den = a.denominator * b.denominator
+        if bn:
+            _require_valid_disc(disc)
         _init_normalized(self, an, bn, den, disc)
 
     # -- constructors ---------------------------------------------------
@@ -317,8 +328,6 @@ def _init_normalized(obj: QuadExt, an: int, bn: int, den: int, disc: int) -> Non
         an, bn, den = -an, -bn, -den
     if bn == 0:
         disc = 0
-    else:
-        _require_valid_disc(disc)
     g = math.gcd(math.gcd(abs(an), abs(bn)), den)
     object.__setattr__(obj, "an", an // g)
     object.__setattr__(obj, "bn", bn // g)
@@ -337,6 +346,7 @@ def _raw(an: int, bn: int, den: int, disc: int) -> QuadExt:
 
 
 def _make(an: int, bn: int, den: int, disc: int) -> QuadExt:
+    # Internal: normalizes but trusts disc, which comes from checked operands.
     obj = object.__new__(QuadExt)
     _init_normalized(obj, an, bn, den, disc)
     return obj

@@ -24,7 +24,7 @@ from ietrel.documents import document, emit_document, parse_certificate, parse_d
 from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.rotation import DisjointRotationSpec
 from ietrel.sampling import demo_suite
-from ietrel.scalars import QuadExt
+from ietrel.scalars import MAX_DISC, QuadExt
 from ietrel.words import MAX_B_LETTERS, Word
 
 from conftest import q
@@ -229,7 +229,7 @@ def test_verify_caps_b_letters_before_pushing_any_piece(files, capsys, monkeypat
 
 def test_verify_rejects_a_g_that_is_not_a_bijection(files, capsys):
     r = files("r.rot", DisjointRotationSpec((q(1),), (q(F(1, 4)),)))
-    g = files("g.iet", Iet([q(0), q(F(1, 2))], [q(0), q(F(-1, 2))]))
+    g = files("g.iet", None, text=NOT_A_BIJECTION)
     w = files("w.txt", Word.parse("a b"))
     code, _, err = run(capsys, "verify", "--word", w, "--r", r, "--g", g)
     assert code == EXIT_PRECONDITION
@@ -260,6 +260,23 @@ def test_a_map_that_is_not_a_bijection_is_rejected_at_load(files, capsys, comman
     assert code == EXIT_PRECONDITION
     assert out == ""
     assert "not a bijection" in err
+
+
+HUGE_D = 10**30 + 1
+
+
+@pytest.mark.parametrize("text", [
+    f"ietrel v1\nD = {HUGE_D}\nkind = scalar\nvalue = 1\n",
+    f"ietrel v1\nD = 0\nkind = scalar\nvalue = 1*sqrt({HUGE_D})\n",
+], ids=["D-line", "root-term"])
+def test_a_discriminant_above_the_cap_exits_4_promptly(files, capsys, text):
+    f = files("f.txt", None, text=text)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "l1", "--map", f)
+    assert time.perf_counter() - t0 < 2
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert f"MAX_DISC = {MAX_DISC}" in err
 
 
 def test_synthesize_with_conjugator(files, capsys):

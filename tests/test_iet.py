@@ -134,13 +134,45 @@ def test_inverse_anchors():
 
 
 def test_inverse_rejects_non_bijection():
-    # two source intervals land on [1/2, 3/4); construction cannot see that
-    f = Iet([q(0), q(F(1, 4)), q(F(1, 2))],
+    # two source intervals land on [1/2, 3/4): no such map can be built
+    with pytest.raises(PreconditionError, match="do not tile"):
+        Iet([q(0), q(F(1, 4)), q(F(1, 2))],
             [q(F(1, 2)), q(F(1, 4)), q(-F(1, 2))])
-    with pytest.raises(InvariantError):
-        f.inverse()
-    with pytest.raises(InvariantError):
-        f.validate()
+
+
+def test_group_operations_do_not_rerun_the_constructor(monkeypatch):
+    def maps():
+        return Iet.rotation(q(F(1, 8))), Iet.from_perm_lambda(PermLambdaSpec(
+            pi=(3, 1, 2), lengths=(q(F(1, 4)), q(F(1, 3)), q(F(5, 12)))))
+
+    r, f = maps()
+    r_ref, f_ref = maps()
+    want = [f_ref.compose(r_ref), f_ref.inverse(), f_ref.power(5), f_ref.power(-5)]
+
+    def forbidden(self, *args):
+        raise AssertionError("Iet.__init__ ran")
+
+    monkeypatch.setattr(Iet, "__init__", forbidden)
+    got = [f.compose(r), f.inverse(), f.power(5), f.power(-5)]
+    monkeypatch.undo()
+    assert got == want
+    for g in got:
+        g.validate()
+
+
+def test_validate_rechecks_what_the_algebra_stores():
+    from ietrel.iet import _store
+
+    overlapping = _store(object.__new__(Iet), [q(0), q(F(1, 4)), q(F(1, 2))],
+                         [q(F(1, 2)), q(F(1, 4)), q(-F(1, 2))])
+    with pytest.raises(InvariantError, match="do not tile"):
+        overlapping.validate()
+    unmerged = object.__new__(Iet)
+    object.__setattr__(unmerged, "breakpoints", (q(0), q(F(1, 4)), q(F(3, 4))))
+    object.__setattr__(unmerged, "translations", (q(F(1, 4)), q(F(1, 4)), q(-F(3, 4))))
+    object.__setattr__(unmerged, "_inv", None)
+    with pytest.raises(InvariantError, match="equal neighbours"):
+        unmerged.validate()
 
 
 def test_power_anchors():

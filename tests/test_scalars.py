@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ietrel import scalars
 from ietrel.errors import ContextMismatchError, ParseError
 from ietrel.scalars import ONE, ZERO, QuadExt, as_scalar
 
@@ -148,6 +149,25 @@ def test_disc_must_be_square_free_and_at_least_two():
             QuadExt.sqrt(bad)
     QuadExt.sqrt(2)
     QuadExt.sqrt(10)
+
+
+def test_arithmetic_does_not_recheck_the_disc(monkeypatch):
+    x = QuadExt(1, 1, 2)
+    y = QuadExt(Fraction(1, 3), -2, 2)
+    want = [
+        QuadExt(Fraction(4, 3), -1, 2),
+        QuadExt(Fraction(2, 3), 3, 2),
+        QuadExt(Fraction(-11, 3), Fraction(-5, 3), 2),
+        QuadExt(Fraction(-39, 71), Fraction(-21, 71), 2),
+    ]
+
+    def forbidden(disc):
+        raise AssertionError("the disc was checked again")
+
+    monkeypatch.setattr(scalars, "_require_valid_disc", forbidden)
+    with pytest.raises(AssertionError):
+        QuadExt.sqrt(2)  # the public constructor still checks
+    assert [x + y, x - y, x * y, x / y] == want
 
 
 def test_mixed_discs_is_a_context_error():
