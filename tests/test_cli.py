@@ -18,6 +18,9 @@ from ietrel.cli import (
     EXIT_PRECONDITION,
     EXIT_SEARCH_CAP,
     EXIT_VERIFICATION,
+    MAX_GROWTH_N,
+    MAX_ORBIT_N,
+    MAX_POW_N,
     main,
 )
 from ietrel.documents import document, emit_document, parse_certificate, parse_document
@@ -277,6 +280,31 @@ def test_a_discriminant_above_the_cap_exits_4_promptly(files, capsys, text):
     assert code == EXIT_SEARCH_CAP
     assert out == ""
     assert f"MAX_DISC = {MAX_DISC}" in err
+
+
+@pytest.mark.parametrize("command, cap_name", [
+    (("pow", "--n", str(MAX_POW_N + 1)), "MAX_POW_N"),
+    (("pow", "--n", str(-MAX_POW_N - 1)), "MAX_POW_N"),
+    (("orbit", "--x", "0", "--n", str(MAX_ORBIT_N + 1)), "MAX_ORBIT_N"),
+    (("disc-growth", "--max-n", str(MAX_GROWTH_N + 1)), "MAX_GROWTH_N"),
+], ids=["pow", "pow-negative", "orbit", "disc-growth"])
+def test_a_count_above_its_cap_exits_4_before_any_work(files, capsys, monkeypatch,
+                                                       command, cap_name):
+    lengths = (QuadExt(0, F(1, 4), 2), q(F(1, 4)), QuadExt(F(3, 4), -F(1, 4), 2))
+    f = files("f.iet", Iet.from_perm_lambda(PermLambdaSpec(pi=(3, 2, 1), lengths=lengths)))
+
+    def forbidden(self, *args):
+        raise AssertionError("map arithmetic ran past a cap")
+
+    monkeypatch.setattr(Iet, "compose", forbidden)
+    monkeypatch.setattr(Iet, "apply", forbidden)
+    name, *rest = command
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, name, "--map", f, *rest)
+    assert time.perf_counter() - t0 < 2
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert cap_name in err
 
 
 def test_synthesize_with_conjugator(files, capsys):

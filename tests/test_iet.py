@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from ietrel.errors import InvariantError, PreconditionError
 from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.intervals import IntervalSet
-from ietrel.scalars import QuadExt
+from ietrel.sampling import random_iet, random_partition
+from ietrel.scalars import ZERO, QuadExt
 
 from conftest import (
     assert_tiles_unit_interval,
@@ -285,3 +287,131 @@ def test_apply_stays_in_domain_and_inverts(f, x):
 def test_images_tile_the_unit_interval(f):
     assert_tiles_unit_interval(f)
     f.validate()
+
+
+# -- compose against the cut-and-apply oracle --------------------------------------
+
+
+def compose_by_cuts(f, g):
+    """f after g, the slow way: cut at g's breakpoints and at the preimages of
+    f's breakpoints, then locate every cut through apply."""
+    inv = g.inverse()
+    cuts = sorted(set(g.breakpoints) | {inv.apply(b) for b in f.breakpoints})
+    return Iet(cuts, [f.apply(g.apply(c)) - c for c in cuts])
+
+
+def quadratic_perm_lambda(rng, n, disc):
+    """An exchange of n intervals with lengths in Q(sqrt(disc)) summing to 1."""
+    while True:
+        rats = random_partition(rng, 4 * n, n)
+        coefs = [rng.randrange(-3, 4) for _ in range(n - 1)]
+        coefs.append(-sum(coefs))
+        lengths = [QuadExt(F(a, 4 * n), F(b, 16 * n), disc) for a, b in zip(rats, coefs)]
+        if all(v.sign() > 0 for v in lengths):
+            pi = list(range(1, n + 1))
+            rng.shuffle(pi)
+            return Iet.from_perm_lambda(PermLambdaSpec(tuple(pi), tuple(lengths)))
+
+
+def quadratic_rotation(rng, disc):
+    return Iet.rotation(QuadExt(F(rng.randrange(1, 16), 16), F(rng.randrange(-8, 9), 16), disc))
+
+
+def big_iet(rng):
+    """A rational exchange of 100 to 120 intervals."""
+    n = rng.randrange(100, 121)
+    lengths = [q(F(u, 4 * n)) for u in random_partition(rng, 4 * n, n)]
+    pi = list(range(1, n + 1))
+    rng.shuffle(pi)
+    return Iet.from_perm_lambda(PermLambdaSpec(tuple(pi), tuple(lengths)))
+
+
+def compose_pairs(count=200):
+    """Seeded (f, g) pairs of every shape the walk must handle."""
+    rng = random.Random(20100719)
+    bigs = [big_iet(rng) for _ in range(4)]
+    pairs = []
+    for i in range(count):
+        kind = i % 5
+        disc = rng.choice((2, 3, 5))
+        if kind == 0:
+            f, g = random_iet(rng, 8, 24), random_iet(rng, 8, 24)
+        elif kind == 1:
+            f = quadratic_perm_lambda(rng, rng.randrange(2, 7), disc)
+            g = quadratic_perm_lambda(rng, rng.randrange(2, 7), disc)
+        elif kind == 2:
+            f = quadratic_rotation(rng, disc)
+            g = rng.choice((quadratic_rotation(rng, disc), Iet.identity(),
+                            quadratic_perm_lambda(rng, 4, disc)))
+            if rng.random() < 0.5:
+                f, g = g, f
+        elif kind == 3:
+            f = rng.choice((random_iet(rng), quadratic_perm_lambda(rng, 5, disc)))
+            f, g = (f, f.inverse()) if rng.random() < 0.5 else (f.inverse(), f)
+        else:
+            big = bigs[i // 5 % len(bigs)]
+            one = rng.choice((Iet.identity(), random_iet(rng, 3, 4)))
+            f, g = (one, big) if rng.random() < 0.5 else (big, one)
+            if rng.random() < 0.3:
+                f, g = big, bigs[(i + 1) % len(bigs)]
+        pairs.append((f, g))
+    return pairs
+
+
+PAIRS = compose_pairs()
+
+
+def test_compose_pairs_cover_every_shape():
+    sizes = [(f.num_intervals, g.num_intervals) for f, g in PAIRS]
+    assert len(PAIRS) == 200
+    assert any(a == 1 and b >= 100 for a, b in sizes)
+    assert any(a >= 100 and b == 1 for a, b in sizes)
+    assert any(not f.is_identity() and g == f.inverse() for f, g in PAIRS)
+    assert any(any(not b.is_rational for b in f.breakpoints) for f, _ in PAIRS)
+
+
+def test_compose_matches_the_cut_and_apply_oracle():
+    for f, g in PAIRS:
+        h = f.compose(g)
+        assert h == compose_by_cuts(f, g)
+        h.validate()
+        for x in h.breakpoints:
+            assert h.apply(x) == f.apply(g.apply(x))
+
+
+def test_compose_uses_no_apply_inverse_or_images(monkeypatch):
+    pairs = PAIRS[:40]
+    want = [compose_by_cuts(f, g) for f, g in pairs]
+
+    def forbidden(self, *args):
+        raise AssertionError("compose called a point or inverse method")
+
+    for name in ("apply", "inverse", "_images"):
+        monkeypatch.setattr(Iet, name, forbidden)
+    got = [f.compose(g) for f, g in pairs]
+    monkeypatch.undo()
+    assert got == want
+
+
+# -- L1 distance ---------------------------------------------------------------------
+
+
+def l1_by_every_piece(f):
+    total = ZERO
+    for lo, hi, t in f.pieces():
+        total = total + abs(t) * (hi - lo)
+    return total
+
+
+def test_l1_distance_equals_the_sum_over_every_piece():
+    rng = random.Random(7)
+    # a generic 4-interval exchange: f^64 has 3*64 + 1 pieces, as in disc-growth
+    growth = Iet.from_perm_lambda(PermLambdaSpec(pi=(4, 3, 2, 1), lengths=(
+        QuadExt(0, F(1, 8), 2), q(F(1, 4)), q(F(1, 4)), QuadExt(F(1, 2), -F(1, 8), 2))))
+    maps = [Iet.identity(), growth.power(64)]
+    maps += [quadratic_rotation(rng, d) for d in (2, 3, 5)]
+    maps += [f for pair in PAIRS[:60] for f in pair]
+    assert maps[1].num_intervals == 193
+    for f in maps:
+        assert f.l1_distance_to_identity() == l1_by_every_piece(f)
+    assert Iet.identity().l1_distance_to_identity() == ZERO
