@@ -13,7 +13,9 @@ Exit codes:
   4  a search cap exhausted, or an input past a size cap: a discriminant
      above scalars.MAX_DISC, a word with more than words.MAX_B_LETTERS
      b letters, |pow --n| above MAX_POW_N, orbit --n above MAX_ORBIT_N,
-     or disc-growth --max-n above MAX_GROWTH_N.
+     disc-growth --max-n above MAX_GROWTH_N, or a map whose piece count
+     lets the pieces pow or disc-growth may build pass MAX_POW_PIECES or
+     MAX_GROWTH_PIECES.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from .documents import (
     KIND_PERM_LAMBDA,
     KIND_ROTATION,
     KIND_WORD,
+    Document,
     document,
     emit_certificate,
     emit_document,
     infer_disc,
     parse_document,
-    _scalars_of,
 )
 from .errors import (
     ContextMismatchError,
@@ -54,11 +56,11 @@ from .finite_model import (
     orbit_sizes,
     random_instance,
 )
-from .iet import Iet
-from .relations import DEFAULT_M_CAP, synthesize_with_context
+from .iet import Iet, PermLambdaSpec
+from .relations import DEFAULT_M_CAP, RelationCertificate, synthesize_with_context
 from .rotation import DisjointRotationSpec
 from .scalars import QuadExt
-from .words import Word, verify_word
+from .words import verify_word
 from .words import eval_word_naive  # noqa: F401 -- perfbench/tracing.py wraps the name here
 
 __all__ = ["main", "build_parser"]
@@ -77,6 +79,22 @@ MAX_ORBIT_N = 10**5  # orbit keeps every point; --n 100000: 0.7 s, 43 MB
 MAX_GROWTH_N = 500  # disc-growth composes max-n times; --max-n 500: 2.2 s, 21 MB
 
 
+def _pow_pieces(k: int, n: int) -> int:
+    """Most pieces f^n can have when f has k pieces."""
+    return (k - 1) * abs(n) + 1
+
+
+def _growth_pieces(k: int, max_n: int) -> int:
+    """Most pieces disc-growth builds in all, f^1 up to f^max_n, when f has k pieces."""
+    return (k - 1) * max_n * (max_n + 1) // 2 + max_n
+
+
+# Caps on the work a map brings with it, checked once the map is loaded: what
+# the count caps above allow a 4-interval map.
+MAX_POW_PIECES = _pow_pieces(4, MAX_POW_N)  # 30001
+MAX_GROWTH_PIECES = _growth_pieces(4, MAX_GROWTH_N)  # 376250
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -90,39 +108,28 @@ def _write_out(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
+def _load(path: str, *kinds: str) -> Document:
+    """Read and parse the document at path, which must be one of kinds."""
+    try:
+        return parse_document(_read(path), *kinds)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _load_map(path: str) -> Tuple[Iet, int]:
     """Load any map-shaped document as an Iet, plus its context D."""
-    doc = parse_document(_read(path))
-    if doc.kind == KIND_IET:
-        return doc.payload, doc.disc
-    if doc.kind == KIND_PERM_LAMBDA:
-        return Iet.from_perm_lambda(doc.payload), doc.disc
-    if doc.kind == KIND_ROTATION:
-        return doc.payload.to_iet(), doc.disc
-    raise ParseError(f"{path}: expected a map document, got kind {doc.kind!r}")
+    doc = _load(path, KIND_IET, KIND_PERM_LAMBDA, KIND_ROTATION)
+    f = doc.payload
+    if isinstance(f, PermLambdaSpec):
+        f = Iet.from_perm_lambda(f)
+    elif isinstance(f, DisjointRotationSpec):
+        f = f.to_iet()
+    return f, doc.disc
 
 
-def _load_rotation(path: str) -> DisjointRotationSpec:
-    doc = parse_document(_read(path))
-    if doc.kind != KIND_ROTATION:
-        raise ParseError(f"{path}: expected a rotation document, got kind {doc.kind!r}")
-    return doc.payload
-
-
-def _load_word(path: str) -> Word:
-    doc = parse_document(_read(path))
-    if doc.kind == KIND_WORD:
-        return doc.payload
-    if doc.kind == KIND_CERTIFICATE:
-        return doc.payload.word
-    raise ParseError(
-        f"{path}: expected a word or certificate document, got kind {doc.kind!r}"
-    )
-
-
-def _check_cap(flag: str, value: int, cap_name: str, cap: int) -> None:
+def _check_cap(what: str, value: int, cap_name: str, cap: int) -> None:
     if value > cap:
-        raise SearchCapError(f"{flag} {value} exceeds {cap_name} = {cap}")
+        raise SearchCapError(f"{what} {value} exceeds {cap_name} = {cap}")
 
 
 # -- commands ---------------------------------------------------------------
@@ -138,6 +145,9 @@ def _cmd_compose(args) -> int:
 def _cmd_pow(args) -> int:
     _check_cap("|pow --n|", abs(args.n), "MAX_POW_N", MAX_POW_N)
     f, _ = _load_map(args.map)
+    k = f.num_intervals
+    _check_cap(f"pieces of f^{args.n} for a {k}-interval f: up to",
+               _pow_pieces(k, args.n), "MAX_POW_PIECES", MAX_POW_PIECES)
     _write_out(emit_document(document(f.power(args.n))), args.output)
     return EXIT_OK
 
@@ -168,6 +178,9 @@ def _cmd_l1(args) -> int:
 def _cmd_disc_growth(args) -> int:
     _check_cap("disc-growth --max-n", args.max_n, "MAX_GROWTH_N", MAX_GROWTH_N)
     f, _ = _load_map(args.map)
+    k = f.num_intervals
+    _check_cap(f"pieces of f^1 to f^{args.max_n} for a {k}-interval f: up to",
+               _growth_pieces(k, args.max_n), "MAX_GROWTH_PIECES", MAX_GROWTH_PIECES)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "discontinuities", "l1_exact", "l1_float"])
@@ -181,16 +194,13 @@ def _cmd_disc_growth(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    spec = _load_rotation(args.r)
+    spec = _load(args.r, KIND_ROTATION).payload
     g, _ = _load_map(args.g)
     conjugator = None
     if args.conjugator is not None:
         conjugator, _ = _load_map(args.conjugator)
     cert, ctx = synthesize_with_context(spec, g, conjugator, m_cap=args.m_cap)
-    disc = infer_disc(
-        _scalars_of(spec) + _scalars_of(g) + (() if cert.epsilon is None else (cert.epsilon,))
-    )
-    _write_out(emit_certificate(cert, disc=disc), args.output)
+    _write_out(emit_certificate(cert, disc=infer_disc(spec, g, cert)), args.output)
     params = ", ".join(
         f"{k}={v}"
         for k, v in (("L", cert.L), ("d", cert.d), ("epsilon", cert.epsilon), ("M", cert.M))
@@ -202,12 +212,14 @@ def _cmd_synthesize(args) -> int:
         + f"; word has {cert.word.syllable_count()} syllables, verified",
         file=sys.stderr,
     )
-    return EXIT_OK if cert.verified else EXIT_VERIFICATION
+    return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    word = _load_word(args.word)
-    spec = _load_rotation(args.r)
+    word = _load(args.word, KIND_WORD, KIND_CERTIFICATE).payload
+    if isinstance(word, RelationCertificate):
+        word = word.word
+    spec = _load(args.r, KIND_ROTATION).payload
     g, _ = _load_map(args.g)
     if word.is_empty():
         print("verification failed: word is empty after free reduction", file=sys.stderr)

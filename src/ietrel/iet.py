@@ -106,19 +106,18 @@ class Iet:
         """Exchange the intervals of lengths lambda_j into the order given by pi.
 
         The j-th interval is translated by the total length that precedes its
-        image position minus the total length that precedes it.
+        image position minus the total length that precedes it.  One pass in
+        pi order keeps the first total as a running sum.
         """
         n = spec.n
         beta = [ZERO]
         for v in spec.lengths:
             beta.append(beta[-1] + v)
-        omegas = []
-        for j in range(n):
-            before_image = ZERO
-            for i in range(n):
-                if spec.pi[i] < spec.pi[j]:
-                    before_image = before_image + spec.lengths[i]
-            omegas.append(before_image - beta[j])
+        omegas = [ZERO] * n
+        before_image = ZERO
+        for j in sorted(range(n), key=spec.pi.__getitem__):
+            omegas[j] = before_image - beta[j]
+            before_image = before_image + spec.lengths[j]
         return cls(beta[:n], omegas)
 
     # -- basic queries ------------------------------------------------------

@@ -305,9 +305,6 @@ class QuadExt:
             val = self.an + self.bn * math.sqrt(self.disc)
         return val / self.den
 
-    def to_float(self) -> float:
-        return float(self)
-
     def __str__(self):
         if self.bn == 0:
             return str(self.rat)

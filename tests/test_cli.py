@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +22,13 @@ from ietrel.cli import (
     EXIT_SEARCH_CAP,
     EXIT_VERIFICATION,
     MAX_GROWTH_N,
+    MAX_GROWTH_PIECES,
     MAX_ORBIT_N,
     MAX_POW_N,
+    MAX_POW_PIECES,
     main,
 )
-from ietrel.documents import document, emit_document, parse_certificate, parse_document
+from ietrel.documents import KIND_CERTIFICATE, document, emit_document, parse_document
 from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.rotation import DisjointRotationSpec
 from ietrel.sampling import demo_suite
@@ -152,7 +157,7 @@ def test_synthesize_then_verify(files, capsys):
     code, _, err = run(capsys, "synthesize", "--r", r, "--g", g, "-o", cert_path)
     assert code == EXIT_OK
     assert "branch h_trivial" in err
-    cert = parse_certificate((files.dir / "cert.txt").read_text())
+    cert = parse_document((files.dir / "cert.txt").read_text(), KIND_CERTIFICATE).payload
     assert cert.M == 70 and cert.verified
 
     code, out, _ = run(capsys, "verify", "--word", cert_path, "--r", r, "--g", g)
@@ -307,6 +312,58 @@ def test_a_count_above_its_cap_exits_4_before_any_work(files, capsys, monkeypatc
     assert cap_name in err
 
 
+def perm_lambda_text(k: int, seed: int = 0) -> str:
+    """A perm-lambda document with k intervals of random rational lengths."""
+    rng = random.Random(seed)
+    pi = list(range(1, k + 1))
+    rng.shuffle(pi)
+    weights = [rng.randrange(1, 100) for _ in range(k)]
+    lengths = [F(w, sum(weights)) for w in weights]
+    return emit_document(document(PermLambdaSpec(pi=tuple(pi), lengths=lengths)))
+
+
+def test_the_piece_caps_are_what_the_count_caps_allow_a_4_interval_map():
+    # f^n of a 4-interval map has up to 3n + 1 pieces
+    assert MAX_POW_PIECES == 3 * MAX_POW_N + 1
+    assert MAX_GROWTH_PIECES == sum(3 * n + 1 for n in range(1, MAX_GROWTH_N + 1))
+
+
+@pytest.mark.parametrize("command, cap_name", [
+    (("pow", "--n", "1000"), "MAX_POW_PIECES"),
+    (("pow", "--n", "-1000"), "MAX_POW_PIECES"),
+    (("disc-growth", "--max-n", "100"), "MAX_GROWTH_PIECES"),
+], ids=["pow", "pow-negative", "disc-growth"])
+def test_a_large_map_past_a_piece_cap_exits_4_before_any_compose(files, capsys, monkeypatch,
+                                                                 command, cap_name):
+    # the map keeps k > 100 of its 200 intervals, and with k - 1 > 100 both
+    # (k - 1) * 1000 + 1 > MAX_POW_PIECES and (k - 1) * 5050 + 100 > MAX_GROWTH_PIECES
+    text = perm_lambda_text(200)
+    assert Iet.from_perm_lambda(parse_document(text).payload).num_intervals > 100
+    f = files("f.txt", None, text=text)
+
+    def forbidden(self, *args):
+        raise AssertionError("map arithmetic ran past a cap")
+
+    for name in ("compose", "apply", "inverse"):
+        monkeypatch.setattr(Iet, name, forbidden)
+    name, *rest = command
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, name, "--map", f, *rest)
+    assert time.perf_counter() - t0 < 2
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert cap_name in err
+
+
+def test_a_large_perm_lambda_document_loads_promptly(files, capsys):
+    f = files("f.txt", None, text=perm_lambda_text(4000))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "l1", "--map", f)
+    assert time.perf_counter() - t0 < 2
+    assert code == EXIT_OK
+    assert out.startswith("exact = ")
+
+
 def test_synthesize_with_conjugator(files, capsys):
     c_map = Iet.from_perm_lambda(PermLambdaSpec(
         pi=(2, 1), lengths=(q(F(1, 4)), q(F(3, 4)))))
@@ -326,7 +383,7 @@ def test_synthesize_with_conjugator(files, capsys):
     assert run(capsys, "compose", "--f", mid_path, "--g", cinv, "-o", cr_path)[0] == EXIT_OK
     r_conj = parse_document((files.dir / "cr.iet").read_text()).payload
     assert r_conj == r_spec.to_iet().conjugate(c_map)
-    cert = parse_certificate((files.dir / "cert.txt").read_text())
+    cert = parse_document((files.dir / "cert.txt").read_text(), KIND_CERTIFICATE).payload
     from ietrel.words import eval_word_naive
 
     assert eval_word_naive(cert.word, r_conj, Iet.rotation(q(F(3, 8)))).is_identity()
@@ -397,11 +454,14 @@ def test_context_mismatch_is_a_precondition_error(files, capsys):
 
 
 def test_console_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "ietrel.cli", "prop-check", "--size", "3",
          "--exhaustive"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == EXIT_OK
     assert "6 instances" in proc.stdout

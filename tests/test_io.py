@@ -7,21 +7,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from ietrel.cli import EXIT_PARSE, main
 from ietrel.documents import (
-    Document,
+    KIND_CERTIFICATE,
+    KIND_IET,
+    KIND_PERM_LAMBDA,
+    KIND_ROTATION,
+    KIND_SCALAR,
+    KIND_WORD,
+    KINDS,
     document,
     emit_certificate,
     emit_document,
-    emit_iet,
-    emit_scalar,
-    emit_spec,
-    emit_word,
-    parse_certificate,
     parse_document,
-    parse_iet,
-    parse_scalar,
-    parse_spec,
-    parse_word,
 )
 from ietrel.errors import ContextMismatchError, ParseError
 from ietrel.iet import Iet, PermLambdaSpec
@@ -35,6 +33,11 @@ from conftest import q, quads, seeded_iets, seeded_specs
 F = Fraction
 
 SQRT2M1 = QuadExt(-1, 1, 2)
+
+
+def round_trip(payload, kind):
+    """Emit the payload as a document and parse it back as that kind."""
+    return parse_document(emit_document(document(payload)), kind).payload
 
 ROTATION_TEXT = """\
 ietrel v1
@@ -50,7 +53,7 @@ rates = -1+1*sqrt(2), 0
 
 def test_rotation_document_is_byte_exact():
     spec = DisjointRotationSpec((q(F(1, 2)), q(F(1, 2))), (SQRT2M1, q(0)))
-    assert emit_spec(spec) == ROTATION_TEXT
+    assert emit_document(document(spec)) == ROTATION_TEXT
 
 
 def test_parse_then_emit_is_byte_stable():
@@ -87,7 +90,7 @@ def test_certificate_document_round_trip():
     assert lines[:3] == ["ietrel v1", "D = 2", "kind = certificate"]
     assert "branch = h_trivial" in lines
     assert "verified = true" in lines
-    assert parse_certificate(text) == cert
+    assert parse_document(text, KIND_CERTIFICATE).payload == cert
 
 
 def test_certificate_document_omits_absent_params():
@@ -98,7 +101,7 @@ def test_certificate_document_omits_absent_params():
         "ietrel v1\nD = 0\nkind = certificate\nbranch = finite_order\n"
         "verified = true\nword = a^4\n"
     )
-    assert parse_certificate(text) == cert
+    assert parse_document(text, KIND_CERTIFICATE).payload == cert
 
 
 # -- round trips over every kind --------------------------------------------------
@@ -108,7 +111,7 @@ def test_iet_and_perm_lambda_round_trip():
     f = Iet.from_perm_lambda(PermLambdaSpec(
         pi=(3, 2, 1),
         lengths=(q(F(1, 4)), q(F(1, 4)), q(F(1, 2)))))
-    assert parse_iet(emit_iet(f)) == f
+    assert round_trip(f, KIND_IET) == f
     spec = PermLambdaSpec(pi=(2, 1), lengths=(SQRT2M1, q(2) - QuadExt(0, 1, 2)))
     text = emit_document(document(spec))
     assert parse_document(text).payload == spec
@@ -117,25 +120,27 @@ def test_iet_and_perm_lambda_round_trip():
 @given(seeded_iets())
 @settings(max_examples=25, deadline=None)
 def test_random_iets_round_trip(f):
-    assert parse_iet(emit_iet(f)) == f
+    assert round_trip(f, KIND_IET) == f
 
 
 @given(seeded_specs())
 @settings(max_examples=25, deadline=None)
 def test_random_specs_round_trip(spec):
-    assert parse_spec(emit_spec(spec)) == spec
+    assert round_trip(spec, KIND_ROTATION) == spec
 
 
 @given(quads())
 @settings(max_examples=40, deadline=None)
 def test_scalar_grammar_round_trips(x):
-    assert parse_scalar(emit_scalar(x)) == x
+    assert QuadExt.parse(str(x)) == x
+    assert round_trip(x, KIND_SCALAR) == x
 
 
 def test_word_grammar_round_trips():
     for text in ("", "a", "b^-1 a^-5 b a^5", "a^3 b^2 a^-1"):
-        w = parse_word(text)
-        assert parse_word(emit_word(w)) == w
+        w = Word.parse(text)
+        assert Word.parse(str(w)) == w
+        assert round_trip(w, KIND_WORD) == w
 
 
 # -- context enforcement -----------------------------------------------------------
@@ -202,6 +207,52 @@ def test_parse_rejects_malformed_documents():
 
 def test_typed_wrappers_enforce_the_kind():
     with pytest.raises(ParseError, match="expected a iet"):
-        parse_iet(ROTATION_TEXT)
+        parse_document(ROTATION_TEXT, KIND_IET)
     with pytest.raises(ParseError, match="expected a rotation"):
-        parse_spec("ietrel v1\nD = 0\nkind = word\nword = a\n")
+        parse_document("ietrel v1\nD = 0\nkind = word\nword = a\n", KIND_ROTATION)
+
+
+# -- the kind filter the CLI applies ---------------------------------------------
+
+SAMPLES = {
+    KIND_SCALAR: SQRT2M1,
+    KIND_PERM_LAMBDA: PermLambdaSpec(pi=(2, 1), lengths=(q(F(1, 4)), q(F(3, 4)))),
+    KIND_IET: Iet.rotation(q(F(1, 4))),
+    KIND_ROTATION: DisjointRotationSpec((q(1),), (SQRT2M1,)),
+    KIND_WORD: Word.parse("a b^-1"),
+    KIND_CERTIFICATE: RelationCertificate(word=Word.parse("a^4"), branch="finite_order",
+                                          verified=True),
+}
+
+# each accepted-kind set of the CLI, with a command that reads a {doc} under it
+ACCEPTED = {
+    "maps": ((KIND_IET, KIND_PERM_LAMBDA, KIND_ROTATION), ("l1", "--map", "{doc}")),
+    "rotation": ((KIND_ROTATION,), ("synthesize", "--r", "{doc}", "--g", "{g}")),
+    "word-or-certificate": ((KIND_WORD, KIND_CERTIFICATE),
+                            ("verify", "--word", "{doc}", "--r", "{r}", "--g", "{g}")),
+}
+
+
+def test_the_samples_cover_every_kind():
+    assert set(SAMPLES) == set(KINDS)
+
+
+@pytest.mark.parametrize("accepted, argv", ACCEPTED.values(), ids=ACCEPTED.keys())
+@pytest.mark.parametrize("kind", KINDS)
+def test_only_the_accepted_kinds_parse(tmp_path, capsys, accepted, argv, kind):
+    text = emit_document(document(SAMPLES[kind]))
+    paths = {"doc": tmp_path / "doc", "r": tmp_path / "r", "g": tmp_path / "g"}
+    paths["doc"].write_text(text)
+    paths["r"].write_text(emit_document(document(SAMPLES[KIND_ROTATION])))
+    paths["g"].write_text(emit_document(document(Iet.identity())))
+    code = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    if kind in accepted:
+        assert parse_document(text, *accepted).payload == SAMPLES[kind]
+        assert code != EXIT_PARSE
+        return
+    with pytest.raises(ParseError, match=f"expected a .* document, got kind '{kind}'"):
+        parse_document(text, *accepted)
+    assert code == EXIT_PARSE
+    assert f"got kind '{kind}'" in err
+    assert str(paths["doc"]) in err

@@ -137,7 +137,7 @@ def test_to_float_anchors():
     assert abs(float(q(-1, 1, 2)) - 0.41421356) < 1e-7
     assert float(q(Fraction(1, 2))) == 0.5
     assert float(ZERO) == 0.0
-    assert q(Fraction(1, 4)).to_float() == 0.25
+    assert float(q(Fraction(1, 4))) == 0.25
 
 
 # -- discriminant discipline -------------------------------------------------
