@@ -206,8 +206,7 @@ def find_M(
     r_spec: DisjointRotationSpec, epsilon: QuadExt, m_cap: int = DEFAULT_M_CAP
 ) -> int:
     """Smallest M >= 1 with every block rate of r^M within epsilon/10 of 0
-    circularly.  The scan is incremental and exact; ranges could be split
-    across workers as long as the reported M is the global minimum.
+    circularly.  The scan is incremental and exact.
     """
     if epsilon.sign() <= 0:
         raise PreconditionError("epsilon must be positive")

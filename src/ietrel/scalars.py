@@ -325,7 +325,7 @@ def _init_normalized(obj: QuadExt, an: int, bn: int, den: int, disc: int) -> Non
         an, bn, den = -an, -bn, -den
     if bn == 0:
         disc = 0
-    g = math.gcd(math.gcd(abs(an), abs(bn)), den)
+    g = math.gcd(an, bn, den)
     object.__setattr__(obj, "an", an // g)
     object.__setattr__(obj, "bn", bn // g)
     object.__setattr__(obj, "den", den // g)

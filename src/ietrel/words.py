@@ -6,7 +6,10 @@ first map and 'b' for the second; a word reads left to right but composes
 right to left, so the leftmost syllable acts last.
 
 Three evaluators live here.  `verify_word` is the one relation checker: it
-certifies every synthesized word and backs `ietrel verify`.  `eval_word`
+certifies every synthesized word and backs `ietrel verify`.  It pushes the
+composite map, kept in image order as (image lo, translation) pieces,
+through the word one syllable at a time, and calls no `Iet` method; its
+one hot loop is `_push`.  `eval_word`
 (repeated squaring through `Iet.power`) and `eval_word_naive` (one letter
 at a time) return the evaluated `Iet`; tests compare them with each other
 and with `verify_word`.
@@ -15,8 +18,8 @@ and with `verify_word`.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import ParseError, PreconditionError, SearchCapError
@@ -44,9 +47,10 @@ GENERATORS = ("a", "b")
 MAX_B_LETTERS = 1000
 
 Syllable = Tuple[str, int]
-# (lo, hi, translation): a half-open interval and the shift applied to it
-Piece = Tuple[QuadExt, QuadExt, QuadExt]
-_LO = itemgetter(0)
+# (image lo, total translation): one piece of the composite map in verify_word
+Piece = Tuple[QuadExt, QuadExt]
+# (domain lo, domain hi, shift): one piece of a syllable's map
+Step = Tuple[QuadExt, QuadExt, QuadExt]
 
 
 @dataclass(frozen=True)
@@ -102,10 +106,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word()
-        for _ in range(n):
-            out = out * self
-        return out
+        return free_reduce(self.syllables * n)
 
     # -- queries ----------------------------------------------------------
 
@@ -176,12 +177,13 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
     """True when the word evaluates to the identity with a -> r, b -> g,
     where r is the disjoint rotation map of spec.
 
-    The evaluation keeps the composite map as pieces (image lo, image hi,
-    total translation), starting from the single piece [0, 1) with
-    translation 0, and applies the syllables right to left.  Each syllable
-    splits every piece at the breakpoints of its own map, shifts it, and
-    the pieces are re-sorted by image with equal-translation neighbours
-    merged; the word is the identity when one piece with translation 0
+    The composite map is kept in image order as pieces (image lo, total
+    translation); each piece ends where the next begins, the last at 1.  It
+    starts as the single piece (0, 0), and the syllables act right to left.
+    Each syllable's map is listed in image order as (domain lo, domain hi,
+    shift), so pushing the composite through it (`_push`) emits fragments
+    already in image order and merges equal-translation neighbours as it
+    goes; the word is the identity when one piece with translation 0
     remains.  An a^k syllable costs the same for every k: block j is
     rotated in closed form by (k * alpha_j) mod 1.  A b^k syllable is
     pushed through |k| times, and the word may hold at most MAX_B_LETTERS
@@ -197,15 +199,12 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
         raise SearchCapError(
             f"word has {b_letters} b letters, more than MAX_B_LETTERS = {MAX_B_LETTERS}"
         )
-    g_forward = list(zip(g.breakpoints, g.breakpoints[1:] + (ONE,), g.translations))
-    g_backward = sorted(((lo + t, hi + t, -t) for lo, hi, t in g_forward), key=_LO)
-    cursor = ZERO
-    for lo, hi, _ in g_backward:
-        if lo != cursor:
-            raise PreconditionError("the image intervals of g do not tile [0, 1)")
-        cursor = hi
-    maps: Dict[Tuple[str, int], List[Piece]] = {("b", 1): g_forward, ("b", -1): g_backward}
-    pieces: List[Piece] = [(ZERO, ONE, ZERO)]
+    g_pieces = list(zip(g.breakpoints, g.breakpoints[1:] + (ONE,), g.translations))
+    maps: Dict[Tuple[str, int], List[Step]] = {
+        ("b", 1): sorted(g_pieces, key=lambda p: p[0] + p[2]),
+        ("b", -1): [(lo + t, hi + t, -t) for lo, hi, t in g_pieces],
+    }
+    pieces: List[Piece] = [(ZERO, ZERO)]
     for gen, exp in reversed(word.syllables):
         if gen == "a":
             step = maps.get(("a", exp))
@@ -216,50 +215,42 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
             step = maps[("b", 1 if exp > 0 else -1)]
             for _ in range(abs(exp)):
                 pieces = _push(pieces, step)
-    return len(pieces) == 1 and not pieces[0][2]
+    return len(pieces) == 1 and not pieces[0][1]
 
 
-def _rotation_power(spec: DisjointRotationSpec, k: int) -> List[Piece]:
-    """Domain pieces of r^k: block j rotated in place by (k * alpha_j) mod 1."""
+def _rotation_power(spec: DisjointRotationSpec, k: int) -> List[Step]:
+    """The map r^k in image order: block j rotated in place by (k * alpha_j) mod 1,
+    its wrapped piece first."""
     out = []
     left = ZERO
     for lam, alpha in zip(spec.lengths, spec.rates):
         right = left + lam
         shift = lam * (alpha * k).mod_one()
         if shift:
-            out.append((left, right - shift, shift))
-            out.append((right - shift, right, shift - lam))
+            cut = right - shift
+            out.append((cut, right, shift - lam))
+            out.append((left, cut, shift))
         else:
             out.append((left, right, ZERO))
         left = right
-    return _merged(out)
+    return out
 
 
-def _push(pieces: List[Piece], step: List[Piece]) -> List[Piece]:
-    """Apply step after pieces: both tile [0, 1), pieces by image, step by domain."""
-    out = []
-    j = 0
-    for lo, hi, t in pieces:
-        while True:
-            _, step_hi, s = step[j]
-            if hi <= step_hi:
-                out.append((lo + s, hi + s, t + s))
-                if hi == step_hi:
-                    j += 1
-                break
-            out.append((lo + s, step_hi + s, t + s))
-            lo = step_hi
-            j += 1
-    out.sort(key=_LO)
-    return _merged(out)
+def _push(pieces: List[Piece], step: List[Step]) -> List[Piece]:
+    """Apply step after the composite map pieces; both are listed in image order.
 
-
-def _merged(pieces: List[Piece]) -> List[Piece]:
-    """Merge neighbours with equal translation; pieces must be sorted and tile."""
-    out = [pieces[0]]
-    for lo, hi, t in pieces[1:]:
-        if t == out[-1][2]:
-            out[-1] = (out[-1][0], hi, t)
-        else:
-            out.append((lo, hi, t))
+    The domain [lo, hi) of a step piece starts inside the composite piece
+    found by one bisection and covers the run of pieces that start before
+    hi.  The composite has no two neighbours with equal translation, so
+    within a run none arise either: only the first fragment of a run can
+    merge, with the last fragment emitted before it.
+    """
+    starts = [lo for lo, _ in pieces]
+    out: List[Piece] = []
+    for lo, hi, s in step:
+        i = bisect_right(starts, lo)
+        t = pieces[i - 1][1] + s
+        if not out or t != out[-1][1]:
+            out.append((lo + s, t))
+        out.extend((lo + s, t + s) for lo, t in pieces[i:bisect_left(starts, hi, i)])
     return out

@@ -14,18 +14,21 @@ from pathlib import Path
 
 import pytest
 
-from ietrel import relations, words
+from ietrel import cli, relations, words
 from ietrel.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_SEARCH_CAP,
     EXIT_VERIFICATION,
+    MAX_EXHAUSTIVE_SIZE,
     MAX_GROWTH_N,
     MAX_GROWTH_PIECES,
     MAX_ORBIT_N,
     MAX_POW_N,
     MAX_POW_PIECES,
+    MAX_RANDOM_SIZE,
+    MAX_TRIALS,
     main,
 )
 from ietrel.documents import KIND_CERTIFICATE, document, emit_document, parse_document
@@ -428,6 +431,29 @@ def test_prop_check_random(capsys):
                        "--seed", "3")
     assert code == EXIT_OK
     assert "50 instances" in out
+
+
+@pytest.mark.parametrize(
+    "args, cap_name",
+    [
+        (("--size", str(MAX_EXHAUSTIVE_SIZE + 1), "--exhaustive"), "MAX_EXHAUSTIVE_SIZE"),
+        (("--size", str(MAX_RANDOM_SIZE + 1), "--trials", "1"), "MAX_RANDOM_SIZE"),
+        (("--size", "3", "--trials", str(MAX_TRIALS + 1)), "MAX_TRIALS"),
+    ],
+)
+def test_prop_check_past_a_size_cap_exits_4_before_any_instance(capsys, monkeypatch,
+                                                                args, cap_name):
+    def forbidden(*args):
+        raise AssertionError("an instance was built past a cap")
+
+    monkeypatch.setattr(cli, "enumerate_instances", forbidden)
+    monkeypatch.setattr(cli, "random_instance", forbidden)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "prop-check", *args)
+    assert time.perf_counter() - t0 < 2
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert cap_name in err
 
 
 # -- error plumbing --------------------------------------------------------------------

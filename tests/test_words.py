@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ietrel import words as words_module
 from ietrel.errors import ParseError, PreconditionError, SearchCapError
 from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.rotation import DisjointRotationSpec
 from ietrel.sampling import random_iet, random_rotation_spec
+from ietrel.scalars import ZERO
 from ietrel.words import (
     MAX_B_LETTERS,
     Word,
@@ -191,7 +193,27 @@ def _random_word(rng):
     return free_reduce(raw)
 
 
-def test_verify_word_agrees_with_naive_on_random_cases():
+def _image_form(f):
+    """f as verify_word keeps it: (image lo, translation) pieces in image order."""
+    inv = f.inverse()
+    return list(zip(inv.breakpoints, [-t for t in inv.translations]))
+
+
+@pytest.fixture
+def pushed(monkeypatch):
+    """Every map verify_word builds, in order: _push wrapped to record its result."""
+    out = []
+    push = words_module._push
+
+    def recording_push(pieces, step):
+        out.append(push(pieces, step))
+        return out[-1]
+
+    monkeypatch.setattr(words_module, "_push", recording_push)
+    return out
+
+
+def test_verify_word_agrees_with_naive_on_random_cases(pushed):
     rng = random.Random(20261018)
     seen = Counter()
     for _ in range(100):
@@ -217,13 +239,29 @@ def test_verify_word_agrees_with_naive_on_random_cases():
             seen["rotation by 0"] += gen == "a" and any(
                 a and not (a * exp).mod_one() for a in spec.rates
             )
-        expected = eval_word_naive(w, spec.to_iet(), g).is_identity()
+        f = eval_word_naive(w, spec.to_iet(), g)
+        expected = f.is_identity()
+        pushed.clear()
         assert verify_word(w, spec, g) == expected, (spec, g, w)
+        # the whole map, pieces merged, not only the verdict
+        assert (pushed or [[(ZERO, ZERO)]])[-1] == _image_form(f), (spec, g, w)
         seen[expected] += 1
     cases = (True, False, "g a power of r", "finite order", "a^-k", "b^k, |k| >= 2",
              "rotation by 0")
     for key in cases:
         assert seen[key], key
+
+
+def test_verify_word_builds_a_large_power_exactly(pushed):
+    # a generic quadratic 4-interval map: g^40 has 3 * 40 + 1 pieces
+    s2 = q(0, 1, 2)
+    lengths = (s2 / 10, q(Fraction(1, 5)), q(Fraction(1, 2)) - s2 * Fraction(3, 20))
+    g = Iet.from_perm_lambda(PermLambdaSpec((4, 3, 2, 1), lengths + (1 - sum(lengths),)))
+    spec = DisjointRotationSpec((q(1),), (q(Fraction(1, 2)),))
+    assert not verify_word(Word.parse("b^40"), spec, g)
+    assert len(pushed) == 40
+    assert len(pushed[-1]) == 121
+    assert pushed[-1] == _image_form(g.power(40))
 
 
 def test_verify_word_anchors():
