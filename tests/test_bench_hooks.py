@@ -23,7 +23,7 @@ from ietrel.scalars import QuadExt  # noqa: E402
 
 def test_every_traced_target_is_an_attribute_of_its_owner():
     missing = [
-        (getattr(owner, "__name__", owner), attr)
+        (owner.__name__, attr)
         for owner, attr, _ in tracing.traced_targets()
         if attr not in owner.__dict__
     ]

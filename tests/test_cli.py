@@ -443,7 +443,7 @@ def test_prop_check_random(capsys):
 )
 def test_prop_check_past_a_size_cap_exits_4_before_any_instance(capsys, monkeypatch,
                                                                 args, cap_name):
-    def forbidden(*args):
+    def forbidden(*_):
         raise AssertionError("an instance was built past a cap")
 
     monkeypatch.setattr(cli, "enumerate_instances", forbidden)
