@@ -15,7 +15,7 @@ prediction against the direct product k h^-1 k^-1 h.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -63,7 +63,10 @@ def support_of(p: Map) -> frozenset:
 
 @dataclass(frozen=True)
 class CommutatorInstance:
-    """A pair (h, phi) on m points with phi(supp h cap supp phi) off supp h."""
+    """A pair (h, phi) on m points with phi(supp h cap supp phi) off supp h.
+
+    The inverses of h and phi are computed once, here, for classify_point.
+    """
 
     h: Map
     phi: Map
@@ -71,6 +74,12 @@ class CommutatorInstance:
     B: frozenset
     C: frozenset
     k: Map
+    h_inv: Map = field(init=False, repr=False, compare=False)
+    phi_inv: Map = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "h_inv", invert_map(self.h))
+        object.__setattr__(self, "phi_inv", invert_map(self.phi))
 
     @classmethod
     def build(cls, h: Map, phi: Map) -> "CommutatorInstance":
@@ -81,8 +90,10 @@ class CommutatorInstance:
         a = frozenset(supp_h & supp_phi)
         b = frozenset(supp_h - supp_phi)
         c = frozenset(phi[i] for i in a)
-        k = compose_maps(compose_maps(phi, h), invert_map(phi))
-        return cls(h=h, phi=phi, A=a, B=b, C=c, k=k)
+        k = [0] * len(h)
+        for i, j in enumerate(h):
+            k[phi[i]] = phi[j]  # k = phi h phi^-1
+        return cls(h=h, phi=phi, A=a, B=b, C=c, k=tuple(k))
 
     @property
     def m(self) -> int:
@@ -96,9 +107,8 @@ def check_hypotheses(inst: CommutatorInstance) -> bool:
 
 def compute_T(inst: CommutatorInstance) -> Map:
     """T = k h^-1 k^-1 h."""
-    h_inv = invert_map(inst.h)
     k_inv = invert_map(inst.k)
-    return compose_maps(compose_maps(inst.k, h_inv), compose_maps(k_inv, inst.h))
+    return compose_maps(compose_maps(inst.k, inst.h_inv), compose_maps(k_inv, inst.h))
 
 
 def classify_point(p: int, inst: CommutatorInstance) -> Tuple[str, int]:
@@ -110,9 +120,8 @@ def classify_point(p: int, inst: CommutatorInstance) -> Tuple[str, int]:
     to B by h; Va sends B to A by h^-1; VI sends B to C by k; IVa and IVb
     send C to A and B along h^-1 k^-1.  No case sends A into C.
     """
-    h, phi = inst.h, inst.phi
+    h, phi, h_inv = inst.h, inst.phi, inst.h_inv
     a, b, c = inst.A, inst.B, inst.C
-    h_inv = invert_map(h)
     if p in a:
         hp = h[p]
         if hp in a:
@@ -129,7 +138,7 @@ def classify_point(p: int, inst: CommutatorInstance) -> Tuple[str, int]:
             return "Va", v
         return "Vb", p
     if p in c:
-        u = h_inv[invert_map(phi)[p]]
+        u = h_inv[inst.phi_inv[p]]
         if u in a:
             return "III", p
         v = h_inv[u]  # u landed in B, so chase once more

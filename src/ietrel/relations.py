@@ -205,23 +205,41 @@ def find_epsilon(
 def find_M(
     r_spec: DisjointRotationSpec, epsilon: QuadExt, m_cap: int = DEFAULT_M_CAP
 ) -> int:
-    """Smallest M >= 1 with every block rate of r^M within epsilon/10 of 0
-    circularly.  The scan is incremental and exact.
+    """Smallest M >= 1 with every block rate of r^M within theta = epsilon/10
+    of 0 circularly: frac(M * alpha_j) < theta or > 1 - theta for every j.
+
+    A filtered scan, exact in every decision.  Each nonzero rate alpha is
+    stepped as the integer A = floor(alpha * 2^K), found once with
+    `QuadExt.floor`.  Since m * alpha * 2^K exceeds m * A by less than m, the
+    true frac(m * alpha) * 2^K lies in [x, x + m) with x = m * A mod 2^K.  A
+    block with t <= x and x + m_cap <= 2^K - t, where t = ceil(theta * 2^K),
+    is at least theta from 0 on both sides, so m fails with integer work
+    only.  An m that no block rejects this way is decided by the exact test
+    on (alpha * m).mod_one().  K has at least 96 bits and 32 to spare over
+    m_cap / theta, so the filter passes about a 2 * theta share of the steps
+    on the first block; the others are filtered only at those steps.  Zero
+    rates always pass and are left out.
     """
     if epsilon.sign() <= 0:
         raise PreconditionError("epsilon must be positive")
     theta = epsilon / 10
     upper = ONE - theta
-    rates = r_spec.rates
-    current = list(rates)
+    rates = [a for a in r_spec.rates if a]
+    bits = max(96, (m_cap * ((ONE / theta).floor() + 1)).bit_length() + 32)
+    full = 1 << bits
+    low = -(theta * -full).floor()  # t = ceil(theta * 2^K)
+    high = full - low - m_cap
+    steps = [(a * full).floor() for a in rates]
+    lead, *rest = steps or [0]
+    x = 0
     for m in range(1, m_cap + 1):
-        if all(c < theta or c > upper for c in current):
+        x += lead
+        if x >= full:
+            x -= full
+        if low <= x <= high or any(low <= m * a % full <= high for a in rest):
+            continue
+        if all(c < theta or c > upper for c in ((a * m).mod_one() for a in rates)):
             return m
-        for j, a in enumerate(rates):
-            c = current[j] + a
-            if c >= ONE:
-                c = c - ONE
-            current[j] = c
     raise SearchCapError(f"no admissible M up to cap {m_cap}")
 
 

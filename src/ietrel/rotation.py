@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import PreconditionError
+from .errors import ContextMismatchError, PreconditionError
 from .iet import Iet
 from .scalars import ONE, ZERO, QuadExt, as_scalar
 
@@ -46,6 +46,9 @@ class DisjointRotationSpec:
         object.__setattr__(self, "rates", tuple(as_scalar(a) for a in self.rates))
         if not self.lengths or len(self.lengths) != len(self.rates):
             raise PreconditionError("need equally many block lengths and rates")
+        discs = sorted({x.disc for x in self.lengths + self.rates if x.disc})
+        if len(discs) > 1:
+            raise ContextMismatchError(f"mixed discriminants {discs[0]} and {discs[1]}")
         total = ZERO
         for v in self.lengths:
             if v.sign() <= 0:

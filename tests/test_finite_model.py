@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ietrel import finite_model
 from ietrel.errors import InvariantError, PreconditionError
 from ietrel.finite_model import (
     CASE_LABELS,
@@ -115,6 +116,22 @@ def test_classify_rejects_doctored_sets():
                              B=frozenset(), C=frozenset({1}), k=good.k)
     with pytest.raises(InvariantError):
         classify_point(0, bad)
+
+
+def test_each_map_is_inverted_a_fixed_number_of_times_per_instance(monkeypatch):
+    # build inverts h and phi once each and compute_T inverts k, whatever
+    # the size m; classify_point inverts nothing
+    calls = []
+    real = finite_model.invert_map
+    monkeypatch.setattr(finite_model, "invert_map", lambda p: calls.append(p) or real(p))
+    for m in (3, 12, 30):
+        sample = random_instance(m, random.Random(m))
+        calls.clear()
+        inst = CommutatorInstance.build(sample.h, sample.phi)
+        t = compute_T(inst)
+        for p in range(m):
+            assert classify_point(p, inst)[1] == t[p]
+        assert calls == [inst.h, inst.phi, inst.k]
 
 
 # -- case table ------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ietrel.errors import PreconditionError
+from ietrel.errors import ContextMismatchError, PreconditionError
 from ietrel.iet import Iet
 from ietrel.intervals import IntervalSet
 from ietrel.rotation import (
@@ -71,6 +71,18 @@ def test_rejected_specs():
         DisjointRotationSpec((q(1),), (q(0), q(0)))
     with pytest.raises(PreconditionError):
         DisjointRotationSpec((), ())
+
+
+def test_mixed_discriminants_are_rejected_at_construction():
+    third = q(F(1, 3))
+    rates = (SQRT2M1, QuadExt(-1, 1, 3), QuadExt(-2, 1, 5))
+    with pytest.raises(ContextMismatchError, match="mixed discriminants 2 and 3"):
+        DisjointRotationSpec((third,) * 3, rates)
+    with pytest.raises(ContextMismatchError):
+        DisjointRotationSpec((QuadExt(0, F(1, 2), 2), 1 - QuadExt(0, F(1, 2), 2)),
+                             (QuadExt(-1, 1, 3), q(0)))
+    # one discriminant plus rationals is one context
+    DisjointRotationSpec((third,) * 3, (SQRT2M1, q(F(1, 2)), QuadExt(2, -1, 2)))
 
 
 def test_classify():

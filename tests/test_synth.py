@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from ietrel.relations import (
     BRANCH_H_TRIVIAL,
     BRANCH_T_SIXTH,
     BRANCH_T_TRIVIAL,
+    DEFAULT_M_CAP,
     build_h,
     build_k,
     build_T,
@@ -30,7 +33,7 @@ from ietrel.relations import (
     synthesize_with_context,
 )
 from ietrel.rotation import DisjointRotationSpec
-from ietrel.sampling import demo_suite
+from ietrel.sampling import demo_suite, random_rotation_spec
 from ietrel.scalars import ONE, QuadExt
 from ietrel.words import Word, eval_word, eval_word_naive
 
@@ -143,6 +146,84 @@ def test_find_M_is_minimal():
     for m in range(1, M):
         rate = ONE_BLOCK.block_rates(m)[0]
         assert not (rate < theta or rate > ONE - theta)
+
+
+def linear_find_M(r_spec, epsilon, m_cap=DEFAULT_M_CAP):
+    """The oracle: step every rate as a QuadExt, one M at a time."""
+    theta = epsilon / 10
+    upper = ONE - theta
+    rates = r_spec.rates
+    current = list(rates)
+    for m in range(1, m_cap + 1):
+        if all(c < theta or c > upper for c in current):
+            return m
+        for j, a in enumerate(rates):
+            c = current[j] + a
+            if c >= ONE:
+                c = c - ONE
+            current[j] = c
+    raise SearchCapError(f"no admissible M up to cap {m_cap}")
+
+
+def _outcome(search, spec, eps, m_cap):
+    try:
+        return search(spec, eps, m_cap)
+    except SearchCapError:
+        return "cap"
+
+
+def _differential_case(seed):
+    """A seeded spec and epsilon >= 1/1000; seeds 1 and 2 mod 4 put a zero
+    rate in some block or in the first one."""
+    rng = random.Random(seed)
+    spec = random_rotation_spec(rng)
+    rates = list(spec.rates)
+    if seed % 4 == 1:
+        rates[rng.randrange(len(rates))] = q(0)
+    elif seed % 4 == 2:
+        rates[0] = q(0)
+    spec = DisjointRotationSpec(spec.lengths, tuple(rates))
+    n = round(1000 ** rng.random())  # log-uniform in [1, 1000]
+    disc = max(a.disc for a in rates) or rng.choice((2, 3, 5))
+    eps = q(F(1, n)) if rng.random() < 0.5 else QuadExt(F(1, n), F(1, 8 * n), disc)
+    return spec, eps
+
+
+def test_find_M_matches_the_linear_scan_on_seeded_specs():
+    m_cap = 20_000
+    outcomes = []
+    for seed in range(240):
+        spec, eps = _differential_case(seed)
+        want = _outcome(linear_find_M, spec, eps, m_cap)
+        assert _outcome(find_M, spec, eps, m_cap) == want, (seed, spec, eps)
+        outcomes.append(want)
+    # the cases reach past the trivial M = 1 and past the first convergents
+    assert sum(m != "cap" and m > 100 for m in outcomes) >= 20
+
+
+def test_find_M_decides_an_exact_boundary_exactly():
+    # at M = 70 the rate of sqrt(2) - 1 sits exactly theta below 1, which the
+    # strict test rejects; a theta any larger accepts it
+    theta = ONE - (SQRT2M1 * 70).mod_one()  # 99 - 70*sqrt(2)
+    assert theta == QuadExt(99, -70, 2)
+    for eps in (theta * 10, theta * 10 + q(F(1, 10**12))):
+        assert find_M(ONE_BLOCK, eps) == linear_find_M(ONE_BLOCK, eps)
+    assert find_M(ONE_BLOCK, theta * 10) > 70
+    assert find_M(ONE_BLOCK, theta * 10 + q(F(1, 10**12))) == 70
+
+
+@pytest.mark.parametrize("eps, M", [(F(1, 10**3), 5741), (F(1, 10**4), 80782),
+                                    (F(1, 10**5), 470832)])
+def test_find_M_convergent_anchors(eps, M):
+    # each M is a convergent denominator of sqrt(2)
+    assert find_M(ONE_BLOCK, q(eps)) == M
+
+
+def test_find_M_reaches_the_default_cap_quickly():
+    start = time.perf_counter()
+    with pytest.raises(SearchCapError, match=f"cap {DEFAULT_M_CAP}"):
+        find_M(ONE_BLOCK, q(F(1, 10**9)))
+    assert time.perf_counter() - start < 5.0
 
 
 # -- h, k, T ---------------------------------------------------------------------
