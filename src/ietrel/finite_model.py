@@ -65,7 +65,8 @@ def support_of(p: Map) -> frozenset:
 class CommutatorInstance:
     """A pair (h, phi) on m points with phi(supp h cap supp phi) off supp h.
 
-    The inverses of h and phi are computed once, here, for classify_point.
+    The inverses of h and phi are computed once, here, for compute_T and
+    classify_point.
     """
 
     h: Map

@@ -201,15 +201,26 @@ def test_find_M_matches_the_linear_scan_on_seeded_specs():
     assert sum(m != "cap" and m > 100 for m in outcomes) >= 20
 
 
-def test_find_M_decides_an_exact_boundary_exactly():
-    # at M = 70 the rate of sqrt(2) - 1 sits exactly theta below 1, which the
-    # strict test rejects; a theta any larger accepts it
-    theta = ONE - (SQRT2M1 * 70).mod_one()  # 99 - 70*sqrt(2)
-    assert theta == QuadExt(99, -70, 2)
-    for eps in (theta * 10, theta * 10 + q(F(1, 10**12))):
-        assert find_M(ONE_BLOCK, eps) == linear_find_M(ONE_BLOCK, eps)
-    assert find_M(ONE_BLOCK, theta * 10) > 70
-    assert find_M(ONE_BLOCK, theta * 10 + q(F(1, 10**12))) == 70
+_HALVES = (q(F(1, 2)), q(F(1, 2)))
+
+
+@pytest.mark.parametrize("spec, m", [
+    (ONE_BLOCK, 70),  # the rate sits just below 1
+    (ONE_BLOCK, 169),  # just above 0
+    (DisjointRotationSpec((q(1),), (q(F(3, 8)),)), 3),  # exact in fixed point
+    (DisjointRotationSpec(_HALVES, (SQRT2M1, (SQRT2M1 * 2).mod_one())), 70),
+])
+def test_find_M_decides_an_exact_boundary_exactly(spec, m):
+    # M = m is admissible exactly when theta exceeds the largest circular
+    # distance of a block rate from 0 there, and no smaller M gets as close.
+    # At theta equal to that distance the strict test must reject M = m; at
+    # theta larger by far less than one fixed-point unit it must accept it.
+    # In the two-block case the first block passes at theta itself.
+    distance = max(min(c, ONE - c) for c in spec.block_rates(m))
+    tiny = q(F(1, 2**200))
+    at, above = distance * 10, (distance + tiny) * 10
+    assert find_M(spec, at) == linear_find_M(spec, at) > m
+    assert find_M(spec, above) == linear_find_M(spec, above) == m
 
 
 @pytest.mark.parametrize("eps, M", [(F(1, 10**3), 5741), (F(1, 10**4), 80782),
