@@ -13,11 +13,11 @@ Exit codes:
   4  a search cap exhausted, or an input past a size cap: a discriminant
      above scalars.MAX_DISC, a word with more than words.MAX_B_LETTERS
      b letters, |pow --n| above MAX_POW_N, orbit --n above MAX_ORBIT_N,
-     disc-growth --max-n above MAX_GROWTH_N, a map whose piece count
-     lets the pieces pow or disc-growth may build pass MAX_POW_PIECES or
-     MAX_GROWTH_PIECES, or prop-check --size above MAX_EXHAUSTIVE_SIZE
-     (exhaustive) or MAX_RANDOM_SIZE (random), or --trials above
-     MAX_TRIALS.
+     disc-growth --max-n above MAX_GROWTH_N, synthesize --m-cap above
+     relations.DEFAULT_M_CAP, a map whose piece count lets the pieces pow
+     or disc-growth may build pass MAX_POW_PIECES or MAX_GROWTH_PIECES, or
+     prop-check --size above MAX_EXHAUSTIVE_SIZE (exhaustive) or
+     MAX_RANDOM_SIZE (random), or --trials above MAX_TRIALS.
 """
 
 from __future__ import annotations
@@ -201,6 +201,7 @@ def _cmd_disc_growth(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    _check_cap("synthesize --m-cap", args.m_cap, "DEFAULT_M_CAP", DEFAULT_M_CAP)
     spec = _load(args.r, KIND_ROTATION).payload
     g, _ = _load_map(args.g)
     conjugator = None

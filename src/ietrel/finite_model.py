@@ -166,28 +166,33 @@ def orbit_sizes(t: Map) -> Tuple[int, ...]:
     return tuple(sorted(sizes, reverse=True))
 
 
-def random_instance(
-    m: int, rng: random.Random, max_tries: int = 10_000
-) -> CommutatorInstance:
+# Rejection-sampling draws per instance before random_instance gives up.
+MAX_TRIES = 10_000
+
+
+def random_instance(m: int, rng: random.Random) -> CommutatorInstance:
     """Sample (h, phi) on m points satisfying the hypothesis.
 
     Rejection sampling over pairs of random permutations with restricted
-    support sizes; small supports keep the acceptance rate workable.
+    support sizes; small supports keep the acceptance rate workable.  A
+    derangement moves every point of its support, so A = sup_h & sup_phi
+    and the hypothesis are decided from the draws, and only an accepted
+    pair is built.
     """
     if m < 3:
         raise PreconditionError("need at least 3 points")
     points = list(range(m))
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         size_h = rng.randrange(2, max(3, m // 2 + 1))
         size_phi = rng.randrange(2, max(3, m // 2 + 1))
         sup_h = rng.sample(points, size_h)
         sup_phi = rng.sample(points, size_phi)
         h = _random_derangement_on(m, sup_h, rng)
         phi = _random_derangement_on(m, sup_phi, rng)
-        inst = CommutatorInstance.build(h, phi)
-        if check_hypotheses(inst) and inst.A:
-            return inst
-    raise SearchCapError(f"no admissible instance in {max_tries} tries")
+        a = set(sup_h).intersection(sup_phi)
+        if a and a.isdisjoint(phi[i] for i in a):
+            return CommutatorInstance.build(h, phi)
+    raise SearchCapError(f"no admissible instance in {MAX_TRIES} tries")
 
 
 def _random_derangement_on(m: int, points, rng: random.Random) -> Map:

@@ -24,6 +24,17 @@ from .scalars import ONE, ZERO, QuadExt, as_scalar
 __all__ = ["Iet", "PermLambdaSpec"]
 
 
+def check_lengths(lengths: Sequence[QuadExt]) -> None:
+    """Raise PreconditionError unless the lengths are positive and sum to 1."""
+    total = ZERO
+    for v in lengths:
+        if v.sign() <= 0:
+            raise PreconditionError(f"lengths must be positive, got {v}")
+        total = total + v
+    if total != ONE:
+        raise PreconditionError(f"lengths must sum to 1, got {total}")
+
+
 @dataclass(frozen=True)
 class PermLambdaSpec:
     """Combinatorial IET data: a permutation pi of {1..n} and lengths summing to 1."""
@@ -39,13 +50,7 @@ class PermLambdaSpec:
             raise PreconditionError("pi and lengths must be nonempty and parallel")
         if sorted(self.pi) != list(range(1, n + 1)):
             raise PreconditionError(f"pi must permute 1..{n}, got {self.pi}")
-        total = ZERO
-        for v in self.lengths:
-            if v.sign() <= 0:
-                raise PreconditionError(f"lengths must be positive, got {v}")
-            total = total + v
-        if total != ONE:
-            raise PreconditionError(f"lengths must sum to 1, got {total}")
+        check_lengths(self.lengths)
 
     @property
     def n(self) -> int:
@@ -55,7 +60,7 @@ class PermLambdaSpec:
 class Iet:
     """An invertible piecewise translation of [0, 1), in canonical form."""
 
-    __slots__ = ("breakpoints", "translations", "_inv")
+    __slots__ = ("breakpoints", "translations")
 
     def __init__(self, breakpoints: Sequence, translations: Sequence):
         """Check outside data once: raises PreconditionError unless the pieces
@@ -82,9 +87,6 @@ class Iet:
             cursor = hi
 
     def __setattr__(self, name, value):
-        if name == "_inv":
-            object.__setattr__(self, name, value)
-            return
         raise AttributeError("Iet is immutable")
 
     # -- constructors -----------------------------------------------------
@@ -197,14 +199,10 @@ class Iet:
         )
 
     def inverse(self) -> "Iet":
-        if self._inv is None:
-            images = self._images()
-            inv = _store(
-                object.__new__(Iet), [lo for lo, _, _ in images], [-t for _, _, t in images]
-            )
-            inv._inv = self
-            self._inv = inv
-        return self._inv
+        images = self._images()
+        return _store(
+            object.__new__(Iet), [lo for lo, _, _ in images], [-t for _, _, t in images]
+        )
 
     def power(self, m: int) -> "Iet":
         """m-th compositional power, by repeated squaring; negative m allowed."""
@@ -302,5 +300,4 @@ def _store(f: Iet, bps: Sequence[QuadExt], trs: Sequence[QuadExt]) -> Iet:
             ctrs.append(t)
     object.__setattr__(f, "breakpoints", tuple(cbps))
     object.__setattr__(f, "translations", tuple(ctrs))
-    object.__setattr__(f, "_inv", None)
     return f

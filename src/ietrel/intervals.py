@@ -99,30 +99,12 @@ class IntervalSet:
         return IntervalSet(out)
 
     def is_disjoint(self, other: "IntervalSet") -> bool:
-        i = j = 0
-        a, b = self.spans, other.spans
-        while i < len(a) and j < len(b):
-            lo = a[i][0] if a[i][0] > b[j][0] else b[j][0]
-            hi = a[i][1] if a[i][1] < b[j][1] else b[j][1]
-            if lo < hi:
-                return False
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return True
+        return not self.intersect(other)
 
     def contains_set(self, other: "IntervalSet") -> bool:
         """True when every point of other lies in self."""
-        i = 0
-        for lo, hi in other.spans:
-            while i < len(self.spans) and self.spans[i][1] < hi:
-                i += 1
-            if i == len(self.spans):
-                return False
-            if not (self.spans[i][0] <= lo and hi <= self.spans[i][1]):
-                return False
-        return True
+        # both sets are canonical, so equal sets have equal spans
+        return self.intersect(other) == other
 
     def complement(self) -> "IntervalSet":
         out = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import ContextMismatchError, PreconditionError
-from .iet import Iet
+from .iet import Iet, check_lengths
 from .scalars import ONE, ZERO, QuadExt, as_scalar
 
 __all__ = [
@@ -49,13 +49,7 @@ class DisjointRotationSpec:
         discs = sorted({x.disc for x in self.lengths + self.rates if x.disc})
         if len(discs) > 1:
             raise ContextMismatchError(f"mixed discriminants {discs[0]} and {discs[1]}")
-        total = ZERO
-        for v in self.lengths:
-            if v.sign() <= 0:
-                raise PreconditionError(f"block lengths must be positive, got {v}")
-            total = total + v
-        if total != ONE:
-            raise PreconditionError(f"block lengths must sum to 1, got {total}")
+        check_lengths(self.lengths)
         for a in self.rates:
             if not (ZERO <= a < ONE):
                 raise PreconditionError(f"rates must lie in [0, 1), got {a}")

@@ -10,8 +10,9 @@ Rates are chosen so the minimal M stays small enough for the test suite's
 letter-at-a-time cross-check (`eval_word_naive`, whose cost grows with M)
 to run in seconds; `ietrel verify` (`verify_word`) costs the same for any
 M.  A few pairs deliberately use badly approximable rates (sqrt(2)-1, the
-golden ratio conjugate) to give the M-scan real work, paired with a g that
-keeps the certificate short.
+golden ratio conjugate), whose minimal M is a continued-fraction convergent
+denominator (70, 89, 169, 209) rather than a power of two, paired with a g
+that commutes with r so the certificate stays short.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ def _q(rat, coef=0, disc=0) -> QuadExt:
 
 
 # Curated irrational rates in (0, 1), keyed by discriminant.  The first
-# two of each family are badly approximable (the M-scan has to work for
-# them; pair those with a g that commutes so the certificate stays short).
+# two of each family are badly approximable: their minimal M is a
+# convergent denominator of the rate's continued fraction, not a power of
+# two (pair those with a g that commutes so the certificate stays short).
 # The rest have the form (odd k)/2^a + sqrt(D)/2^24 with a = 5 or 6: the
 # image of the rational point set P then sits a guaranteed 1/2^a-ish away
 # from P, keeping epsilon coarse, while M lands at 2^a exactly because the
@@ -89,7 +91,6 @@ def random_perm_lambda(
     rng: random.Random,
     max_intervals: int = 6,
     denominator: int = 8,
-    allow_identity: bool = False,
 ) -> PermLambdaSpec:
     n = rng.randrange(2, max_intervals + 1)
     units = random_partition(rng, denominator, n)
@@ -97,7 +98,7 @@ def random_perm_lambda(
     pi = list(range(1, n + 1))
     while True:
         rng.shuffle(pi)
-        if allow_identity or pi != sorted(pi):
+        if pi != sorted(pi):
             break
     return PermLambdaSpec(pi=tuple(pi), lengths=lengths)
 

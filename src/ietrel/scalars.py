@@ -62,6 +62,8 @@ class QuadExt:
 
     The triple is kept with den >= 1, gcd(an, bn, den) = 1, and disc = 0
     exactly when bn = 0, so equality of values is equality of triples.
+    Every scalar is built by _make, which normalizes, or by _raw, which
+    trusts a triple that is already normal.
     """
 
     __slots__ = ("an", "bn", "den", "disc")
@@ -69,17 +71,15 @@ class QuadExt:
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
-    def __init__(self, rat=0, coef=0, disc: int = 0):
+    def __new__(cls, rat=0, coef=0, disc: int = 0):
         if isinstance(rat, float) or isinstance(coef, float):
             raise TypeError("QuadExt components must be exact (int or Fraction)")
         a = Fraction(rat)
         b = Fraction(coef)
-        an = a.numerator * b.denominator
         bn = b.numerator * a.denominator
-        den = a.denominator * b.denominator
         if bn:
             _require_valid_disc(disc)
-        _init_normalized(self, an, bn, den, disc)
+        return _make(a.numerator * b.denominator, bn, a.denominator * b.denominator, disc)
 
     # -- constructors ---------------------------------------------------
 
@@ -318,20 +318,6 @@ class QuadExt:
         return f"QuadExt({str(self)!r})"
 
 
-def _init_normalized(obj: QuadExt, an: int, bn: int, den: int, disc: int) -> None:
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if den < 0:
-        an, bn, den = -an, -bn, -den
-    if bn == 0:
-        disc = 0
-    g = math.gcd(an, bn, den)
-    object.__setattr__(obj, "an", an // g)
-    object.__setattr__(obj, "bn", bn // g)
-    object.__setattr__(obj, "den", den // g)
-    object.__setattr__(obj, "disc", disc)
-
-
 def _raw(an: int, bn: int, den: int, disc: int) -> QuadExt:
     # Internal: trusts that the triple is already normalized.
     obj = object.__new__(QuadExt)
@@ -344,9 +330,14 @@ def _raw(an: int, bn: int, den: int, disc: int) -> QuadExt:
 
 def _make(an: int, bn: int, den: int, disc: int) -> QuadExt:
     # Internal: normalizes but trusts disc, which comes from checked operands.
-    obj = object.__new__(QuadExt)
-    _init_normalized(obj, an, bn, den, disc)
-    return obj
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    if den < 0:
+        an, bn, den = -an, -bn, -den
+    if bn == 0:
+        disc = 0
+    g = math.gcd(an, bn, den)
+    return _raw(an // g, bn // g, den // g, disc)
 
 
 def _coerce(x) -> QuadExt | None:

@@ -33,6 +33,7 @@ from ietrel.cli import (
 )
 from ietrel.documents import KIND_CERTIFICATE, document, emit_document, parse_document
 from ietrel.iet import Iet, PermLambdaSpec
+from ietrel.relations import DEFAULT_M_CAP
 from ietrel.rotation import DisjointRotationSpec
 from ietrel.sampling import demo_suite
 from ietrel.scalars import MAX_DISC, QuadExt
@@ -408,6 +409,22 @@ def test_synthesize_search_cap(files, capsys):
     code, _, err = run(capsys, "synthesize", "--r", r, "--g", g, "--m-cap", "1")
     assert code == EXIT_SEARCH_CAP
     assert "search cap" in err
+
+
+def test_synthesize_past_the_m_cap_exits_4_before_any_document_is_read(capsys,
+                                                                      monkeypatch):
+    def forbidden(*_):
+        raise AssertionError("find_M ran past a cap")
+
+    monkeypatch.setattr(relations, "find_M", forbidden)
+    t0 = time.perf_counter()
+    # the documents do not exist: reading either would exit 2
+    code, out, err = run(capsys, "synthesize", "--r", "/nonexistent/r.rot",
+                         "--g", "/nonexistent/g.iet", "--m-cap", str(DEFAULT_M_CAP + 1))
+    assert time.perf_counter() - t0 < 2
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert "DEFAULT_M_CAP" in err
 
 
 def test_synthesize_requires_a_rotation_document(files, capsys):

@@ -191,6 +191,39 @@ def test_random_instance_is_deterministic_per_seed():
         random_instance(2, random.Random(0))
 
 
+def _build_every_candidate(m: int, rng: random.Random) -> CommutatorInstance:
+    """Reference sampler: the same draws as random_instance, but every
+    candidate is built and check_hypotheses decides it."""
+    points = list(range(m))
+    while True:
+        size_h = rng.randrange(2, max(3, m // 2 + 1))
+        size_phi = rng.randrange(2, max(3, m // 2 + 1))
+        sup_h = rng.sample(points, size_h)
+        sup_phi = rng.sample(points, size_phi)
+        h = finite_model._random_derangement_on(m, sup_h, rng)
+        phi = finite_model._random_derangement_on(m, sup_phi, rng)
+        inst = CommutatorInstance.build(h, phi)
+        if check_hypotheses(inst) and inst.A:
+            return inst
+
+
+def test_random_instance_builds_only_the_instances_it_returns(monkeypatch):
+    trials = 200
+    sizes = (3, 12, 30)
+    want = {}
+    for m in sizes:
+        rng = random.Random(m)
+        want[m] = [_build_every_candidate(m, rng) for _ in range(trials)]
+    builds = []
+    real = CommutatorInstance.build
+    monkeypatch.setattr(CommutatorInstance, "build",
+                        lambda h, phi: builds.append(h) or real(h, phi))
+    for m in sizes:
+        rng = random.Random(m)
+        assert [random_instance(m, rng) for _ in range(trials)] == want[m]
+    assert len(builds) == trials * len(sizes)
+
+
 def test_enumeration_counts():
     assert sum(1 for _ in enumerate_instances(3)) == 6
     assert sum(1 for _ in enumerate_instances(4)) == 96

@@ -131,7 +131,7 @@ def test_compose_order_of_application():
 def test_inverse_anchors():
     r = Iet.rotation(q(F(1, 4)))
     assert r.inverse() == Iet.rotation(q(F(3, 4)))
-    assert r.inverse().inverse() is r  # cached both ways
+    assert r.inverse().inverse() == r
     assert Iet.identity().inverse().is_identity()
 
 
@@ -172,7 +172,6 @@ def test_validate_rechecks_what_the_algebra_stores():
     unmerged = object.__new__(Iet)
     object.__setattr__(unmerged, "breakpoints", (q(0), q(F(1, 4)), q(F(3, 4))))
     object.__setattr__(unmerged, "translations", (q(F(1, 4)), q(F(1, 4)), q(-F(3, 4))))
-    object.__setattr__(unmerged, "_inv", None)
     with pytest.raises(InvariantError, match="equal neighbours"):
         unmerged.validate()
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from ietrel.intervals import IntervalSet, circular_ball
 from ietrel.scalars import ONE, ZERO, QuadExt
@@ -56,6 +56,33 @@ def test_contains_point_is_half_open():
 @given(interval_sets(), interval_sets())
 def test_disjointness_matches_intersection(a, b):
     assert a.is_disjoint(b) == a.intersect(b).is_empty()
+
+
+# The sets drawn lie on the 1/16 grid, so each 1/32 cell lies wholly inside
+# or outside a set, and the cell midpoints decide every operation.
+MIDPOINTS = [q(F(2 * k + 1, 64)) for k in range(32)]
+
+
+def _members(s: IntervalSet) -> list:
+    return [s.contains_point(x) for x in MIDPOINTS]
+
+
+def _spans(*pairs) -> IntervalSet:
+    return IntervalSet((q(lo), q(hi)) for lo, hi in pairs)
+
+
+@given(interval_sets(), interval_sets())
+@example(_spans((0, F(1, 2))), _spans((F(1, 2), 1)))
+@example(_spans((0, F(1, 2))), _spans((F(1, 4), F(1, 2))))
+@example(_spans((0, F(1, 4)), (F(1, 2), F(3, 4))), _spans((F(1, 4), F(1, 2))))
+def test_operations_agree_with_pointwise_membership(a, b):
+    in_a, in_b = _members(a), _members(b)
+    in_both = [x and y for x, y in zip(in_a, in_b)]
+    assert _members(a.intersect(b)) == in_both
+    assert _members(a.union(b)) == [x or y for x, y in zip(in_a, in_b)]
+    assert _members(a.complement()) == [not x for x in in_a]
+    assert a.is_disjoint(b) == (not any(in_both))
+    assert a.contains_set(b) == (in_both == in_b)
 
 
 @given(interval_sets(), interval_sets())
