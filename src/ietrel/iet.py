@@ -3,25 +3,44 @@
 Every Iet is a bijection of [0, 1): the constructor rejects pieces whose
 images do not tile [0, 1), and compose, inverse and power build their
 results without re-checking, since the bijections of [0, 1) form a group.
-compose is one linear walk over the right-hand factor's pieces in domain
-order, and never calls apply or inverse.
-An Iet is stored in canonical form: ascending breakpoints starting at 0,
-one translation per interval, adjacent intervals with equal translations
-merged.  Composition follows (f.compose(g))(x) = f(g(x)): the right-hand
-factor acts first.
+Composition follows (f.compose(g))(x) = f(g(x)): the right-hand factor acts
+first.
+
+Storage.  The group operations only add and subtract translations, so all
+the breakpoints and translations of a map lie in one lattice
+(1/N)(Z + Z sqrt(D)).  An Iet stores the denominator N, the discriminant D
+(0 when every value is rational) and each breakpoint and translation as an
+integer pair (a, b) meaning (a + b sqrt(D)) / N.  Every operation runs on
+these integers, and every order decision is exact: the sign of an integer
+difference, decided by scalars._sign3.  Two operands with different
+denominators are rescaled once to their lcm; operands from different
+discriminants raise ContextMismatchError.
+
+Canonical form: ascending breakpoints starting at 0, one translation per
+interval, adjacent intervals with equal translations merged, and the
+smallest N (gcd(N, all the integers) = 1).  So == and hash compare integer
+tuples.
+
+QuadExt is the only scalar of the API: breakpoints, translations, pieces(),
+apply, discontinuities, support, image_of and l1_distance_to_identity build
+QuadExt values from the integers when they are asked for.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import InvariantError, PreconditionError
 from .intervals import IntervalSet
-from .scalars import ONE, ZERO, QuadExt, as_scalar
+from .scalars import ONE, ZERO, QuadExt, _make, _merged_disc, _sign3, as_scalar
 
 __all__ = ["Iet", "PermLambdaSpec"]
+
+Pair = Tuple[int, int]  # (a, b): the value (a + b sqrt(D)) / N of one Iet
 
 
 def check_lengths(lengths: Sequence[QuadExt]) -> None:
@@ -60,7 +79,7 @@ class PermLambdaSpec:
 class Iet:
     """An invertible piecewise translation of [0, 1), in canonical form."""
 
-    __slots__ = ("breakpoints", "translations")
+    __slots__ = ("_den", "_disc", "_bps", "_trs")
 
     def __init__(self, breakpoints: Sequence, translations: Sequence):
         """Check outside data once: raises PreconditionError unless the pieces
@@ -69,22 +88,24 @@ class Iet:
         trs = [as_scalar(t) for t in translations]
         if not bps or len(bps) != len(trs):
             raise PreconditionError("need equally many breakpoints and translations")
-        if bps[0] != ZERO:
+        den, disc = _lattice(bps + trs)
+        ibps = [_pair(v, den) for v in bps]
+        if ibps[0] != (0, 0):
             raise PreconditionError("first breakpoint must be 0")
-        for a, b in zip(bps, bps[1:]):
-            if not a < b:
+        for (a0, b0), (a1, b1) in zip(ibps, ibps[1:]):
+            if _sign3(a1 - a0, b1 - b0, disc) <= 0:
                 raise PreconditionError("breakpoints must be strictly ascending")
-        if not bps[-1] < ONE:
+        if _sign3(ibps[-1][0] - den, ibps[-1][1], disc) >= 0:
             raise PreconditionError("breakpoints must stay below 1")
-        _store(self, bps, trs)
-        # the pieces' lengths sum to 1, so abutting images from 0 end at 1
-        cursor = ZERO
-        for lo, hi, _ in self._images():
-            if lo != cursor:
-                raise PreconditionError(
-                    "the iet is not a bijection: its image intervals do not tile [0, 1)"
-                )
-            cursor = hi
+        itrs = [_pair(v, den) for v in trs]
+        # merge equal neighbours: keep each piece whose translation differs
+        # from its left neighbour's
+        keep = [j for j in range(len(itrs)) if not j or itrs[j] != itrs[j - 1]]
+        _store(self, den, disc, [ibps[j] for j in keep], [itrs[j] for j in keep])
+        if len(_image_order(self._bps, self._trs, self._den)[0]) < self.num_intervals:
+            raise PreconditionError(
+                "the iet is not a bijection: its image intervals do not tile [0, 1)"
+            )
 
     def __setattr__(self, name, value):
         raise AttributeError("Iet is immutable")
@@ -125,83 +146,153 @@ class Iet:
     # -- basic queries ------------------------------------------------------
 
     @property
+    def breakpoints(self) -> Tuple[QuadExt, ...]:
+        return self._scalars(self._bps)
+
+    @property
+    def translations(self) -> Tuple[QuadExt, ...]:
+        return self._scalars(self._trs)
+
+    def _scalars(self, pairs: Sequence[Pair]) -> Tuple[QuadExt, ...]:
+        den, disc = self._den, self._disc
+        return tuple([_make(a, b, den, disc) for a, b in pairs])
+
+    @property
     def num_intervals(self) -> int:
-        return len(self.breakpoints)
+        return len(self._bps)
 
     def pieces(self) -> Iterator[Tuple[QuadExt, QuadExt, QuadExt]]:
         """Yield (lo, hi, translation) triples in domain order."""
-        for j, (lo, t) in enumerate(zip(self.breakpoints, self.translations)):
-            hi = self.breakpoints[j + 1] if j + 1 < len(self.breakpoints) else ONE
-            yield lo, hi, t
+        bps = self.breakpoints
+        return zip(bps, bps[1:] + (ONE,), self.translations)
 
     def apply(self, x) -> QuadExt:
         x = as_scalar(x)
-        if not (ZERO <= x < ONE):
+        disc = _merged_disc(self._disc, x.disc)
+        xa, xb, xden = x.an, x.bn, x.den
+        if _sign3(xa, xb, disc) < 0 or _sign3(xa - xden, xb, disc) >= 0:
             raise PreconditionError(f"point {x} outside [0, 1)")
-        j = bisect_right(self.breakpoints, x) - 1
-        return x + self.translations[j]
+        den = self._den
+        # compare x * den against each breakpoint * xden
+        ta, tb = self._trs[_locate(self._bps, xa * den, xb * den, disc, scale=xden)]
+        return _make(xa * den + ta * xden, xb * den + tb * xden, xden * den, disc)
 
     def is_identity(self) -> bool:
-        return len(self.breakpoints) == 1 and not self.translations[0]
+        return self._trs == ((0, 0),)
 
     def discontinuities(self) -> Tuple[QuadExt, ...]:
         """Interior breakpoints; 0 is never a discontinuity."""
-        return self.breakpoints[1:]
+        return self._scalars(self._bps[1:])
 
     def support(self) -> IntervalSet:
+        spans: List[List[Pair]] = []
+        for lo, hi, t in _pieces(self):
+            if t == (0, 0):
+                continue
+            if spans and spans[-1][1] == lo:
+                spans[-1][1] = hi
+            else:
+                spans.append([lo, hi])
+        den, disc = self._den, self._disc
         return IntervalSet(
-            (lo, hi) for lo, hi, t in self.pieces() if t
+            (_make(*lo, den, disc), _make(*hi, den, disc)) for lo, hi in spans
         )
 
     def l1_distance_to_identity(self) -> QuadExt:
         # An Iet preserves length, so the integral of f(x) - x, the sum of
         # t*(hi - lo), is 0: right-moving pieces carry half of sum |t|*(hi - lo).
-        total = ZERO
-        for lo, hi, t in self.pieces():
-            if t.sign() > 0:
-                total = total + t * (hi - lo)
-        return total + total
+        # Each product (ta + tb sqrt(D)) (wa + wb sqrt(D)) lies over den^2.
+        disc = self._disc
+        rat = root = 0
+        for (la, lb), (ha, hb), (ta, tb) in _pieces(self):
+            if _sign3(ta, tb, disc) > 0:
+                wa = ha - la
+                wb = hb - lb
+                rat += ta * wa + tb * wb * disc
+                root += ta * wb + tb * wa
+        return _make(2 * rat, 2 * root, self._den * self._den, disc)
 
     # -- group structure ----------------------------------------------------
 
     def compose(self, other: "Iet") -> "Iet":
         """self after other: (self.compose(other))(x) = self(other(x)).
 
-        One linear walk over other's pieces [lo, hi) + t in domain order:
-        each is cut at b - t wherever its image [lo + t, hi + t) crosses a
-        breakpoint b of self, and the fragment that lands in self's piece j
-        moves by t + self.translations[j].  The fragments come out in domain
-        order, so nothing is sorted: per output piece the walk costs one
-        comparison, one subtraction and one addition, plus one bisection of
-        self's breakpoints per piece of other."""
-        sbps = self.breakpoints
-        strs = self.translations
+        Other's pieces [lo, hi) + t are first walked in the order of their
+        images, which tile [0, 1) and so meet self's breakpoints in
+        ascending order: a search that gallops on from where the previous
+        image ended finds the last piece of self that each image meets.
+        Then, in domain order, each piece of other is cut at b - t wherever
+        its image crosses a breakpoint b of self, and the fragment that
+        lands in self's piece j moves by t + self's j-th translation.
+        Nothing is sorted: the cost is a few exact comparisons per piece of
+        other plus a few integer additions per output piece.  Equal
+        translations can meet only where the fragments of two pieces of
+        other meet, since self has no two equal neighbours."""
+        den = self._den
+        disc = _merged_disc(self._disc, other._disc)
+        sbps = self._bps
+        strs = self._trs
+        obps = other._bps
+        otrs = other._trs
+        if other._den != den:
+            den = math.lcm(den, other._den)
+            sbps, strs = _rescaled(self, den)
+            obps, otrs = _rescaled(other, den)
         m = len(sbps)
-        bps = []
-        trs = []
-        for lo, hi, t in other.pieces():
-            j = bisect_right(sbps, lo + t) - 1
-            bps.append(lo)
-            trs.append(t + strs[j])
-            end = hi + t
-            j += 1
-            while j < m and sbps[j] < end:
-                bps.append(sbps[j] - t)
-                trs.append(t + strs[j])
+        k = len(obps)
+        # firsts[p], lasts[p]: the first and the last piece of self that the
+        # image of other's piece p meets
+        firsts = [0] * k
+        lasts = [0] * k
+        # follow the images as _image_order does, in the same pass
+        piece_at = _piece_at_image_lo(obps, otrs)
+        ohis = [*obps[1:], (den, 0)]
+        j = 0
+        e = (0, 0)
+        for _ in range(k):
+            p = piece_at[e]
+            ta, tb = otrs[p]
+            ha, hb = ohis[p]
+            ea = ha + ta
+            eb = hb + tb
+            e = (ea, eb)
+            firsts[p] = j
+            if j + 1 < m:
+                sa, sb = sbps[j + 1]
+                if _sign3(ea - sa, eb - sb, disc) > 0:
+                    j = _locate(sbps, ea, eb, disc, lo=j + 1, strict=True)
+            lasts[p] = j
+            if j + 1 < m and sbps[j + 1] == e:
                 j += 1
-        return _store(object.__new__(Iet), bps, trs)
-
-    def _images(self):
-        """(image lo, image hi, translation) triples sorted by image lo."""
-        return sorted(
-            ((lo + t, hi + t, t) for lo, hi, t in self.pieces()),
-            key=lambda p: p[0],
-        )
+        bps: List[Pair] = []
+        trs: List[Pair] = []
+        prev = None
+        for lo, (ta, tb), first, last in zip(obps, otrs, firsts, lasts):
+            ua, ub = strs[first]
+            t = (ta + ua, tb + ub)
+            if t != prev:
+                bps.append(lo)
+                trs.append(t)
+            while first < last:
+                first += 1
+                sa, sb = sbps[first]
+                ua, ub = strs[first]
+                bps.append((sa - ta, sb - tb))
+                t = (ta + ua, tb + ub)
+                trs.append(t)
+            prev = t
+        return _store(object.__new__(Iet), den, disc, bps, trs)
 
     def inverse(self) -> "Iet":
-        images = self._images()
+        # in image order, each image starts where the one before it ended
+        order, his = _image_order(self._bps, self._trs, self._den)
+        trs = self._trs
         return _store(
-            object.__new__(Iet), [lo for lo, _, _ in images], [-t for _, _, t in images]
+            object.__new__(Iet),
+            self._den,
+            self._disc,
+            [(0, 0)] + [his[p] for p in order[:-1]],
+            [(-ta, -tb) for ta, tb in (trs[p] for p in order)],
         )
 
     def power(self, m: int) -> "Iet":
@@ -237,16 +328,26 @@ class Iet:
 
     def image_of(self, s: IntervalSet) -> IntervalSet:
         """Exact image of an interval set under this map."""
+        ends = [v for span in s for v in span]
+        den, disc = _lattice(ends, self._den, self._disc)
+        bps, trs = _rescaled(self, den)
+        m = len(bps)
         out = []
-        m = len(self.breakpoints)
+        j = 0  # the spans ascend, so each search starts where the last one ended
         for lo, hi in s:
-            j = bisect_right(self.breakpoints, lo) - 1
-            while lo < hi:
-                seg_hi = self.breakpoints[j + 1] if j + 1 < m else ONE
-                cut = seg_hi if seg_hi < hi else hi
-                t = self.translations[j]
-                out.append((lo + t, cut + t))
-                lo = cut
+            la, lb = _pair(lo, den)
+            ha, hb = _pair(hi, den)
+            j = _locate(bps, la, lb, disc, lo=j)
+            while True:
+                ta, tb = trs[j]
+                ca, cb = bps[j + 1] if j + 1 < m else (den, 0)
+                if _sign3(ca - ha, cb - hb, disc) >= 0:
+                    out.append((_make(la + ta, lb + tb, den, disc),
+                                _make(ha + ta, hb + tb, den, disc)))
+                    break
+                out.append((_make(la + ta, lb + tb, den, disc),
+                            _make(ca + ta, cb + tb, den, disc)))
+                la, lb = ca, cb
                 j += 1
         return IntervalSet(out)
 
@@ -263,7 +364,9 @@ class Iet:
         except PreconditionError as exc:
             raise InvariantError(str(exc)) from None
         if rebuilt != self:
-            raise InvariantError("canonical form violated: equal neighbours")
+            raise InvariantError(
+                "canonical form violated: equal neighbours or a reducible denominator"
+            )
         return self
 
     # -- identity -----------------------------------------------------------
@@ -272,12 +375,14 @@ class Iet:
         if not isinstance(other, Iet):
             return NotImplemented
         return (
-            self.breakpoints == other.breakpoints
-            and self.translations == other.translations
+            self._den == other._den
+            and self._disc == other._disc
+            and self._bps == other._bps
+            and self._trs == other._trs
         )
 
     def __hash__(self):
-        return hash((self.breakpoints, self.translations))
+        return hash((self._den, self._disc, self._bps, self._trs))
 
     def __repr__(self):
         body = ", ".join(
@@ -286,18 +391,123 @@ class Iet:
         return f"Iet({body})"
 
 
-def _store(f: Iet, bps: Sequence[QuadExt], trs: Sequence[QuadExt]) -> Iet:
-    """Store pieces into f with equal neighbours merged, and return f.
+# -- the integer kernel ----------------------------------------------------------
 
-    Nothing is checked: the constructor checks outside data first, and the
-    group operations build their results here, since products and inverses
-    of bijections of [0, 1) are bijections."""
-    cbps = [bps[0]]
-    ctrs = [trs[0]]
-    for b, t in zip(bps[1:], trs[1:]):
-        if t != ctrs[-1]:
-            cbps.append(b)
-            ctrs.append(t)
-    object.__setattr__(f, "breakpoints", tuple(cbps))
-    object.__setattr__(f, "translations", tuple(ctrs))
+
+def _lattice(values: Sequence[QuadExt], den: int = 1, disc: int = 0) -> Tuple[int, int]:
+    """The least common denominator of den and the values, and their one discriminant."""
+    for v in values:
+        den = math.lcm(den, v.den)
+        disc = _merged_disc(disc, v.disc)
+    return den, disc
+
+
+def _pair(v: QuadExt, den: int) -> Pair:
+    """v as an integer pair over den, a multiple of v.den."""
+    c = den // v.den
+    return v.an * c, v.bn * c
+
+
+def _rescaled(f: Iet, den: int) -> Tuple[Sequence[Pair], Sequence[Pair]]:
+    """f's breakpoints and translations over den, a multiple of f's denominator."""
+    c = den // f._den
+    if c == 1:
+        return f._bps, f._trs
+    return [(a * c, b * c) for a, b in f._bps], [(a * c, b * c) for a, b in f._trs]
+
+
+def _pieces(f: Iet) -> Iterator[Tuple[Pair, Pair, Pair]]:
+    """(lo, hi, translation) integer triples of f in domain order."""
+    bps = f._bps
+    return zip(bps, bps[1:] + ((f._den, 0),), f._trs)
+
+
+def _locate(
+    bps: Sequence[Pair], xa: int, xb: int, disc: int, lo: int = 0, scale: int = 1,
+    strict: bool = False,
+) -> int:
+    """Index of the last breakpoint (a, b) from lo on with (a + b sqrt(disc)) * scale
+    at or below (strictly below, if strict) xa + xb sqrt(disc); bps[lo] must
+    qualify.  It gallops on from lo and then bisects, so it costs about
+    2 log2(answer - lo + 1) exact comparisons."""
+    least = 1 if strict else 0
+    m = len(bps)
+    step = 1
+    hi = lo + 1
+    while hi < m:
+        a, b = bps[hi]
+        if _sign3(xa - a * scale, xb - b * scale, disc) < least:
+            break
+        lo = hi
+        step += step
+        hi = lo + step
+    else:
+        hi = m
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        a, b = bps[mid]
+        if _sign3(xa - a * scale, xb - b * scale, disc) >= least:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _piece_at_image_lo(bps: Sequence[Pair], trs: Sequence[Pair]) -> Dict[Pair, int]:
+    """Each piece's index, keyed by the exact integer pair of its image's lo."""
+    return dict(zip([(a + ta, b + tb) for (a, b), (ta, tb) in zip(bps, trs)], range(len(bps))))
+
+
+def _image_order(
+    bps: Sequence[Pair], trs: Sequence[Pair], den: int
+) -> Tuple[List[int], List[Pair]]:
+    """The indices of a map's pieces in the order of their images, and the
+    image hi of each piece, for pieces over den.
+
+    No comparison is needed: the first image starts at 0, and each next one
+    starts where the last one ended, found by its exact integer pair.  The
+    order is shorter than bps exactly when the images do not tile [0, 1),
+    since each step moves strictly up."""
+    piece_at = _piece_at_image_lo(bps, trs)
+    his = [(ha + ta, hb + tb) for (ha, hb), (ta, tb) in zip([*bps[1:], (den, 0)], trs)]
+    order = []
+    p = piece_at.get((0, 0))
+    while p is not None:
+        order.append(p)
+        p = piece_at.get(his[p])
+    return order, his
+
+
+_root = itemgetter(1)  # the b of a pair (a, b)
+# The slot setters, called directly: Iet.__setattr__ refuses every write.
+_SET_DEN = Iet._den.__set__
+_SET_DISC = Iet._disc.__set__
+_SET_BPS = Iet._bps.__set__
+_SET_TRS = Iet._trs.__set__
+
+
+def _store(f: Iet, den: int, disc: int, bps: Sequence[Pair], trs: Sequence[Pair]) -> Iet:
+    """Store pieces over den into f, and return f: den reduced as far as the
+    integers allow, disc 0 when every value is rational.
+
+    The pieces must already have no two neighbours with equal translations;
+    the constructor merges them, compose never emits them, and the inverse of
+    a canonical map has none.  Nothing is checked: the constructor checks
+    outside data first, and the group operations build their results here,
+    since products and inverses of bijections of [0, 1) are bijections."""
+    g = den
+    for a, b in chain(trs, bps):
+        g = math.gcd(g, a, b)
+        if g == 1:
+            break
+    if g > 1:
+        den //= g
+        bps = [(a // g, b // g) for a, b in bps]
+        trs = [(a // g, b // g) for a, b in trs]
+    if disc and not any(map(_root, bps)) and not any(map(_root, trs)):
+        disc = 0
+    _SET_DEN(f, den)
+    _SET_DISC(f, disc)
+    _SET_BPS(f, tuple(bps))
+    _SET_TRS(f, tuple(trs))
     return f

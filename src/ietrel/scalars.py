@@ -39,6 +39,13 @@ def _require_valid_disc(disc: int) -> None:
         p += 1
 
 
+def _merged_disc(d0: int, d1: int) -> int:
+    # The one discriminant of two operands; 0 stands for a rational operand.
+    if d0 and d1 and d0 != d1:
+        raise ContextMismatchError(f"incompatible contexts sqrt({d0}) and sqrt({d1})")
+    return d0 or d1
+
+
 def _sign3(an: int, bn: int, disc: int) -> int:
     # Sign of an + bn*sqrt(disc), exactly.  When the two terms have opposite
     # signs the comparison reduces to an^2 vs bn^2*disc; equality there would
@@ -145,20 +152,13 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self.bn == 0
 
-    def _merged_disc(self, other: "QuadExt") -> int:
-        if self.disc and other.disc and self.disc != other.disc:
-            raise ContextMismatchError(
-                f"incompatible contexts sqrt({self.disc}) and sqrt({other.disc})"
-            )
-        return self.disc or other.disc
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        d = self._merged_disc(other)
+        d = _merged_disc(self.disc, other.disc)
         return _make(
             self.an * other.den + other.an * self.den,
             self.bn * other.den + other.bn * self.den,
@@ -172,7 +172,7 @@ class QuadExt:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        d = self._merged_disc(other)
+        d = _merged_disc(self.disc, other.disc)
         return _make(
             self.an * other.den - other.an * self.den,
             self.bn * other.den - other.bn * self.den,
@@ -190,7 +190,7 @@ class QuadExt:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        d = self._merged_disc(other)
+        d = _merged_disc(self.disc, other.disc)
         return _make(
             self.an * other.an + self.bn * other.bn * d,
             self.an * other.bn + self.bn * other.an,
@@ -206,7 +206,7 @@ class QuadExt:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero scalar")
-        d = self._merged_disc(other)
+        d = _merged_disc(self.disc, other.disc)
         # 1/x = den*(an - bn*sqrt(d)) / (an^2 - bn^2*d)
         norm = other.an * other.an - other.bn * other.bn * d
         inv = _make(other.den * other.an, -other.den * other.bn, norm, d)
@@ -233,7 +233,7 @@ class QuadExt:
         return _sign3(self.an, self.bn, self.disc)
 
     def _cmp(self, other: "QuadExt") -> int:
-        d = self._merged_disc(other)
+        d = _merged_disc(self.disc, other.disc)
         return _sign3(
             self.an * other.den - other.an * self.den,
             self.bn * other.den - other.bn * self.den,
@@ -318,26 +318,38 @@ class QuadExt:
         return f"QuadExt({str(self)!r})"
 
 
+# The slot setters, called directly: half the cost of object.__setattr__.
+_NEW = object.__new__
+_SET_AN = QuadExt.an.__set__
+_SET_BN = QuadExt.bn.__set__
+_SET_DEN = QuadExt.den.__set__
+_SET_DISC = QuadExt.disc.__set__
+
+
 def _raw(an: int, bn: int, den: int, disc: int) -> QuadExt:
     # Internal: trusts that the triple is already normalized.
-    obj = object.__new__(QuadExt)
-    object.__setattr__(obj, "an", an)
-    object.__setattr__(obj, "bn", bn)
-    object.__setattr__(obj, "den", den)
-    object.__setattr__(obj, "disc", disc)
+    obj = _NEW(QuadExt)
+    _SET_AN(obj, an)
+    _SET_BN(obj, bn)
+    _SET_DEN(obj, den)
+    _SET_DISC(obj, disc)
     return obj
 
 
 def _make(an: int, bn: int, den: int, disc: int) -> QuadExt:
     # Internal: normalizes but trusts disc, which comes from checked operands.
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if den < 0:
+    if den <= 0:
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
         an, bn, den = -an, -bn, -den
     if bn == 0:
         disc = 0
     g = math.gcd(an, bn, den)
-    return _raw(an // g, bn // g, den // g, disc)
+    if g != 1:
+        an //= g
+        bn //= g
+        den //= g
+    return _raw(an, bn, den, disc)
 
 
 def _coerce(x) -> QuadExt | None:

@@ -151,6 +151,26 @@ def test_disc_growth_generic_iet_grows_linearly(files, capsys):
     assert counts[-1] > counts[0]
 
 
+def test_disc_growth_at_its_cap_ends_where_pow_then_l1_does(files, capsys):
+    # a generic quadratic 4-interval exchange: f^n has 3n + 1 pieces.  The last
+    # row of the sequential chain must match repeated squaring, exactly.
+    lengths = (QuadExt(0, F(1, 8), 2), q(F(1, 4)), q(F(1, 4)), QuadExt(F(1, 2), -F(1, 8), 2))
+    f = files("f.iet", Iet.from_perm_lambda(PermLambdaSpec(pi=(4, 3, 2, 1), lengths=lengths)))
+    n = str(MAX_GROWTH_N)
+    code, out, _ = run(capsys, "disc-growth", "--map", f, "--max-n", n)
+    assert code == EXIT_OK
+    rows = _growth_rows(out)
+    assert len(rows) == MAX_GROWTH_N
+    power = str(files.dir / "power.iet")
+    assert run(capsys, "pow", "--map", f, "--n", n, "-o", power)[0] == EXIT_OK
+    f_n = parse_document(Path(power).read_text()).payload
+    code, out, _ = run(capsys, "l1", "--map", power)
+    assert code == EXIT_OK
+    exact = out.splitlines()[0].removeprefix("exact = ")
+    assert rows[-1][:3] == (MAX_GROWTH_N, len(f_n.discontinuities()), exact)
+    assert rows[-1][1] == 3 * MAX_GROWTH_N
+
+
 # -- synthesize and verify ------------------------------------------------------------
 
 

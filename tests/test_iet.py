@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ietrel.errors import InvariantError, PreconditionError
+from ietrel.errors import ContextMismatchError, InvariantError, PreconditionError
 from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.intervals import IntervalSet
 from ietrel.sampling import random_iet, random_partition
-from ietrel.scalars import ZERO, QuadExt
+from ietrel.scalars import ONE, ZERO, QuadExt
 
 from conftest import (
     assert_tiles_unit_interval,
@@ -165,15 +165,26 @@ def test_group_operations_do_not_rerun_the_constructor(monkeypatch):
 def test_validate_rechecks_what_the_algebra_stores():
     from ietrel.iet import _store
 
-    overlapping = _store(object.__new__(Iet), [q(0), q(F(1, 4)), q(F(1, 2))],
-                         [q(F(1, 2)), q(F(1, 4)), q(-F(1, 2))])
+    def stored(den, disc, bps, trs):
+        f = object.__new__(Iet)
+        for name, value in zip(("_den", "_disc", "_bps", "_trs"), (den, disc, bps, trs)):
+            object.__setattr__(f, name, value)
+        return f
+
+    # pieces over the denominator 4: [0, 1/4) + 1/2, [1/4, 1/2) + 1/4, [1/2, 1) - 1/2
+    overlapping = _store(object.__new__(Iet), 4, 0, [(0, 0), (1, 0), (2, 0)],
+                         [(2, 0), (1, 0), (-2, 0)])
     with pytest.raises(InvariantError, match="do not tile"):
         overlapping.validate()
-    unmerged = object.__new__(Iet)
-    object.__setattr__(unmerged, "breakpoints", (q(0), q(F(1, 4)), q(F(3, 4))))
-    object.__setattr__(unmerged, "translations", (q(F(1, 4)), q(F(1, 4)), q(-F(3, 4))))
+    # the rotation by 1/4, stored with its first piece split in two
+    unmerged = stored(4, 0, ((0, 0), (1, 0), (3, 0)), ((1, 0), (1, 0), (-3, 0)))
     with pytest.raises(InvariantError, match="equal neighbours"):
         unmerged.validate()
+    # the same rotation over the denominator 8, which gcd(8, 6, 2, -6) reduces
+    unreduced = stored(8, 0, ((0, 0), (6, 0)), ((2, 0), (-6, 0)))
+    assert unreduced.breakpoints == Iet.rotation(q(F(1, 4))).breakpoints
+    with pytest.raises(InvariantError, match="reducible denominator"):
+        unreduced.validate()
 
 
 def test_power_anchors():
@@ -382,10 +393,11 @@ def test_compose_uses_no_apply_inverse_or_images(monkeypatch):
     pairs = PAIRS[:40]
     want = [compose_by_cuts(f, g) for f, g in pairs]
 
-    def forbidden(self, *args):
+    def forbidden(*args):
         raise AssertionError("compose called a point or inverse method")
 
-    for name in ("apply", "inverse", "_images"):
+    # the point methods, and every method that inverts or takes powers
+    for name in ("apply", "orbit", "image_of", "inverse", "power", "conjugate"):
         monkeypatch.setattr(Iet, name, forbidden)
     got = [f.compose(g) for f, g in pairs]
     monkeypatch.undo()
@@ -414,3 +426,104 @@ def test_l1_distance_equals_the_sum_over_every_piece():
     for f in maps:
         assert f.l1_distance_to_identity() == l1_by_every_piece(f)
     assert Iet.identity().l1_distance_to_identity() == ZERO
+
+
+# -- the integer kernel against QuadExt --------------------------------------------
+#
+# Iet stores integer pairs over one shared denominator.  The references below
+# read only breakpoints and translations, and do everything else with QuadExt.
+
+
+def ref_pieces(f):
+    bps = f.breakpoints
+    return list(zip(bps, bps[1:] + (ONE,), f.translations))
+
+
+def ref_apply(f, x):
+    for lo, hi, t in ref_pieces(f):
+        if lo <= x < hi:
+            return x + t
+    raise AssertionError(f"{x} outside [0, 1)")
+
+
+def ref_compose(f, g):
+    """f after g: cut each piece of g where its image crosses a breakpoint of f."""
+    bps, trs = [], []
+    for lo, hi, t in ref_pieces(g):
+        cuts = [lo] + [b - t for b in f.breakpoints if lo + t < b < hi + t]
+        for c in cuts:
+            bps.append(c)
+            trs.append(t + ref_apply(f, c + t) - (c + t))
+    return Iet(bps, trs)
+
+
+def ref_inverse(f):
+    images = sorted((lo + t, t) for lo, _, t in ref_pieces(f))
+    return Iet([lo for lo, _ in images], [-t for _, t in images])
+
+
+def ref_image_of(f, s):
+    out = []
+    for lo, hi in s:
+        for plo, phi, t in ref_pieces(f):
+            a, b = max(lo, plo), min(hi, phi)
+            if a < b:
+                out.append((a + t, b + t))
+    return IntervalSet(out)
+
+
+def ref_support(f):
+    return IntervalSet((lo, hi) for lo, hi, t in ref_pieces(f) if t)
+
+
+def test_group_operations_store_the_canonical_form():
+    # a rational g over 8 against a quadratic rotation over 24
+    g = Iet.from_perm_lambda(PermLambdaSpec(pi=(3, 1, 2), lengths=(
+        q(F(1, 8)), q(F(3, 8)), q(F(1, 2)))))
+    r = Iet.rotation(QuadExt(F(5, 24), F(1, 24), 2))
+    built = [r.compose(g), g.compose(r), g.compose(r).inverse(), r.inverse().compose(g.inverse())]
+    built += [f.compose(h) for f, h in PAIRS[:60]] + [f.inverse() for f, _ in PAIRS[:60]]
+    for h in built:
+        rebuilt = Iet(h.breakpoints, h.translations)
+        assert h == rebuilt and hash(h) == hash(rebuilt)
+    assert built[0] == ref_compose(r, g) and built[1] == ref_compose(g, r)
+    assert built[2] == ref_inverse(built[1])
+    # a quadratic map against its inverse: the identity, with every root term gone
+    f = quadratic_perm_lambda(random.Random(3), 5, 2)
+    assert not all(t.is_rational for t in f.translations)
+    for one in (f.compose(f.inverse()), f.inverse().compose(f), f.power(4).compose(f.power(-4))):
+        assert one == Iet.identity() and hash(one) == hash(Iet.identity())
+        assert one.is_identity() and all(t.is_rational for t in one.translations)
+
+
+def test_point_and_set_methods_match_the_quadext_reference():
+    rng = random.Random(11)
+    for f, g in PAIRS[::3]:
+        disc = next((t.disc for t in f.translations + g.translations if t.disc), 0)
+        points = [q(F(k, 16)) for k in range(16)] + list(g.breakpoints)
+        if disc:
+            points += [QuadExt(F(k, 16), F(1, 64), disc) for k in range(1, 15)]
+        for x in points:
+            assert f.apply(x) == ref_apply(f, x)
+        sets = [g.support(), IntervalSet([(q(F(1, 3)), q(F(5, 7)))]),
+                IntervalSet([(lo, hi) for lo, hi, _ in ref_pieces(g) if rng.random() < 0.5])]
+        for s in sets:
+            assert f.image_of(s) == ref_image_of(f, s)
+        assert f.support() == ref_support(f)
+        assert f.inverse() == ref_inverse(f)
+
+
+def test_maps_from_two_quadratic_fields_do_not_compose():
+    r2 = Iet.rotation(QuadExt(-1, 1, 2))
+    r3 = Iet.rotation(QuadExt(-1, 1, 3))
+    with pytest.raises(ContextMismatchError):
+        r2.compose(r3)
+    with pytest.raises(ContextMismatchError):
+        r3.compose(r2)
+    with pytest.raises(ContextMismatchError):
+        r2.apply(QuadExt(0, F(1, 4), 3))
+    with pytest.raises(ContextMismatchError):
+        r2.image_of(IntervalSet([(q(0), QuadExt(0, F(1, 4), 3))]))
+    # a rational map composes with either
+    g = Iet.rotation(q(F(1, 3)))
+    assert r2.compose(g).compose(g.inverse()) == r2
