@@ -185,17 +185,10 @@ class Iet:
         return self._scalars(self._bps[1:])
 
     def support(self) -> IntervalSet:
-        spans: List[List[Pair]] = []
-        for lo, hi, t in _pieces(self):
-            if t == (0, 0):
-                continue
-            if spans and spans[-1][1] == lo:
-                spans[-1][1] = hi
-            else:
-                spans.append([lo, hi])
         den, disc = self._den, self._disc
         return IntervalSet(
-            (_make(*lo, den, disc), _make(*hi, den, disc)) for lo, hi in spans
+            (_make(*lo, den, disc), _make(*hi, den, disc))
+            for lo, hi, t in _pieces(self) if t != (0, 0)
         )
 
     def l1_distance_to_identity(self) -> QuadExt:
@@ -342,11 +335,11 @@ class Iet:
                 ta, tb = trs[j]
                 ca, cb = bps[j + 1] if j + 1 < m else (den, 0)
                 if _sign3(ca - ha, cb - hb, disc) >= 0:
-                    out.append((_make(la + ta, lb + tb, den, disc),
-                                _make(ha + ta, hb + tb, den, disc)))
-                    break
+                    ca, cb = ha, hb
                 out.append((_make(la + ta, lb + tb, den, disc),
                             _make(ca + ta, cb + tb, den, disc)))
+                if (ca, cb) == (ha, hb):
+                    break
                 la, lb = ca, cb
                 j += 1
         return IntervalSet(out)

@@ -319,7 +319,6 @@ class QuadExt:
 
 
 # The slot setters, called directly: half the cost of object.__setattr__.
-_NEW = object.__new__
 _SET_AN = QuadExt.an.__set__
 _SET_BN = QuadExt.bn.__set__
 _SET_DEN = QuadExt.den.__set__
@@ -328,7 +327,7 @@ _SET_DISC = QuadExt.disc.__set__
 
 def _raw(an: int, bn: int, den: int, disc: int) -> QuadExt:
     # Internal: trusts that the triple is already normalized.
-    obj = _NEW(QuadExt)
+    obj = object.__new__(QuadExt)
     _SET_AN(obj, an)
     _SET_BN(obj, bn)
     _SET_DEN(obj, den)
@@ -338,18 +337,14 @@ def _raw(an: int, bn: int, den: int, disc: int) -> QuadExt:
 
 def _make(an: int, bn: int, den: int, disc: int) -> QuadExt:
     # Internal: normalizes but trusts disc, which comes from checked operands.
-    if den <= 0:
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    if den < 0:
         an, bn, den = -an, -bn, -den
     if bn == 0:
         disc = 0
     g = math.gcd(an, bn, den)
-    if g != 1:
-        an //= g
-        bn //= g
-        den //= g
-    return _raw(an, bn, den, disc)
+    return _raw(an // g, bn // g, den // g, disc)
 
 
 def _coerce(x) -> QuadExt | None:

@@ -191,8 +191,9 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
 
     What this shares with the construction of h, k and T: QuadExt
     arithmetic and comparison, the DisjointRotationSpec fields lengths and
-    rates, and the tuples g.breakpoints and g.translations.  It calls no Iet
-    or DisjointRotationSpec method.
+    rates, and the QuadExt tuples g.breakpoints and g.translations, which Iet
+    builds from its integer storage when they are read.  It calls no other
+    Iet or DisjointRotationSpec method, so none of Iet's integer arithmetic.
     """
     b_letters = sum(abs(exp) for gen, exp in word.syllables if gen == "b")
     if b_letters > MAX_B_LETTERS:
