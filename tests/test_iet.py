@@ -13,7 +13,7 @@ from ietrel.errors import ContextMismatchError, InvariantError, PreconditionErro
 from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.intervals import IntervalSet
 from ietrel.sampling import random_iet, random_partition
-from ietrel.scalars import ONE, ZERO, QuadExt
+from ietrel.scalars import ZERO, QuadExt
 
 from conftest import (
     assert_tiles_unit_interval,
@@ -431,16 +431,12 @@ def test_l1_distance_equals_the_sum_over_every_piece():
 # -- the integer kernel against QuadExt --------------------------------------------
 #
 # Iet stores integer pairs over one shared denominator.  The references below
-# read only breakpoints and translations, and do everything else with QuadExt.
-
-
-def ref_pieces(f):
-    bps = f.breakpoints
-    return list(zip(bps, bps[1:] + (ONE,), f.translations))
+# read only the QuadExt values that pieces() and breakpoints hand out, and do
+# everything else with QuadExt.
 
 
 def ref_apply(f, x):
-    for lo, hi, t in ref_pieces(f):
+    for lo, hi, t in f.pieces():
         if lo <= x < hi:
             return x + t
     raise AssertionError(f"{x} outside [0, 1)")
@@ -449,7 +445,7 @@ def ref_apply(f, x):
 def ref_compose(f, g):
     """f after g: cut each piece of g where its image crosses a breakpoint of f."""
     bps, trs = [], []
-    for lo, hi, t in ref_pieces(g):
+    for lo, hi, t in g.pieces():
         cuts = [lo] + [b - t for b in f.breakpoints if lo + t < b < hi + t]
         for c in cuts:
             bps.append(c)
@@ -458,14 +454,14 @@ def ref_compose(f, g):
 
 
 def ref_inverse(f):
-    images = sorted((lo + t, t) for lo, _, t in ref_pieces(f))
+    images = sorted((lo + t, t) for lo, _, t in f.pieces())
     return Iet([lo for lo, _ in images], [-t for _, t in images])
 
 
 def ref_image_of(f, s):
     out = []
     for lo, hi in s:
-        for plo, phi, t in ref_pieces(f):
+        for plo, phi, t in f.pieces():
             a, b = max(lo, plo), min(hi, phi)
             if a < b:
                 out.append((a + t, b + t))
@@ -473,7 +469,7 @@ def ref_image_of(f, s):
 
 
 def ref_support(f):
-    return IntervalSet((lo, hi) for lo, hi, t in ref_pieces(f) if t)
+    return IntervalSet((lo, hi) for lo, hi, t in f.pieces() if t)
 
 
 def test_group_operations_store_the_canonical_form():
@@ -506,7 +502,7 @@ def test_point_and_set_methods_match_the_quadext_reference():
         for x in points:
             assert f.apply(x) == ref_apply(f, x)
         sets = [g.support(), IntervalSet([(q(F(1, 3)), q(F(5, 7)))]),
-                IntervalSet([(lo, hi) for lo, hi, _ in ref_pieces(g) if rng.random() < 0.5])]
+                IntervalSet([(lo, hi) for lo, hi, _ in g.pieces() if rng.random() < 0.5])]
         for s in sets:
             assert f.image_of(s) == ref_image_of(f, s)
         assert f.support() == ref_support(f)
