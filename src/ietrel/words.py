@@ -7,25 +7,26 @@ right to left, so the leftmost syllable acts last.
 
 Three evaluators live here.  `verify_word` is the one relation checker: it
 certifies every synthesized word and backs `ietrel verify`.  It pushes the
-composite map, kept in image order as (image lo, translation) pieces,
-through the word one syllable at a time, and calls no `Iet` method; its
-one hot loop is `_push`.  `eval_word`
-(repeated squaring through `Iet.power`) and `eval_word_naive` (one letter
-at a time) return the evaluated `Iet`; tests compare them with each other
-and with `verify_word`.
+composite map through the word one syllable at a time, on integer pairs
+over a lattice (1/N)(Z + Z sqrt(D)) of its own; its one hot loop is
+`_push`.  It shares with Iet only QuadExt at entry, `_rotation_power` and
+scalars._sign3.  `eval_word` (repeated squaring through `Iet.power`) and
+`eval_word_naive` (one letter at a time) return the evaluated `Iet`; tests
+compare them with each other and with `verify_word`.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import ParseError, PreconditionError, SearchCapError
 from .iet import Iet
 from .rotation import DisjointRotationSpec
-from .scalars import ONE, ZERO, QuadExt
+from .scalars import ONE, ZERO, QuadExt, _merged_disc, _sign3
 
 __all__ = [
     "Word",
@@ -47,10 +48,12 @@ GENERATORS = ("a", "b")
 MAX_B_LETTERS = 1000
 
 Syllable = Tuple[str, int]
-# (image lo, total translation): one piece of the composite map in verify_word
-Piece = Tuple[QuadExt, QuadExt]
 # (domain lo, domain hi, shift): one piece of a syllable's map
 Step = Tuple[QuadExt, QuadExt, QuadExt]
+# verify_word's integer forms: a syllable's map (see _on_lattice), and one
+# piece of the composite map, (image lo, translation) as flat integer pairs
+LatticeStep = Tuple[List[Tuple[int, ...]], List[int]]
+Piece = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -177,46 +180,38 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
     """True when the word evaluates to the identity with a -> r, b -> g,
     where r is the disjoint rotation map of spec.
 
-    The composite map is kept in image order as pieces (image lo, total
-    translation); each piece ends where the next begins, the last at 1.  It
-    starts as the single piece (0, 0), and the syllables act right to left.
-    Each syllable's map is listed in image order as (domain lo, domain hi,
-    shift), so pushing the composite through it (`_push`) emits fragments
-    already in image order and merges equal-translation neighbours as it
-    goes; the word is the identity when one piece with translation 0
-    remains.  An a^k syllable costs the same for every k: block j is
-    rotated in closed form by (k * alpha_j) mod 1.  A b^k syllable is
-    pushed through |k| times, and the word may hold at most MAX_B_LETTERS
-    b letters (SearchCapError above that).
-
-    What this shares with the construction of h, k and T: QuadExt
-    arithmetic and comparison, the DisjointRotationSpec fields lengths and
-    rates, and the QuadExt tuples g.breakpoints and g.translations, which Iet
-    builds from its integer storage when they are read.  It calls no other
-    Iet or DisjointRotationSpec method, so none of Iet's integer arithmetic.
+    The syllable maps are built in QuadExt, r^k in closed form once per
+    distinct k, and `_on_lattice` writes them as integer pairs (a, b),
+    meaning (a + b sqrt(D)) / N, over one N and D.  The composite map, kept
+    in image order as pieces (image lo, total translation), starts as the
+    one piece (0, 0); `_push` sends it through the syllables right to left,
+    a b^k syllable |k| times, and the word is the identity when one piece
+    with translation (0, 0) remains.  More than MAX_B_LETTERS b letters
+    raise SearchCapError.  Shared with the construction of h, k and T:
+    QuadExt at entry (spec's lengths and rates, g.breakpoints and
+    g.translations), `_rotation_power` and scalars._sign3, and nothing else.
     """
     b_letters = sum(abs(exp) for gen, exp in word.syllables if gen == "b")
     if b_letters > MAX_B_LETTERS:
         raise SearchCapError(
             f"word has {b_letters} b letters, more than MAX_B_LETTERS = {MAX_B_LETTERS}"
         )
-    g_pieces = list(zip(g.breakpoints, g.breakpoints[1:] + (ONE,), g.translations))
-    maps: Dict[Tuple[str, int], List[Step]] = {
-        ("b", 1): sorted(g_pieces, key=lambda p: p[0] + p[2]),
-        ("b", -1): [(lo + t, hi + t, -t) for lo, hi, t in g_pieces],
-    }
-    pieces: List[Piece] = [(ZERO, ZERO)]
+    steps: Dict[Tuple[str, int], List[Step]] = {}
+    if b_letters:
+        g_pieces = list(zip(g.breakpoints, g.breakpoints[1:] + (ONE,), g.translations))
+        steps["b", 1] = g_pieces
+        steps["b", -1] = [(lo + t, hi + t, -t) for lo, hi, t in g_pieces]
+    for k in {exp for gen, exp in word.syllables if gen == "a"}:
+        steps["a", k] = _rotation_power(spec, k)
+    _, disc, maps = _on_lattice(steps)
+    pieces: List[Piece] = [(0, 0, 0, 0)]
     for gen, exp in reversed(word.syllables):
         if gen == "a":
-            step = maps.get(("a", exp))
-            if step is None:
-                step = maps[("a", exp)] = _rotation_power(spec, exp)
-            pieces = _push(pieces, step)
+            pieces = _push(pieces, maps[gen, exp], disc)
         else:
-            step = maps[("b", 1 if exp > 0 else -1)]
             for _ in range(abs(exp)):
-                pieces = _push(pieces, step)
-    return len(pieces) == 1 and not pieces[0][1]
+                pieces = _push(pieces, maps[gen, 1 if exp > 0 else -1], disc)
+    return pieces == [(0, 0, 0, 0)]
 
 
 def _rotation_power(spec: DisjointRotationSpec, k: int) -> List[Step]:
@@ -237,21 +232,56 @@ def _rotation_power(spec: DisjointRotationSpec, k: int) -> List[Step]:
     return out
 
 
-def _push(pieces: List[Piece], step: List[Step]) -> List[Piece]:
-    """Apply step after the composite map pieces; both are listed in image order.
+def _on_lattice(steps: Dict[Tuple[str, int], List[Step]]) -> Tuple[int, int, dict]:
+    """N, the lcm of every value's denominator, D, their one discriminant
+    (ContextMismatchError if mixed), and each map of steps over them: its
+    pieces in domain order, each with the pairs of lo, hi and shift laid
+    flat, and their indices in image order, both sorted in QuadExt."""
+    values = [v for step in steps.values() for piece in step for v in piece]
+    den = math.lcm(*(v.den for v in values))
+    disc = 0
+    for v in values:
+        disc = _merged_disc(disc, v.disc)
+    maps = {}
+    for key, step in steps.items():
+        step = sorted(step, key=itemgetter(0))
+        flat = [tuple(x for v in p for x in (v.an * den // v.den, v.bn * den // v.den))
+                for p in step]
+        maps[key] = flat, sorted(range(len(step)), key=lambda p: step[p][0] + step[p][2])
+    return den, disc, maps
 
-    The domain [lo, hi) of a step piece starts inside the composite piece
-    found by one bisection and covers the run of pieces that start before
-    hi.  The composite has no two neighbours with equal translation, so
-    within a run none arise either: only the first fragment of a run can
-    merge, with the last fragment emitted before it.
+
+def _push(pieces: List[Piece], step: LatticeStep, disc: int) -> List[Piece]:
+    """Apply step after the composite map pieces, listed in image order.
+
+    A walk takes the step's pieces in domain order beside the composite's:
+    each covers the run of composite pieces from the one it starts in to
+    the last that starts before its hi, each moved by its shift.  The runs
+    are joined in the step's image order; as the composite has no two
+    equal neighbours, only a run's first fragment can merge with the last.
     """
-    starts = [lo for lo, _ in pieces]
+    domain_order, image_order = step
+    n = len(pieces)
+    runs = []
+    i = 1  # the first composite piece that starts after the walk
+    _, _, ta, tb = pieces[0]
+    for la, lb, ha, hb, sa, sb in domain_order:
+        run = [(la + sa, lb + sb, ta + sa, tb + sb)]
+        while i < n:
+            pa, pb, qa, qb = pieces[i]
+            if _sign3(ha - pa, hb - pb, disc) <= 0:
+                break
+            run.append((pa + sa, pb + sb, qa + sa, qb + sb))
+            ta, tb = qa, qb
+            i += 1
+        if i < n and pieces[i][0] == ha and pieces[i][1] == hb:
+            _, _, ta, tb = pieces[i]
+            i += 1
+        runs.append(run)
     out: List[Piece] = []
-    for lo, hi, s in step:
-        i = bisect_right(starts, lo)
-        t = pieces[i - 1][1] + s
-        if not out or t != out[-1][1]:
-            out.append((lo + s, t))
-        out.extend((lo + s, t + s) for lo, t in pieces[i:bisect_left(starts, hi, i)])
+    for p in image_order:
+        run = runs[p]
+        if out and out[-1][2:] == run[0][2:]:
+            del run[0]
+        out += run
     return out

@@ -268,6 +268,22 @@ def test_verify_rejects_a_g_that_is_not_a_bijection(files, capsys):
     assert "do not tile" in err
 
 
+def test_verify_refuses_mixed_discriminants_before_pushing_any_piece(files, capsys,
+                                                                    monkeypatch):
+    r = files("r.rot", DisjointRotationSpec((q(1),), (SQRT2M1,)))
+    g = files("g.iet", Iet.rotation(QuadExt(-1, 1, 3)))
+    w = files("w.txt", Word.parse("a b a^-1 b^-1"))
+
+    def forbidden(*args):
+        raise AssertionError("a piece was pushed")
+
+    monkeypatch.setattr(words, "_push", forbidden)
+    code, out, err = run(capsys, "verify", "--word", w, "--r", r, "--g", g)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "context error" in err
+
+
 NOT_A_BIJECTION = """ietrel v1
 D = 0
 kind = iet

@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ietrel import iet as iet_module
 from ietrel import words as words_module
+from ietrel.documents import parse_document
 from ietrel.errors import ParseError, PreconditionError, SearchCapError
 from ietrel.iet import Iet, PermLambdaSpec
+from ietrel.relations import synthesize
 from ietrel.rotation import DisjointRotationSpec
-from ietrel.sampling import random_iet, random_rotation_spec
-from ietrel.scalars import ZERO
+from ietrel.sampling import demo_suite, random_iet, random_partition, random_rotation_spec
+from ietrel.scalars import ONE, ZERO, QuadExt
 from ietrel.words import (
     MAX_B_LETTERS,
     Word,
@@ -27,6 +32,8 @@ from ietrel.words import (
 
 from conftest import q, seeded_iets
 
+
+GOLDEN = Path(__file__).parent / "golden"
 
 raw_syllables = st.lists(
     st.tuples(st.sampled_from("ab"), st.integers(-4, 4)), max_size=12
@@ -199,16 +206,39 @@ def _image_form(f):
     return list(zip(inv.breakpoints, [-t for t in inv.translations]))
 
 
+class _Pushes(list):
+    """verify_word's _push results, kept as integers with their lattice (N, D)
+    and decoded to (image lo, translation) QuadExt pairs when read."""
+
+    def __getitem__(self, i):
+        pieces, den, disc = super().__getitem__(i)
+
+        def value(a, b):
+            return QuadExt(Fraction(a, den), Fraction(b, den), disc if b else 0)
+
+        return [(value(la, lb), value(ta, tb)) for la, lb, ta, tb in pieces]
+
+
 @pytest.fixture
 def pushed(monkeypatch):
-    """Every map verify_word builds, in order: _push wrapped to record its result."""
-    out = []
+    """Every map verify_word builds, in order: _on_lattice wrapped to record
+    the lattice, and _push to record its result over it."""
+    out = _Pushes()
+    lattice = []
+    on_lattice = words_module._on_lattice
     push = words_module._push
 
-    def recording_push(pieces, step):
-        out.append(push(pieces, step))
-        return out[-1]
+    def recording_on_lattice(steps):
+        result = on_lattice(steps)
+        lattice[:] = result[:2]
+        return result
 
+    def recording_push(pieces, step, disc):
+        result = push(pieces, step, disc)
+        out.append((result, *lattice))
+        return result
+
+    monkeypatch.setattr(words_module, "_on_lattice", recording_on_lattice)
     monkeypatch.setattr(words_module, "_push", recording_push)
     return out
 
@@ -286,3 +316,127 @@ def test_verify_word_bounds_b_letters():
     assert verify_word(Word.parse(f"b^{MAX_B_LETTERS}"), spec, g)
     with pytest.raises(SearchCapError):
         verify_word(Word.parse(f"b^-1 a b^{MAX_B_LETTERS}"), spec, g)
+
+
+# -- the integer verifier against the QuadExt one it replaced ------------------
+
+
+def _oracle(word, spec, g):
+    """verify_word as it ran on QuadExt values, with its _push: the verdict
+    and the final composite map as (image lo, translation) pieces."""
+    g_pieces = list(zip(g.breakpoints, g.breakpoints[1:] + (ONE,), g.translations))
+    maps = {
+        ("b", 1): sorted(g_pieces, key=lambda p: p[0] + p[2]),
+        ("b", -1): [(lo + t, hi + t, -t) for lo, hi, t in g_pieces],
+    }
+    pieces = [(ZERO, ZERO)]
+    for gen, exp in reversed(word.syllables):
+        if gen == "a":
+            step = maps.get(("a", exp))
+            if step is None:
+                step = maps[("a", exp)] = words_module._rotation_power(spec, exp)
+            pieces = _oracle_push(pieces, step)
+        else:
+            step = maps[("b", 1 if exp > 0 else -1)]
+            for _ in range(abs(exp)):
+                pieces = _oracle_push(pieces, step)
+    return len(pieces) == 1 and not pieces[0][1], pieces
+
+
+def _oracle_push(pieces, step):
+    starts = [lo for lo, _ in pieces]
+    out = []
+    for lo, hi, s in step:
+        i = bisect_right(starts, lo)
+        t = pieces[i - 1][1] + s
+        if not out or t != out[-1][1]:
+            out.append((lo + s, t))
+        out.extend((lo + s, t + s) for lo, t in pieces[i:bisect_left(starts, hi, i)])
+    return out
+
+
+def _golden_cases():
+    """(name, word, spec, g) for the 22 golden certificates."""
+    return [
+        (pair.name, parse_document((GOLDEN / f"{pair.name}.cert").read_text()).payload.word,
+         pair.r, pair.g)
+        for pair in demo_suite()
+    ]
+
+
+def _deep_m_like_cases(count=40, seed=0):
+    """(name, word, spec, g): seeded rotations with 2 to 4 blocks whose rates
+    are frac(q sqrt(D)), against a random 6-interval g over denominator 64,
+    each with its synthesized word."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        disc = rng.choice((2, 3, 5))
+        blocks = rng.randrange(2, 5)
+        lengths = tuple(q(Fraction(u, 24)) for u in random_partition(rng, 24, blocks))
+        rates = []
+        for _ in lengths:
+            c = Fraction(rng.randrange(1, 7), rng.randrange(1, 5))
+            rates.append((q(0, c, disc)).mod_one())
+        spec = DisjointRotationSpec(lengths, tuple(rates))
+        g = random_iet(rng, 6, 64)
+        out.append((f"deep-m-like {i}", synthesize(spec, g).word, spec, g))
+    return out
+
+
+def _perturbed(cases):
+    """Each case's word w, w b, and w without its first syllable."""
+    for name, w, spec, g in cases:
+        yield name, w, spec, g
+        yield f"{name} . b", w * Word.generator("b"), spec, g
+        yield f"{name} minus its first syllable", Word(w.syllables[1:]), spec, g
+
+
+def _assert_agrees_with_oracle(cases, pushed):
+    verdicts = Counter()
+    for name, w, spec, g in _perturbed(cases):
+        expected, pieces = _oracle(w, spec, g)
+        pushed.clear()
+        assert verify_word(w, spec, g) == expected, name
+        assert (pushed or [[(ZERO, ZERO)]])[-1] == pieces, name
+        verdicts[expected] += 1
+    assert verdicts[True] >= len(cases) and verdicts[False], verdicts
+
+
+def test_verify_word_matches_the_quadext_verifier_on_golden_words(pushed):
+    _assert_agrees_with_oracle(_golden_cases(), pushed)
+
+
+def test_verify_word_matches_the_quadext_verifier_on_deep_m_like_pairs(pushed):
+    _assert_agrees_with_oracle(_deep_m_like_cases(), pushed)
+
+
+def test_verify_word_matches_the_quadext_verifier_on_rational_maps(monkeypatch, pushed):
+    lattices = []
+    on_lattice = words_module._on_lattice
+
+    def recording_on_lattice(steps):
+        result = on_lattice(steps)
+        lattices.append(result[:2])
+        return result
+
+    monkeypatch.setattr(words_module, "_on_lattice", recording_on_lattice)
+    spec = DisjointRotationSpec((q(Fraction(1, 3)), q(Fraction(2, 3))),
+                                (q(Fraction(1, 2)), q(Fraction(3, 4))))
+    g = random_iet(random.Random(5), 6, 8)
+    word = Word.parse("a^4 b a^-4 b^-1")
+    _assert_agrees_with_oracle([("rational", word, spec, g)], pushed)
+    assert {disc for _, disc in lattices} == {0}
+
+
+def test_verify_word_certifies_golden_words_without_iet_arithmetic(monkeypatch):
+    cases = _golden_cases()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_word called the Iet kernel")
+
+    for name in ("compose", "inverse", "power"):
+        monkeypatch.setattr(Iet, name, forbidden)
+    monkeypatch.setattr(iet_module, "_store", forbidden)
+    for name, w, spec, g in cases:
+        assert verify_word(w, spec, g), name
