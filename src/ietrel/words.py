@@ -9,10 +9,10 @@ Three evaluators live here.  `verify_word` is the one relation checker: it
 certifies every synthesized word and backs `ietrel verify`.  It pushes the
 composite map through the word one syllable at a time, on integer pairs
 over a lattice (1/N)(Z + Z sqrt(D)) of its own; its one hot loop is
-`_push`.  It shares with Iet only QuadExt at entry, `_rotation_power` and
-scalars._sign3.  `eval_word` (repeated squaring through `Iet.power`) and
-`eval_word_naive` (one letter at a time) return the evaluated `Iet`; tests
-compare them with each other and with `verify_word`.
+`_push`.  It shares with Iet only QuadExt at entry, `_rotation_power`,
+scalars._sign3 and _merged_disc.  `eval_word` (repeated squaring through
+`Iet.power`) and `eval_word_naive` (one letter at a time) return the
+evaluated `Iet`; tests compare them with each other and with `verify_word`.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
     with translation (0, 0) remains.  More than MAX_B_LETTERS b letters
     raise SearchCapError.  Shared with the construction of h, k and T:
     QuadExt at entry (spec's lengths and rates, g.breakpoints and
-    g.translations), `_rotation_power` and scalars._sign3, and nothing else.
+    g.translations), `_rotation_power`, scalars._sign3 and _merged_disc.
     """
     b_letters = sum(abs(exp) for gen, exp in word.syllables if gen == "b")
     if b_letters > MAX_B_LETTERS:
