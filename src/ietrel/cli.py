@@ -12,7 +12,8 @@ Exit codes:
      tile [0, 1);
   4  a search cap exhausted, or an input past a size cap: a discriminant
      above scalars.MAX_DISC, a word with more than words.MAX_B_LETTERS
-     b letters, |pow --n| above MAX_POW_N, orbit --n above MAX_ORBIT_N,
+     b letters or an exponent of more than words.MAX_EXPONENT_DIGITS
+     digits, |pow --n| above MAX_POW_N, orbit --n above MAX_ORBIT_N,
      disc-growth --max-n above MAX_GROWTH_N, synthesize --m-cap above
      relations.DEFAULT_M_CAP, a map whose piece count lets the pieces pow
      or disc-growth may build pass MAX_POW_PIECES or MAX_GROWTH_PIECES, or

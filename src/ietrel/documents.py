@@ -35,7 +35,7 @@ from .relations import (
     RelationCertificate,
 )
 from .rotation import DisjointRotationSpec
-from .scalars import QuadExt
+from .scalars import QuadExt, _disc_of, _lattice
 from .words import Word
 
 __all__ = [
@@ -91,7 +91,7 @@ def _int(text: str, disc: int = 0) -> int:
 
 
 def _disc(text: str, _context: int = 0) -> int:
-    disc = _int(text)
+    disc = _disc_of(text) if text.isdecimal() else _int(text)
     if disc != 0:
         try:
             QuadExt.sqrt(disc)
@@ -173,16 +173,13 @@ def _fields(kind: str, payload):
 
 def infer_disc(*payloads) -> int:
     """The one discriminant of every scalar in the payloads; 0 if all are rational."""
-    disc = 0
-    for payload in payloads:
-        for _, codec, value in _fields(_kind_of(payload), payload):
-            for x in () if value is None else codec.scalars(value):
-                if x.disc == 0 or x.disc == disc:
-                    continue
-                if disc != 0:
-                    raise ContextMismatchError(f"mixed discriminants {disc} and {x.disc}")
-                disc = x.disc
-    return disc
+    return _lattice(
+        x
+        for payload in payloads
+        for _, codec, value in _fields(_kind_of(payload), payload)
+        if value is not None
+        for x in codec.scalars(value)
+    )[1]
 
 
 def document(payload, disc: Optional[int] = None) -> Document:

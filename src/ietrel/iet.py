@@ -32,11 +32,13 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import InvariantError, PreconditionError
 from .intervals import IntervalSet
-from .scalars import ONE, ZERO, QuadExt, _make, _merged_disc, _sign3, as_scalar
+from .scalars import (
+    ONE, ZERO, QuadExt, _lattice, _make, _merged_disc, _pair, _sign3, as_scalar,
+)
 
 __all__ = ["Iet", "PermLambdaSpec"]
 
@@ -210,10 +212,10 @@ class Iet:
     def compose(self, other: "Iet") -> "Iet":
         """self after other: (self.compose(other))(x) = self(other(x)).
 
-        Other's pieces [lo, hi) + t are first walked in the order of their
-        images, which tile [0, 1) and so meet self's breakpoints in
-        ascending order: a search that gallops on from where the previous
-        image ended finds the last piece of self that each image meets.
+        Other's pieces [lo, hi) + t are first walked in _image_order: their
+        images tile [0, 1) and so meet self's breakpoints in ascending
+        order, and a search that gallops on from where the previous image
+        ended finds the last piece of self that each image meets.
         Then, in domain order, each piece of other is cut at b - t wherever
         its image crosses a breakpoint b of self, and the fragment that
         lands in self's piece j moves by t + self's j-th translation.
@@ -237,18 +239,10 @@ class Iet:
         # image of other's piece p meets
         firsts = [0] * k
         lasts = [0] * k
-        # follow the images as _image_order does, in the same pass
-        piece_at = _piece_at_image_lo(obps, otrs)
-        ohis = [*obps[1:], (den, 0)]
+        order, ohis = _image_order(obps, otrs, den)
         j = 0
-        e = (0, 0)
-        for _ in range(k):
-            p = piece_at[e]
-            ta, tb = otrs[p]
-            ha, hb = ohis[p]
-            ea = ha + ta
-            eb = hb + tb
-            e = (ea, eb)
+        for p in order:
+            ea, eb = e = ohis[p]
             firsts[p] = j
             if j + 1 < m:
                 sa, sb = sbps[j + 1]
@@ -387,20 +381,6 @@ class Iet:
 # -- the integer kernel ----------------------------------------------------------
 
 
-def _lattice(values: Sequence[QuadExt], den: int = 1, disc: int = 0) -> Tuple[int, int]:
-    """The least common denominator of den and the values, and their one discriminant."""
-    for v in values:
-        den = math.lcm(den, v.den)
-        disc = _merged_disc(disc, v.disc)
-    return den, disc
-
-
-def _pair(v: QuadExt, den: int) -> Pair:
-    """v as an integer pair over den, a multiple of v.den."""
-    c = den // v.den
-    return v.an * c, v.bn * c
-
-
 def _rescaled(f: Iet, den: int) -> Tuple[Sequence[Pair], Sequence[Pair]]:
     """f's breakpoints and translations over den, a multiple of f's denominator."""
     c = den // f._den
@@ -446,11 +426,6 @@ def _locate(
     return lo
 
 
-def _piece_at_image_lo(bps: Sequence[Pair], trs: Sequence[Pair]) -> Dict[Pair, int]:
-    """Each piece's index, keyed by the exact integer pair of its image's lo."""
-    return dict(zip([(a + ta, b + tb) for (a, b), (ta, tb) in zip(bps, trs)], range(len(bps))))
-
-
 def _image_order(
     bps: Sequence[Pair], trs: Sequence[Pair], den: int
 ) -> Tuple[List[int], List[Pair]]:
@@ -461,7 +436,8 @@ def _image_order(
     starts where the last one ended, found by its exact integer pair.  The
     order is shorter than bps exactly when the images do not tile [0, 1),
     since each step moves strictly up."""
-    piece_at = _piece_at_image_lo(bps, trs)
+    piece_at = dict(zip([(a + ta, b + tb) for (a, b), (ta, tb) in zip(bps, trs)],
+                        range(len(bps))))
     his = [(ha + ta, hb + tb) for (ha, hb), (ta, tb) in zip([*bps[1:], (den, 0)], trs)]
     order = []
     p = piece_at.get((0, 0))

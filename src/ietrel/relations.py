@@ -65,6 +65,8 @@ BRANCH_T_TRIVIAL = "T_trivial"
 BRANCH_T_SIXTH = "T_sixth"
 
 DEFAULT_M_CAP = 10_000_000
+# find_epsilon raises SearchCapError when eps0 / 2^MAX_HALVINGS still fails.
+MAX_HALVINGS = 200
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,6 @@ def find_epsilon(
     points: Sequence[QuadExt],
     d: int,
     min_block: QuadExt | None = None,
-    max_halvings: int = 200,
 ) -> QuadExt:
     """Largest eps = eps0 / 2^t (t minimal) passing every separation check.
 
@@ -189,7 +190,7 @@ def find_epsilon(
         eps = as_scalar(1) / 4
     supp = r.support()
     rd = r.power(d)
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         ok = eps * 10 < ONE
         if ok and min_block is not None:
             ok = eps * 4 < min_block
@@ -199,7 +200,7 @@ def find_epsilon(
         if ok:
             return eps
         eps = eps / 2
-    raise SearchCapError(f"no admissible epsilon after {max_halvings} halvings")
+    raise SearchCapError(f"no admissible epsilon after MAX_HALVINGS = {MAX_HALVINGS}")
 
 
 def find_M(

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
-from .errors import ContextMismatchError, PreconditionError
+from .errors import PreconditionError
 from .iet import Iet, check_lengths
-from .scalars import ONE, ZERO, QuadExt, as_scalar
+from .scalars import ONE, ZERO, QuadExt, _lattice, as_scalar
 
 __all__ = [
     "DisjointRotationSpec",
@@ -46,9 +46,7 @@ class DisjointRotationSpec:
         object.__setattr__(self, "rates", tuple(as_scalar(a) for a in self.rates))
         if not self.lengths or len(self.lengths) != len(self.rates):
             raise PreconditionError("need equally many block lengths and rates")
-        discs = sorted({x.disc for x in self.lengths + self.rates if x.disc})
-        if len(discs) > 1:
-            raise ContextMismatchError(f"mixed discriminants {discs[0]} and {discs[1]}")
+        _lattice(self.lengths + self.rates)  # ContextMismatchError if D is mixed
         check_lengths(self.lengths)
         for a in self.rates:
             if not (ZERO <= a < ONE):
@@ -65,23 +63,25 @@ class DisjointRotationSpec:
             beta.append(beta[-1] + v)
         return tuple(beta)
 
+    def pieces(self, k: int) -> List[Tuple[QuadExt, QuadExt, QuadExt]]:
+        """The (lo, hi, shift) pieces of r^k in domain order: block j is rotated
+        in place by s = lambda_j * (k * alpha_j mod 1), so [beta_{j-1}, beta_j - s)
+        moves up by s and, when s > 0, the rest moves down by lambda_j - s."""
+        out = []
+        beta = self.block_bounds()
+        rates = self.block_rates(k)
+        for left, right, lam, rate in zip(beta, beta[1:], self.lengths, rates):
+            shift = lam * rate
+            cut = right - shift
+            out.append((left, cut, shift))
+            if shift:
+                out.append((cut, right, shift - lam))
+        return out
+
     def to_iet(self) -> Iet:
         """The map itself: each block rotated by its rate."""
-        bps = []
-        trs = []
-        beta = self.block_bounds()
-        for j, (lam, alpha) in enumerate(zip(self.lengths, self.rates)):
-            left, right = beta[j], beta[j + 1]
-            if not alpha:
-                bps.append(left)
-                trs.append(ZERO)
-                continue
-            shift = lam * alpha
-            bps.append(left)
-            trs.append(shift)
-            bps.append(right - shift)
-            trs.append(shift - lam)
-        return Iet(bps, trs)
+        pieces = self.pieces(1)
+        return Iet([lo for lo, _, _ in pieces], [t for _, _, t in pieces])
 
     def classify(self) -> OrderClass:
         """Finite order (with the exact order), or infinite with/without

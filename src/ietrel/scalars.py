@@ -14,6 +14,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Tuple
 
 from .errors import ContextMismatchError, ParseError, SearchCapError
 
@@ -39,11 +40,38 @@ def _require_valid_disc(disc: int) -> None:
         p += 1
 
 
+def _disc_of(digits: str) -> int:
+    """The discriminant spelled by a string of decimal digits.  One with more
+    digits than MAX_DISC raises SearchCapError before int() reads it, which
+    would refuse a string of more than 4300 digits with a ValueError."""
+    if len(digits.lstrip("0")) > len(str(MAX_DISC)):
+        raise SearchCapError(
+            f"a discriminant of {len(digits)} digits exceeds MAX_DISC = {MAX_DISC}"
+        )
+    return int(digits)
+
+
 def _merged_disc(d0: int, d1: int) -> int:
     # The one discriminant of two operands; 0 stands for a rational operand.
     if d0 and d1 and d0 != d1:
-        raise ContextMismatchError(f"incompatible contexts sqrt({d0}) and sqrt({d1})")
+        raise ContextMismatchError(f"mixed discriminants {d0} and {d1}")
     return d0 or d1
+
+
+def _lattice(values: Iterable[QuadExt], den: int = 1, disc: int = 0) -> Tuple[int, int]:
+    """The lattice (1/N)(Z + Z sqrt(D)) of den, disc and the values: N the least
+    common denominator, D their one discriminant (0 if all are rational)."""
+    for v in values:
+        den = math.lcm(den, v.den)
+        disc = _merged_disc(disc, v.disc)
+    return den, disc
+
+
+def _pair(v: QuadExt, den: int) -> Tuple[int, int]:
+    """v as the integer pair (a, b) with v = (a + b sqrt(D)) / den; den must be
+    a multiple of v.den."""
+    c = den // v.den
+    return v.an * c, v.bn * c
 
 
 def _sign3(an: int, bn: int, disc: int) -> int:
@@ -120,7 +148,7 @@ class QuadExt:
                 if coef is not None:
                     raise ParseError(f"two root terms in scalar {text!r}")
                 coef = sign * _parse_fraction(m.group(1) or "1", text)
-                found_disc = int(m.group(2))
+                found_disc = _disc_of(m.group(2))
             elif _RAT_TERM.match(term):
                 if rat is not None:
                     raise ParseError(f"two rational terms in scalar {text!r}")

@@ -9,15 +9,16 @@ Three evaluators live here.  `verify_word` is the one relation checker: it
 certifies every synthesized word and backs `ietrel verify`.  It pushes the
 composite map through the word one syllable at a time, on integer pairs
 over a lattice (1/N)(Z + Z sqrt(D)) of its own; its one hot loop is
-`_push`.  It shares with Iet only QuadExt at entry, `_rotation_power`,
-scalars._sign3 and _merged_disc.  `eval_word` (repeated squaring through
-`Iet.power`) and `eval_word_naive` (one letter at a time) return the
-evaluated `Iet`; tests compare them with each other and with `verify_word`.
+`_push`.  It shares with the Iet algebra of synthesis only what defines
+the maps: QuadExt at entry, `DisjointRotationSpec.pieces`, `Iet.pieces`
+and the scalars helpers _lattice, _pair, _sign3 and _merged_disc.
+`eval_word` (repeated squaring through `Iet.power`) and `eval_word_naive`
+(one letter at a time) return the evaluated `Iet`; tests compare them with
+each other and with `verify_word`.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
@@ -26,7 +27,7 @@ from typing import Dict, Iterable, List, Tuple
 from .errors import ParseError, PreconditionError, SearchCapError
 from .iet import Iet
 from .rotation import DisjointRotationSpec
-from .scalars import ONE, ZERO, QuadExt, _merged_disc, _sign3
+from .scalars import QuadExt, _lattice, _pair, _sign3
 
 __all__ = [
     "Word",
@@ -36,6 +37,7 @@ __all__ = [
     "verify_word",
     "GENERATORS",
     "MAX_B_LETTERS",
+    "MAX_EXPONENT_DIGITS",
 ]
 
 GENERATORS = ("a", "b")
@@ -46,6 +48,9 @@ GENERATORS = ("a", "b")
 # work grow with the square of the count.  Certificates hold 4, 16 or 96
 # b letters, by branch.
 MAX_B_LETTERS = 1000
+# Word.parse refuses an exponent of more digits, so every count the program
+# prints stays far below the 4300 digits that int() and str() accept.
+MAX_EXPONENT_DIGITS = 1000
 
 Syllable = Tuple[str, int]
 # (domain lo, domain hi, shift): one piece of a syllable's map
@@ -90,7 +95,14 @@ class Word:
             m = _TOKEN.match(token)
             if not m:
                 raise ParseError(f"bad word token {token!r}")
-            exp = int(m.group(2)) if m.group(2) is not None else 1
+            spelled = m.group(2) or "1"
+            digits = len(spelled.lstrip("-"))
+            if digits > MAX_EXPONENT_DIGITS:
+                raise SearchCapError(
+                    f"a word exponent of {digits} digits exceeds "
+                    f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS}"
+                )
+            exp = int(spelled)
             if exp == 0:
                 raise ParseError(f"zero exponent in token {token!r}")
             raw.append((m.group(1), exp))
@@ -180,16 +192,14 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
     """True when the word evaluates to the identity with a -> r, b -> g,
     where r is the disjoint rotation map of spec.
 
-    The syllable maps are built in QuadExt, r^k in closed form once per
-    distinct k, and `_on_lattice` writes them as integer pairs (a, b),
-    meaning (a + b sqrt(D)) / N, over one N and D.  The composite map, kept
-    in image order as pieces (image lo, total translation), starts as the
-    one piece (0, 0); `_push` sends it through the syllables right to left,
-    a b^k syllable |k| times, and the word is the identity when one piece
-    with translation (0, 0) remains.  More than MAX_B_LETTERS b letters
-    raise SearchCapError.  Shared with the construction of h, k and T:
-    QuadExt at entry (spec's lengths and rates, g.breakpoints and
-    g.translations), `_rotation_power`, scalars._sign3 and _merged_disc.
+    The syllable maps are built in QuadExt, r^k once per distinct k from
+    spec.pieces(k) and g from g.pieces(), and `_on_lattice` writes them as
+    integer pairs (a, b), meaning (a + b sqrt(D)) / N, over one N and D.
+    The composite map, kept in image order as pieces (image lo, total
+    translation), starts as the one piece (0, 0); `_push` sends it through
+    the syllables right to left, a b^k syllable |k| times, and the word is
+    the identity when one piece with translation (0, 0) remains.  More than
+    MAX_B_LETTERS b letters raise SearchCapError.
     """
     b_letters = sum(abs(exp) for gen, exp in word.syllables if gen == "b")
     if b_letters > MAX_B_LETTERS:
@@ -198,11 +208,11 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
         )
     steps: Dict[Tuple[str, int], List[Step]] = {}
     if b_letters:
-        g_pieces = list(zip(g.breakpoints, g.breakpoints[1:] + (ONE,), g.translations))
+        g_pieces = list(g.pieces())
         steps["b", 1] = g_pieces
         steps["b", -1] = [(lo + t, hi + t, -t) for lo, hi, t in g_pieces]
     for k in {exp for gen, exp in word.syllables if gen == "a"}:
-        steps["a", k] = _rotation_power(spec, k)
+        steps["a", k] = spec.pieces(k)
     _, disc, maps = _on_lattice(steps)
     pieces: List[Piece] = [(0, 0, 0, 0)]
     for gen, exp in reversed(word.syllables):
@@ -214,39 +224,16 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
     return pieces == [(0, 0, 0, 0)]
 
 
-def _rotation_power(spec: DisjointRotationSpec, k: int) -> List[Step]:
-    """The map r^k in image order: block j rotated in place by (k * alpha_j) mod 1,
-    its wrapped piece first."""
-    out = []
-    left = ZERO
-    for lam, alpha in zip(spec.lengths, spec.rates):
-        right = left + lam
-        shift = lam * (alpha * k).mod_one()
-        if shift:
-            cut = right - shift
-            out.append((cut, right, shift - lam))
-            out.append((left, cut, shift))
-        else:
-            out.append((left, right, ZERO))
-        left = right
-    return out
-
-
 def _on_lattice(steps: Dict[Tuple[str, int], List[Step]]) -> Tuple[int, int, dict]:
-    """N, the lcm of every value's denominator, D, their one discriminant
-    (ContextMismatchError if mixed), and each map of steps over them: its
-    pieces in domain order, each with the pairs of lo, hi and shift laid
-    flat, and their indices in image order, both sorted in QuadExt."""
-    values = [v for step in steps.values() for piece in step for v in piece]
-    den = math.lcm(*(v.den for v in values))
-    disc = 0
-    for v in values:
-        disc = _merged_disc(disc, v.disc)
+    """N and D, the lattice of every value (scalars._lattice, which raises
+    ContextMismatchError if D is mixed), and each map of steps over them:
+    its pieces in domain order, each with the pairs of lo, hi and shift
+    laid flat, and their indices in image order, both sorted in QuadExt."""
+    den, disc = _lattice(v for step in steps.values() for piece in step for v in piece)
     maps = {}
     for key, step in steps.items():
         step = sorted(step, key=itemgetter(0))
-        flat = [tuple(x for v in p for x in (v.an * den // v.den, v.bn * den // v.den))
-                for p in step]
+        flat = [(*_pair(lo, den), *_pair(hi, den), *_pair(s, den)) for lo, hi, s in step]
         maps[key] = flat, sorted(range(len(step)), key=lambda p: step[p][0] + step[p][2])
     return den, disc, maps
 

@@ -37,7 +37,7 @@ from ietrel.relations import DEFAULT_M_CAP
 from ietrel.rotation import DisjointRotationSpec
 from ietrel.sampling import demo_suite
 from ietrel.scalars import MAX_DISC, QuadExt
-from ietrel.words import MAX_B_LETTERS, Word
+from ietrel.words import MAX_B_LETTERS, MAX_EXPONENT_DIGITS, Word
 
 from conftest import q
 
@@ -325,6 +325,47 @@ def test_a_discriminant_above_the_cap_exits_4_promptly(files, capsys, text):
     assert code == EXIT_SEARCH_CAP
     assert out == ""
     assert f"MAX_DISC = {MAX_DISC}" in err
+
+
+# Python's int() and str() refuse integers of more than 4300 digits.
+LONG_DIGITS = "1" * 5000
+
+
+@pytest.mark.parametrize("command, text", [
+    (("l1",), f"ietrel v1\nD = {LONG_DIGITS}\nkind = scalar\nvalue = 1\n"),
+    (("l1",), f"ietrel v1\nD = 0\nkind = scalar\nvalue = 1/8*sqrt({LONG_DIGITS})\n"),
+    (("eval", "--x", f"1/8*sqrt({LONG_DIGITS})"), None),
+], ids=["l1-D-line", "l1-root-term", "eval-root-term"])
+def test_a_discriminant_too_long_for_int_exits_4(files, capsys, command, text):
+    f = files("f.txt", Iet.identity(), text=text)
+    name, *rest = command
+    code, out, err = run(capsys, name, "--map", f, *rest)
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert f"MAX_DISC = {MAX_DISC}" in err
+
+
+def test_verify_refuses_an_exponent_too_long_for_int(files, capsys):
+    r = files("r.rot", DisjointRotationSpec((q(1),), (SQRT2M1,)))
+    g = files("g.iet", Iet.identity())
+    w = files("w.txt", None, text=f"ietrel v1\nD = 0\nkind = word\nword = a^{LONG_DIGITS}\n")
+    code, out, err = run(capsys, "verify", "--word", w, "--r", r, "--g", g)
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS}" in err
+
+
+def test_verify_refuses_exponents_whose_letter_count_is_too_long_to_print(files, capsys):
+    # a^X a^X reduces to a^(10^4300), the identity for rate 1/2, and its
+    # letter count has 4301 digits
+    r = files("r.rot", DisjointRotationSpec((q(1),), (q(F(1, 2)),)))
+    g = files("g.iet", Iet.identity())
+    x = "5" + "0" * 4299
+    w = files("w.txt", None, text=f"ietrel v1\nD = 0\nkind = word\nword = a^{x} a^{x}\n")
+    code, out, err = run(capsys, "verify", "--word", w, "--r", r, "--g", g)
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS}" in err
 
 
 @pytest.mark.parametrize("command, cap_name", [

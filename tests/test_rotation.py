@@ -137,7 +137,12 @@ def test_block_rates_anchor():
 @given(seeded_specs(), st.integers(-20, 20))
 @settings(max_examples=30, deadline=None)
 def test_power_spec_matches_iet_power(spec, m):
-    assert spec.power_spec(m).to_iet() == spec.to_iet().power(m)
+    power = spec.to_iet().power(m)
+    assert spec.power_spec(m).to_iet() == power
+    # spec.pieces(m) is r^m itself, its pieces in domain order tiling [0, 1)
+    pieces = spec.pieces(m)
+    assert [lo for lo, _, _ in pieces[1:]] + [q(1)] == [hi for _, hi, _ in pieces]
+    assert Iet([lo for lo, _, _ in pieces], [t for _, _, t in pieces]) == power
 
 
 @given(seeded_specs())

@@ -97,9 +97,10 @@ def test_find_epsilon_respects_min_block():
     assert eps == q(F(1, 64))
 
 
-def test_find_epsilon_search_cap():
+def test_find_epsilon_search_cap(monkeypatch):
+    monkeypatch.setattr(relations, "MAX_HALVINGS", 1)
     with pytest.raises(SearchCapError):
-        find_epsilon(Iet.identity(), [q(0)], 1, max_halvings=1)
+        find_epsilon(Iet.identity(), [q(0)], 1)
 
 
 @given(st.sets(st.integers(0, 63), min_size=1, max_size=8))

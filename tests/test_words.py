@@ -23,6 +23,7 @@ from ietrel.sampling import demo_suite, random_iet, random_partition, random_rot
 from ietrel.scalars import ONE, ZERO, QuadExt
 from ietrel.words import (
     MAX_B_LETTERS,
+    MAX_EXPONENT_DIGITS,
     Word,
     eval_word,
     eval_word_naive,
@@ -92,6 +93,14 @@ def test_parse_rejects_bad_tokens():
     for text in ("c", "a^0", "a^", "ab", "a^1.5", "a^--2"):
         with pytest.raises(ParseError):
             Word.parse(text)
+
+
+def test_parse_caps_exponent_digits():
+    longest = "9" * MAX_EXPONENT_DIGITS
+    assert Word.parse(f"a^-{longest} b").syllables == (("a", -int(longest)), ("b", 1))
+    for token in (f"a^1{longest}", f"b^-1{longest}"):
+        with pytest.raises(SearchCapError, match="MAX_EXPONENT_DIGITS"):
+            Word.parse(token)
 
 
 @given(words)
@@ -334,7 +343,7 @@ def _oracle(word, spec, g):
         if gen == "a":
             step = maps.get(("a", exp))
             if step is None:
-                step = maps[("a", exp)] = words_module._rotation_power(spec, exp)
+                step = maps[("a", exp)] = sorted(spec.pieces(exp), key=lambda p: p[0] + p[2])
             pieces = _oracle_push(pieces, step)
         else:
             step = maps[("b", 1 if exp > 0 else -1)]
