@@ -13,12 +13,17 @@ Exit codes:
   4  a search cap exhausted, or an input past a size cap: a discriminant
      above scalars.MAX_DISC, a word with more than words.MAX_B_LETTERS
      b letters or an exponent of more than words.MAX_EXPONENT_DIGITS
-     digits, |pow --n| above MAX_POW_N, orbit --n above MAX_ORBIT_N,
-     disc-growth --max-n above MAX_GROWTH_N, synthesize --m-cap above
-     relations.DEFAULT_M_CAP, a map whose piece count lets the pieces pow
-     or disc-growth may build pass MAX_POW_PIECES or MAX_GROWTH_PIECES, or
-     prop-check --size above MAX_EXHAUSTIVE_SIZE (exhaustive) or
-     MAX_RANDOM_SIZE (random), or --trials above MAX_TRIALS.
+     digits, a word whose pushes in verify may walk more than
+     words.MAX_VERIFY_PIECES pieces, |pow --n| above MAX_POW_N, orbit --n
+     above MAX_ORBIT_N, disc-growth --max-n above MAX_GROWTH_N,
+     synthesize --m-cap above relations.DEFAULT_M_CAP, a map whose piece
+     count lets the pieces pow or disc-growth may build pass MAX_POW_PIECES
+     or MAX_GROWTH_PIECES, or prop-check --size above MAX_EXHAUSTIVE_SIZE
+     (exhaustive) or MAX_RANDOM_SIZE (random), or --trials above
+     MAX_TRIALS.  Also a synthesized word with an exponent of more than
+     words.MAX_EXPONENT_DIGITS digits, which verify would refuse, and an
+     exact value to print with an integer of more than
+     scalars.MAX_PRINT_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -77,13 +82,14 @@ EXIT_SEARCH_CAP = 4
 
 # Size caps on counts given on the command line, checked before any work.
 # f^n of a generic 4-interval map has 3n + 1 pieces.  Beside each cap: time
-# and peak memory at the cap for such a map, on CPython 3.11, one x86 core.
-MAX_POW_N = 10**4  # pow --n 10000: 0.7 s, 38 MB
-MAX_ORBIT_N = 10**5  # orbit keeps every point; --n 100000: 0.7 s, 43 MB
-MAX_GROWTH_N = 500  # disc-growth composes max-n times; --max-n 500: 0.4 s, 17 MB
+# and peak memory at the cap for such a map, on CPython 3.11, one x86 core
+# of a shared host (the median of five runs; single runs vary by about 30 %).
+MAX_POW_N = 10**4  # pow --n 10000: 1.0 s, 39 MB
+MAX_ORBIT_N = 10**5  # orbit keeps every point; --n 100000: 1.3 s, 38 MB
+MAX_GROWTH_N = 500  # disc-growth composes max-n times; --max-n 500: 0.5 s, 17 MB
 # prop-check --exhaustive scans all m!^2 pairs of permutations, so size 7
 # has 49 times the pairs of size 6; a random instance costs O(m^2).
-MAX_EXHAUSTIVE_SIZE = 6  # prop-check --size 6 --exhaustive: 1.2 s, 17 MB
+MAX_EXHAUSTIVE_SIZE = 6  # prop-check --size 6 --exhaustive: 1.3 s, 17 MB
 MAX_RANDOM_SIZE = 30  # prop-check --size 30 --trials 5000: 1.1 s, 17 MB
 MAX_TRIALS = 5000  # the same run: both random caps at once
 

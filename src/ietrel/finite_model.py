@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from .errors import InvariantError, PreconditionError, SearchCapError
 
@@ -216,26 +216,9 @@ def enumerate_instances(m: int) -> Iterator[CommutatorInstance]:
     """Every (h, phi) pair on m points satisfying the hypothesis, with h
     and phi both nontrivial and A nonempty."""
     perms = list(permutations(range(m)))
-    supports = [
-        sum(1 << i for i, j in enumerate(p) if i != j) for p in perms
-    ]
-    for hi, h in enumerate(perms):
-        mask_h = supports[hi]
-        if mask_h == 0:
-            continue
-        for pi, phi in enumerate(perms):
-            mask_phi = supports[pi]
-            if mask_phi == 0:
-                continue
-            mask_a = mask_h & mask_phi
-            if mask_a == 0:
-                continue
-            mask_c = 0
-            bits = mask_a
-            while bits:
-                low = bits & -bits
-                mask_c |= 1 << phi[low.bit_length() - 1]
-                bits ^= low
-            if mask_a & mask_c:
-                continue
-            yield CommutatorInstance.build(h, phi)
+    supports = [support_of(p) for p in perms]
+    for h, sup_h in zip(perms, supports):
+        for phi, sup_phi in zip(perms, supports):
+            a = sup_h & sup_phi
+            if a and a.isdisjoint(phi[i] for i in a):
+                yield CommutatorInstance.build(h, phi)

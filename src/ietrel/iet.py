@@ -214,13 +214,15 @@ class Iet:
 
         Other's pieces [lo, hi) + t are first walked in _image_order: their
         images tile [0, 1) and so meet self's breakpoints in ascending
-        order, and a search that gallops on from where the previous image
-        ended finds the last piece of self that each image meets.
+        order.  Each image starts in the piece of self where the one before
+        it ended, and a bisection from there finds the last breakpoint of
+        self at or below its hi; an image that ends exactly on a breakpoint
+        meets only the pieces before it.
         Then, in domain order, each piece of other is cut at b - t wherever
         its image crosses a breakpoint b of self, and the fragment that
         lands in self's piece j moves by t + self's j-th translation.
-        Nothing is sorted: the cost is a few exact comparisons per piece of
-        other plus a few integer additions per output piece.  Equal
+        Nothing is sorted: the cost is one bisection per piece of other
+        plus a few integer additions per output piece.  Equal
         translations can meet only where the fragments of two pieces of
         other meet, since self has no two equal neighbours."""
         den = self._den
@@ -233,7 +235,6 @@ class Iet:
             den = math.lcm(den, other._den)
             sbps, strs = _rescaled(self, den)
             obps, otrs = _rescaled(other, den)
-        m = len(sbps)
         k = len(obps)
         # firsts[p], lasts[p]: the first and the last piece of self that the
         # image of other's piece p meets
@@ -244,13 +245,8 @@ class Iet:
         for p in order:
             ea, eb = e = ohis[p]
             firsts[p] = j
-            if j + 1 < m:
-                sa, sb = sbps[j + 1]
-                if _sign3(ea - sa, eb - sb, disc) > 0:
-                    j = _locate(sbps, ea, eb, disc, lo=j + 1, strict=True)
-            lasts[p] = j
-            if j + 1 < m and sbps[j + 1] == e:
-                j += 1
+            j = _locate(sbps, ea, eb, disc, lo=j)
+            lasts[p] = j - (sbps[j] == e)
         bps: List[Pair] = []
         trs: List[Pair] = []
         prev = None
@@ -396,30 +392,16 @@ def _pieces(f: Iet) -> Iterator[Tuple[Pair, Pair, Pair]]:
 
 
 def _locate(
-    bps: Sequence[Pair], xa: int, xb: int, disc: int, lo: int = 0, scale: int = 1,
-    strict: bool = False,
+    bps: Sequence[Pair], xa: int, xb: int, disc: int, lo: int = 0, scale: int = 1
 ) -> int:
     """Index of the last breakpoint (a, b) from lo on with (a + b sqrt(disc)) * scale
-    at or below (strictly below, if strict) xa + xb sqrt(disc); bps[lo] must
-    qualify.  It gallops on from lo and then bisects, so it costs about
-    2 log2(answer - lo + 1) exact comparisons."""
-    least = 1 if strict else 0
-    m = len(bps)
-    step = 1
-    hi = lo + 1
-    while hi < m:
-        a, b = bps[hi]
-        if _sign3(xa - a * scale, xb - b * scale, disc) < least:
-            break
-        lo = hi
-        step += step
-        hi = lo + step
-    else:
-        hi = m
+    at or below xa + xb sqrt(disc); bps[lo] must qualify.  A plain bisection:
+    about log2(len(bps) - lo) exact comparisons."""
+    hi = len(bps)
     while hi - lo > 1:
         mid = (lo + hi) >> 1
         a, b = bps[mid]
-        if _sign3(xa - a * scale, xb - b * scale, disc) >= least:
+        if _sign3(xa - a * scale, xb - b * scale, disc) >= 0:
             lo = mid
         else:
             hi = mid

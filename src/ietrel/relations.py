@@ -35,7 +35,7 @@ from .iet import Iet
 from .intervals import IntervalSet, circular_ball
 from .rotation import FINITE_ORDER, DisjointRotationSpec
 from .scalars import ONE, QuadExt, as_scalar
-from .words import Word, verify_word
+from .words import MAX_EXPONENT_DIGITS, Word, verify_word
 from .words import eval_word  # noqa: F401 -- perfbench/tracing.py wraps the name here
 
 __all__ = [
@@ -391,6 +391,11 @@ def _certify(
 ) -> RelationCertificate:
     if word.is_empty():
         raise InvariantError("synthesized word reduced to the empty word")
+    if max(abs(exp) for _, exp in word.syllables) >= 10**MAX_EXPONENT_DIGITS:
+        raise SearchCapError(
+            "the word has an exponent of more than "
+            f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS} digits"
+        )
     if not verify_word(word, r_spec, g):
         raise InvariantError("synthesized word does not evaluate to the identity")
     return RelationCertificate(

@@ -18,13 +18,21 @@ from typing import Iterable, Tuple
 
 from .errors import ContextMismatchError, ParseError, SearchCapError
 
-__all__ = ["QuadExt", "as_scalar", "ZERO", "ONE", "MAX_DISC"]
+__all__ = ["QuadExt", "as_scalar", "ZERO", "ONE", "MAX_DISC", "MAX_PRINT_DIGITS"]
 
 
 # Largest accepted discriminant.  The square-free test is trial division,
 # O(sqrt(D)): at the cap its worst case, a prime near 10**10, takes 10-20 ms
 # on CPython 3.11 on one x86 core, while D = 10**30 + 1 would run for years.
 MAX_DISC = 10**10
+# Longest integer, in decimal digits, that a printed value may hold: str()
+# refuses more than 4300 by default (sys.get_int_max_str_digits).
+MAX_PRINT_DIGITS = 4300
+_PRINT_BOUND = 10**MAX_PRINT_DIGITS
+# float() keeps the float formula, whose renderings perfbench/digests.json
+# freezes in disc-growth output, while every integer of the value has at most
+# this many bits, so that bn * sqrt(disc) stays below 2^1024.
+_FLOAT_BITS = 1000
 
 
 @lru_cache(maxsize=None)
@@ -328,19 +336,35 @@ class QuadExt:
     # -- renderings -----------------------------------------------------
 
     def __float__(self):
-        val = self.an
-        if self.bn:
-            val = self.an + self.bn * math.sqrt(self.disc)
-        return val / self.den
+        an, bn, den = self.an, self.bn, self.den
+        if not bn:
+            return an / den
+        if max(abs(an), abs(bn), den).bit_length() <= _FLOAT_BITS:
+            return (an + bn * math.sqrt(self.disc)) / den
+        # Past float range, from integers: bn sqrt(disc) to k binary places by
+        # isqrt, then one correctly rounded division.  The truncation, below
+        # 2^-k, sits 64 bits under the value, since |an + bn sqrt(disc)| >=
+        # 1 / (|an| + |bn| sqrt(disc)) when an^2 - bn^2 disc is a nonzero integer.
+        r2 = bn * bn * self.disc
+        k = max(an.bit_length(), r2.bit_length()) + 64
+        root = math.isqrt(r2 << 2 * k)
+        return ((an << k) + (root if bn > 0 else -root)) / (den << k)
 
     def __str__(self):
+        rat, coef = self.rat, self.coef
+        for n in (rat.numerator, rat.denominator, coef.numerator, coef.denominator):
+            if not -_PRINT_BOUND < n < _PRINT_BOUND:
+                raise SearchCapError(
+                    "an exact value with an integer of more than "
+                    f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits is too long to print"
+                )
         if self.bn == 0:
-            return str(self.rat)
-        root = f"{abs(self.coef)}*sqrt({self.disc})"
+            return str(rat)
+        root = f"{abs(coef)}*sqrt({self.disc})"
         if self.an == 0:
             return root if self.bn > 0 else "-" + root
         sign = "+" if self.bn > 0 else "-"
-        return f"{self.rat}{sign}{root}"
+        return f"{rat}{sign}{root}"
 
     def __repr__(self):
         return f"QuadExt({str(self)!r})"

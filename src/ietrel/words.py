@@ -38,19 +38,27 @@ __all__ = [
     "GENERATORS",
     "MAX_B_LETTERS",
     "MAX_EXPONENT_DIGITS",
+    "MAX_VERIFY_PIECES",
 ]
 
 GENERATORS = ("a", "b")
 
 # verify_word pushes every b letter through on its own, while an a^k
-# syllable costs the same for any k, so the total count of b letters bounds
-# its work.  A generic g can add pieces with every letter, which makes that
-# work grow with the square of the count.  Certificates hold 4, 16 or 96
-# b letters, by branch.
+# syllable is one push for any k, so the total count of b letters bounds the
+# number of pushes.  A generic g can add pieces with every letter, which makes
+# their work grow with the square of the count (MAX_VERIFY_PIECES bounds it).
+# Certificates hold 4, 16 or 96 b letters, by branch.
 MAX_B_LETTERS = 1000
 # Word.parse refuses an exponent of more digits, so every count the program
 # prints stays far below the 4300 digits that int() and str() accept.
 MAX_EXPONENT_DIGITS = 1000
+# Before any push, verify_word bounds the pieces its pushes may walk in all:
+# each push can grow the composite map by its step's piece count less one.
+# The suite's certificates walk at most 75077, a 96-b-letter word against a
+# 100-interval g about 931490.  At the cap, b^250 a against a 64-interval g
+# that gains 63 pieces per b letter: 0.9-1.4 s, 23 MB, on CPython 3.11, one
+# x86 core of a shared host.
+MAX_VERIFY_PIECES = 2 * 10**6
 
 Syllable = Tuple[str, int]
 # (domain lo, domain hi, shift): one piece of a syllable's map
@@ -199,7 +207,8 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
     translation), starts as the one piece (0, 0); `_push` sends it through
     the syllables right to left, a b^k syllable |k| times, and the word is
     the identity when one piece with translation (0, 0) remains.  More than
-    MAX_B_LETTERS b letters raise SearchCapError.
+    MAX_B_LETTERS b letters, or pushes that may walk more than
+    MAX_VERIFY_PIECES pieces in all, raise SearchCapError before any push.
     """
     b_letters = sum(abs(exp) for gen, exp in word.syllables if gen == "b")
     if b_letters > MAX_B_LETTERS:
@@ -213,14 +222,26 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
         steps["b", -1] = [(lo + t, hi + t, -t) for lo, hi, t in g_pieces]
     for k in {exp for gen, exp in word.syllables if gen == "a"}:
         steps["a", k] = spec.pieces(k)
-    _, disc, maps = _on_lattice(steps)
-    pieces: List[Piece] = [(0, 0, 0, 0)]
+    pushes = []  # the step of each push, in the order they act
     for gen, exp in reversed(word.syllables):
         if gen == "a":
-            pieces = _push(pieces, maps[gen, exp], disc)
+            pushes.append((gen, exp))
         else:
-            for _ in range(abs(exp)):
-                pieces = _push(pieces, maps[gen, 1 if exp > 0 else -1], disc)
+            pushes += [(gen, 1 if exp > 0 else -1)] * abs(exp)
+    # a push can add all but one of its step's pieces to the composite map
+    most, walked = 1, 0
+    for key in pushes:
+        most += len(steps[key]) - 1
+        walked += most
+    if walked > MAX_VERIFY_PIECES:
+        raise SearchCapError(
+            f"the pushes may walk up to {walked} pieces, more than "
+            f"MAX_VERIFY_PIECES = {MAX_VERIFY_PIECES}"
+        )
+    _, disc, maps = _on_lattice(steps)
+    pieces: List[Piece] = [(0, 0, 0, 0)]
+    for key in pushes:
+        pieces = _push(pieces, maps[key], disc)
     return pieces == [(0, 0, 0, 0)]
 
 

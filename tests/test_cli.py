@@ -36,8 +36,8 @@ from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.relations import DEFAULT_M_CAP
 from ietrel.rotation import DisjointRotationSpec
 from ietrel.sampling import demo_suite
-from ietrel.scalars import MAX_DISC, QuadExt
-from ietrel.words import MAX_B_LETTERS, MAX_EXPONENT_DIGITS, Word
+from ietrel.scalars import MAX_DISC, MAX_PRINT_DIGITS, QuadExt
+from ietrel.words import MAX_B_LETTERS, MAX_EXPONENT_DIGITS, MAX_VERIFY_PIECES, Word
 
 from conftest import q
 
@@ -366,6 +366,82 @@ def test_verify_refuses_exponents_whose_letter_count_is_too_long_to_print(files,
     assert code == EXIT_SEARCH_CAP
     assert out == ""
     assert f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS}" in err
+
+
+@pytest.mark.parametrize("command", [("l1",), ("disc-growth", "--max-n", "2")],
+                         ids=["l1", "disc-growth"])
+def test_a_value_too_long_to_print_exits_4(files, capsys, command):
+    # the rotation by 1/10^3000 loads, but its L1 distance has the
+    # denominator 2 * 10^6000
+    f = files("f.iet", Iet.rotation(q(F(1, 10**3000))))
+    name, *rest = command
+    code, out, err = run(capsys, name, "--map", f, *rest)
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS}" in err
+
+
+@pytest.mark.parametrize("command", [("l1",), ("disc-growth", "--max-n", "2")],
+                         ids=["l1", "disc-growth"])
+def test_a_value_of_integers_past_float_range_renders(files, capsys, command):
+    r = files("r.rot", DisjointRotationSpec((q(1),), (QuadExt(0, F(1, 10**400), 2),)))
+    name, *rest = command
+    code, out, _ = run(capsys, name, "--map", r, *rest)
+    assert code == EXIT_OK
+    if name == "l1":
+        assert out.endswith("\nfloat = 0.0\n")
+    else:
+        assert [row[3] for row in _growth_rows(out)] == [0.0, 0.0]
+
+
+def _order_q_rotation(*dens):
+    """Equal blocks rotated by 1/d each: the rotation has finite order, and
+    synthesize answers with the word a^lcm(dens)."""
+    return DisjointRotationSpec(tuple(q(F(1, len(dens))) for _ in dens),
+                                tuple(q(F(1, d)) for d in dens))
+
+
+@pytest.mark.parametrize("dens, code_wanted", [
+    ((10**999 + 1,), EXIT_OK),
+    ((10**1000 + 1,), EXIT_SEARCH_CAP),
+    ((10**799 + 1, 10**799 + 3), EXIT_SEARCH_CAP),
+    ((10**2999 + 1, 10**2999 + 3), EXIT_SEARCH_CAP),
+], ids=["1000-digits", "1001-digits", "two-800-digit-rates", "two-3000-digit-rates"])
+def test_synthesize_refuses_a_word_verify_would_refuse(files, capsys, dens, code_wanted):
+    r = files("r.rot", _order_q_rotation(*dens))
+    g = files("g.iet", Iet.identity())
+    cert = str(files.dir / "out.cert")
+    code, _, err = run(capsys, "synthesize", "--r", r, "--g", g, "-o", cert)
+    assert code == code_wanted
+    if code == EXIT_OK:
+        assert run(capsys, "verify", "--word", cert, "--r", r, "--g", g)[0] == EXIT_OK
+    else:
+        assert f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS}" in err
+
+
+def test_verify_refuses_a_word_whose_pushes_may_walk_past_the_cap(files, capsys,
+                                                                  monkeypatch):
+    # 64 reversed intervals of 1/64, the first and last moved by sqrt(2)/409600:
+    # every b letter can add 63 pieces, so b^1000 a may walk 31533502
+    tilt = QuadExt(0, F(1, 409600), 2)
+    lengths = [q(F(1, 64))] * 64
+    lengths[0] += tilt
+    lengths[-1] -= tilt
+    g = files("g.pl", PermLambdaSpec(tuple(range(64, 0, -1)), tuple(lengths)))
+    r = files("r.rot", DisjointRotationSpec((q(1),), (SQRT2M1,)))
+    w = files("w.txt", Word.parse("b^1000 a"))
+
+    def forbidden(*args):
+        raise AssertionError("a piece was pushed")
+
+    monkeypatch.setattr(words, "_push", forbidden)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--word", w, "--r", r, "--g", g)
+    assert time.perf_counter() - t0 < 2
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert "up to 31533502 pieces" in err
+    assert f"MAX_VERIFY_PIECES = {MAX_VERIFY_PIECES}" in err
 
 
 @pytest.mark.parametrize("command, cap_name", [

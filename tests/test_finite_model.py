@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -228,6 +229,26 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_instances(3)) == 6
     assert sum(1 for _ in enumerate_instances(4)) == 96
     assert sum(1 for _ in enumerate_instances(5)) == 1380
+
+
+def _stream_digest(instances):
+    """The count of instances and the sha256 of their (h, phi) pairs, in order."""
+    digest = hashlib.sha256()
+    count = 0
+    for inst in instances:
+        digest.update(repr((inst.h, inst.phi)).encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+def test_instance_streams_are_pinned():
+    # the streams, order included, that prop-check checks with --exhaustive
+    # --size 6 and with --size 30 --trials 5000 --seed 0
+    assert _stream_digest(enumerate_instances(6)) == (
+        21840, "e725d26fe26b67283347dfb63067cd4b157f4bdb746975c02c9be9aa09320730")
+    rng = random.Random(0)
+    assert _stream_digest(random_instance(30, rng) for _ in range(5000)) == (
+        5000, "dd7bbeec1461a4debd6562aa52274ab113b85ecddfee191fb69ad9a83d183b3c")
 
 
 def test_enumeration_contains_the_worked_example():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -368,7 +369,19 @@ def compose_pairs(count=200):
     return pairs
 
 
+def grid_pairs(count=120):
+    """Seeded (f, g) pairs with every breakpoint on one grid of 1/24, so that
+    images of g's pieces often end exactly on a breakpoint of f, after one or
+    after many of f's pieces."""
+    rng = random.Random(24)
+    return [
+        (random_iet(rng, rng.choice((3, 12, 24)), 24), random_iet(rng, rng.choice((2, 4, 8)), 24))
+        for _ in range(count)
+    ]
+
+
 PAIRS = compose_pairs()
+GRID_PAIRS = grid_pairs()
 
 
 def test_compose_pairs_cover_every_shape():
@@ -378,10 +391,19 @@ def test_compose_pairs_cover_every_shape():
     assert any(a >= 100 and b == 1 for a, b in sizes)
     assert any(not f.is_identity() and g == f.inverse() for f, g in PAIRS)
     assert any(any(not b.is_rational for b in f.breakpoints) for f, _ in PAIRS)
+    # images of g that end on a breakpoint of f, by how many of f's
+    # breakpoints lie inside them
+    crossed = Counter()
+    for f, g in GRID_PAIRS:
+        for lo, hi, t in g.pieces():
+            if hi + t in f.discontinuities():
+                crossed[sum(lo + t < b < hi + t for b in f.breakpoints)] += 1
+    assert crossed[0] >= 10
+    assert sum(n for k, n in crossed.items() if k >= 3) >= 20
 
 
 def test_compose_matches_the_cut_and_apply_oracle():
-    for f, g in PAIRS:
+    for f, g in PAIRS + GRID_PAIRS:
         h = f.compose(g)
         assert h == compose_by_cuts(f, g)
         h.validate()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import decimal
+import math
 import random
 from fractions import Fraction
 
@@ -11,8 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ietrel import scalars
-from ietrel.errors import ContextMismatchError, ParseError
-from ietrel.scalars import ONE, ZERO, QuadExt, as_scalar
+from ietrel.errors import ContextMismatchError, ParseError, SearchCapError
+from ietrel.scalars import MAX_PRINT_DIGITS, ONE, ZERO, QuadExt, as_scalar
 
 from conftest import q, quads, rationals
 
@@ -138,6 +139,36 @@ def test_to_float_anchors():
     assert float(q(Fraction(1, 2))) == 0.5
     assert float(ZERO) == 0.0
     assert float(q(Fraction(1, 4))) == 0.25
+    assert float(q(Fraction(3, 7), Fraction(-5, 11), 3)) == (33 - 35 * math.sqrt(3)) / 77
+
+
+def _sqrt2_convergent(digits):
+    """A convergent p/q of sqrt(2) with q of at least the given digits."""
+    p, q = 1, 1
+    while len(str(q)) < digits:
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+def test_to_float_past_float_range():
+    assert float(q(0, Fraction(1, 10**400), 2)) == 0.0
+    assert float(q(Fraction(1, 3), Fraction(1, 10**400), 2)) == 1 / 3
+    # q(p - q sqrt(2)) tends to +-1/(2 sqrt(2)): integers of 1200 digits, and
+    # all but the last few hundred of them cancel
+    p, qq = _sqrt2_convergent(600)
+    x = q(p * qq, -qq * qq, 2)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3000
+        want = float(p * qq - qq * qq * decimal.Decimal(2).sqrt())
+    assert abs(abs(want) - 1 / (2 * math.sqrt(2))) < 1e-15
+    assert float(x) == want
+
+
+def test_str_refuses_a_value_too_long_to_print():
+    assert str(q(Fraction(1, 10**4299))).endswith("0" * 4299)
+    for x in (q(Fraction(1, 10**4300)), q(10**4300), q(0, Fraction(1, 10**4300), 2)):
+        with pytest.raises(SearchCapError, match=f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS}"):
+            str(x)
 
 
 # -- discriminant discipline -------------------------------------------------

@@ -327,6 +327,40 @@ def test_verify_word_bounds_b_letters():
         verify_word(Word.parse(f"b^-1 a b^{MAX_B_LETTERS}"), spec, g)
 
 
+def test_verify_word_bounds_the_pieces_its_pushes_may_walk(monkeypatch):
+    # b^3 a: the a push (2 pieces) leaves at most 2, each b push (3 pieces)
+    # adds 2 more, so the pushes may walk 2 + 4 + 6 + 8 = 20 pieces
+    spec = DisjointRotationSpec((q(1),), (q(-1, 1, 2),))
+    g = Iet.from_perm_lambda(PermLambdaSpec((3, 2, 1), (q(Fraction(1, 4)),) * 2 + (q(Fraction(1, 2)),)))
+    word = Word.parse("b^3 a")
+    monkeypatch.setattr(words_module, "MAX_VERIFY_PIECES", 20)
+    assert not verify_word(word, spec, g)
+    monkeypatch.setattr(words_module, "MAX_VERIFY_PIECES", 19)
+
+    def forbidden(*args):
+        raise AssertionError("a piece was pushed")
+
+    monkeypatch.setattr(words_module, "_push", forbidden)
+    with pytest.raises(SearchCapError, match="up to 20 pieces"):
+        verify_word(word, spec, g)
+
+
+def test_verify_word_admits_a_96_b_letter_word_against_a_100_interval_g():
+    # g: 100 intervals over the denominator 4n^2, seeded as in the M-cap
+    # measurements; the word: a certificate of 16 b letters to the sixth,
+    # the shape of a T_sixth certificate
+    n = 100
+    rng = random.Random(0)
+    lengths = tuple(q(Fraction(u, 4 * n * n)) for u in random_partition(rng, 4 * n * n, n))
+    pi = list(range(1, n + 1))
+    rng.shuffle(pi)
+    g = Iet.from_perm_lambda(PermLambdaSpec(tuple(pi), lengths))
+    spec = DisjointRotationSpec((q(1),), (q(-1, 1, 2),))
+    word = synthesize(spec, g).word ** 6
+    assert sum(abs(exp) for gen, exp in word.syllables if gen == "b") == 96
+    assert verify_word(word, spec, g)
+
+
 # -- the integer verifier against the QuadExt one it replaced ------------------
 
 
