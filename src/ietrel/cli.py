@@ -209,6 +209,7 @@ def _cmd_disc_growth(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    # relations.DEFAULT_M_CAP records find_M's time at the cap
     _check_cap("synthesize --m-cap", args.m_cap, "DEFAULT_M_CAP", DEFAULT_M_CAP)
     spec = _load(args.r, KIND_ROTATION).payload
     g, _ = _load_map(args.g)

@@ -22,8 +22,9 @@ smallest N (gcd(N, all the integers) = 1).  So == and hash compare integer
 tuples.
 
 QuadExt is the only scalar of the API: breakpoints, translations, pieces(),
-apply, discontinuities, support, image_of and l1_distance_to_identity build
-QuadExt values from the integers when they are asked for.
+apply, discontinuities and l1_distance_to_identity build QuadExt values from
+the integers when they are asked for.  support and image_of hand out
+IntervalSets, which keep their ends on a lattice in the same way.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from operator import itemgetter
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import InvariantError, PreconditionError
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _ends_over, _from_ends
 from .scalars import (
-    ONE, ZERO, QuadExt, _lattice, _make, _merged_disc, _pair, _sign3, as_scalar,
+    ONE, ZERO, QuadExt, _lattice, _locate, _make, _merged_disc, _pair, _sign3, as_scalar,
 )
 
 __all__ = ["Iet", "PermLambdaSpec"]
@@ -187,11 +188,16 @@ class Iet:
         return self._scalars(self._bps[1:])
 
     def support(self) -> IntervalSet:
-        den, disc = self._den, self._disc
-        return IntervalSet(
-            (_make(*lo, den, disc), _make(*hi, den, disc))
-            for lo, hi, t in _pieces(self) if t != (0, 0)
-        )
+        """The set of moved points: the pieces with a nonzero translation,
+        joined where they touch."""
+        ends: List[Pair] = []
+        for lo, hi, t in _pieces(self):
+            if t != (0, 0):
+                if ends and ends[-1] == lo:
+                    ends[-1] = hi
+                else:
+                    ends += (lo, hi)
+        return _from_ends(self._den, self._disc, ends)
 
     def l1_distance_to_identity(self) -> QuadExt:
         # An Iet preserves length, so the integral of f(x) - x, the sum of
@@ -310,29 +316,43 @@ class Iet:
         return out
 
     def image_of(self, s: IntervalSet) -> IntervalSet:
-        """Exact image of an interval set under this map."""
-        ends = [v for span in s for v in span]
-        den, disc = _lattice(ends, self._den, self._disc)
+        """Exact image of an interval set under this map.
+
+        One walk cuts s's spans at this map's breakpoints, and each fragment
+        moves with its piece.  A piece's fragments keep their order, and the
+        pieces' images tile [0, 1) in _image_order, so taking the fragments
+        piece by piece in that order gives the image ascending, with no
+        comparison; fragments that touch are joined."""
+        den = math.lcm(self._den, s._den)
+        disc = _merged_disc(self._disc, s._disc)
         bps, trs = _rescaled(self, den)
+        ends = _ends_over(s, den)
         m = len(bps)
-        out = []
+        moved: List[List[Pair]] = [[] for _ in range(m)]
         j = 0  # the spans ascend, so each search starts where the last one ended
-        for lo, hi in s:
-            la, lb = _pair(lo, den)
-            ha, hb = _pair(hi, den)
+        for i in range(0, len(ends), 2):
+            la, lb = ends[i]
+            ha, hb = ends[i + 1]
             j = _locate(bps, la, lb, disc, lo=j)
             while True:
                 ta, tb = trs[j]
                 ca, cb = bps[j + 1] if j + 1 < m else (den, 0)
                 if _sign3(ca - ha, cb - hb, disc) >= 0:
                     ca, cb = ha, hb
-                out.append((_make(la + ta, lb + tb, den, disc),
-                            _make(ca + ta, cb + tb, den, disc)))
-                if (ca, cb) == (ha, hb):
+                moved[j] += ((la + ta, lb + tb), (ca + ta, cb + tb))
+                if ca == ha and cb == hb:
                     break
                 la, lb = ca, cb
                 j += 1
-        return IntervalSet(out)
+        out: List[Pair] = []
+        for p in _image_order(bps, trs, den)[0]:
+            piece = moved[p]
+            if piece and out and out[-1] == piece[0]:
+                out.pop()
+                out += piece[1:]
+            else:
+                out += piece
+        return _from_ends(den, disc, out)
 
     # -- validation -----------------------------------------------------------
 
@@ -389,23 +409,6 @@ def _pieces(f: Iet) -> Iterator[Tuple[Pair, Pair, Pair]]:
     """(lo, hi, translation) integer triples of f in domain order."""
     bps = f._bps
     return zip(bps, bps[1:] + ((f._den, 0),), f._trs)
-
-
-def _locate(
-    bps: Sequence[Pair], xa: int, xb: int, disc: int, lo: int = 0, scale: int = 1
-) -> int:
-    """Index of the last breakpoint (a, b) from lo on with (a + b sqrt(disc)) * scale
-    at or below xa + xb sqrt(disc); bps[lo] must qualify.  A plain bisection:
-    about log2(len(bps) - lo) exact comparisons."""
-    hi = len(bps)
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        a, b = bps[mid]
-        if _sign3(xa - a * scale, xb - b * scale, disc) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _image_order(

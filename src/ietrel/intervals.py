@@ -1,135 +1,187 @@
-"""Finite unions of half-open subintervals of [0, 1), with exact endpoints."""
+"""Finite unions of half-open subintervals of [0, 1), with exact endpoints.
+
+Storage.  A set keeps its endpoints on one lattice (1/N)(Z + Z sqrt(D)), as
+an Iet keeps its breakpoints: the denominator N, the discriminant D (0 when
+every endpoint is rational) and the ascending ends lo_0 < hi_0 < lo_1 < ...
+as integer pairs (a, b) meaning (a + b sqrt(D)) / N.  A point lies in the
+set exactly when an odd number of ends lie at or below it.  Every order
+decision is scalars._sign3 on an integer difference; operands with
+different denominators are rescaled once to their lcm, and operands from
+different discriminants raise ContextMismatchError.
+
+Canonical form: touching spans coalesce and N is the smallest, so two sets
+are equal exactly when their (N, D, ends) tuples are.  QuadExt spans are
+built only when `spans` is read.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+import math
+from functools import cmp_to_key
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from .scalars import ONE, ZERO, QuadExt, as_scalar
+from .scalars import (
+    QuadExt, _lattice, _locate, _make, _merged_disc, _pair, _sign3, as_scalar,
+)
 
-__all__ = ["IntervalSet", "circular_ball"]
+__all__ = ["IntervalSet", "circular_ball", "neighborhood_union"]
 
 Span = Tuple[QuadExt, QuadExt]
+Pair = Tuple[int, int]  # (a, b): the value (a + b sqrt(D)) / N of one set
 
 
 class IntervalSet:
-    """A finite union of disjoint [lo, hi) spans inside [0, 1).
+    """A finite union of disjoint [lo, hi) spans inside [0, 1)."""
 
-    Spans are kept sorted and merged (touching spans coalesce), so two sets
-    are equal exactly when their span tuples are equal.
-    """
-
-    __slots__ = ("spans",)
+    __slots__ = ("_den", "_disc", "_ends")
 
     def __init__(self, spans: Iterable[Span] = ()):
-        cleaned = []
+        """Check outside spans: raises ValueError for a span with lo > hi or
+        one that leaves [0, 1); empty spans are dropped."""
+        spans = [(as_scalar(lo), as_scalar(hi)) for lo, hi in spans]
+        den, disc = _lattice(v for span in spans for v in span)
+        pairs = []
         for lo, hi in spans:
-            lo = as_scalar(lo)
-            hi = as_scalar(hi)
-            if lo > hi:
+            la, lb = _pair(lo, den)
+            ha, hb = _pair(hi, den)
+            width = _sign3(ha - la, hb - lb, disc)
+            if width < 0:
                 raise ValueError(f"inverted span [{lo}, {hi})")
-            if lo == hi:
+            if width == 0:
                 continue
-            if lo < ZERO or hi > ONE:
+            if _sign3(la, lb, disc) < 0 or _sign3(ha - den, hb, disc) > 0:
                 raise ValueError(f"span [{lo}, {hi}) leaves [0, 1)")
-            cleaned.append((lo, hi))
-        cleaned.sort(key=lambda s: s[0])
-        merged: list[Span] = []
-        for lo, hi in cleaned:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        object.__setattr__(self, "spans", tuple(merged))
+            pairs.append(((la, lb), (ha, hb)))
+        _store(self, den, disc, _union_ends(disc, pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntervalSet is immutable")
 
     @classmethod
     def full(cls) -> "IntervalSet":
-        return cls([(ZERO, ONE)])
+        return _from_ends(1, 0, [(0, 0), (1, 0)])
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def spans(self) -> Tuple[Span, ...]:
+        den, disc, ends = self._den, self._disc, self._ends
+        return tuple(
+            (_make(*ends[i], den, disc), _make(*ends[i + 1], den, disc))
+            for i in range(0, len(ends), 2)
+        )
+
     def is_empty(self) -> bool:
-        return not self.spans
+        return not self._ends
 
     def __bool__(self):
-        return bool(self.spans)
+        return bool(self._ends)
 
     def __iter__(self) -> Iterator[Span]:
         return iter(self.spans)
 
     def __len__(self):
-        return len(self.spans)
+        return len(self._ends) >> 1
 
     def measure(self) -> QuadExt:
-        total = ZERO
-        for lo, hi in self.spans:
-            total = total + (hi - lo)
-        return total
+        ends = self._ends
+        a = b = 0
+        for i in range(0, len(ends), 2):
+            a += ends[i + 1][0] - ends[i][0]
+            b += ends[i + 1][1] - ends[i][1]
+        return _make(a, b, self._den, self._disc)
 
     def contains_point(self, x) -> bool:
         x = as_scalar(x)
-        for lo, hi in self.spans:
-            if x < lo:
-                return False
-            if x < hi:
-                return True
-        return False
+        disc = _merged_disc(self._disc, x.disc)
+        ends, den = self._ends, self._den
+        # compare x * den against each end * x.den
+        xa, xb = x.an * den, x.bn * den
+        if not ends or _sign3(xa - ends[0][0] * x.den, xb - ends[0][1] * x.den, disc) < 0:
+            return False
+        # x lies in the set when the last end at or below it is a lo
+        return not _locate(ends, xa, xb, disc, scale=x.den) & 1
 
     # -- algebra ----------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.spans + other.spans)
+        return _merge(self, other, False)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        i = j = 0
-        a, b = self.spans, other.spans
-        while i < len(a) and j < len(b):
-            lo = a[i][0] if a[i][0] > b[j][0] else b[j][0]
-            hi = a[i][1] if a[i][1] < b[j][1] else b[j][1]
-            if lo < hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(out)
+        return _merge(self, other, True)
 
     def is_disjoint(self, other: "IntervalSet") -> bool:
-        return not self.intersect(other)
+        return not _merge(self, other, True)
 
     def contains_set(self, other: "IntervalSet") -> bool:
         """True when every point of other lies in self."""
-        # both sets are canonical, so equal sets have equal spans
-        return self.intersect(other) == other
+        # both sets are canonical, so equal sets have equal ends
+        return _merge(self, other, True) == other
 
     def complement(self) -> "IntervalSet":
-        out = []
-        cursor = ZERO
-        for lo, hi in self.spans:
-            if cursor < lo:
-                out.append((cursor, lo))
-            cursor = hi
-        if cursor < ONE:
-            out.append((cursor, ONE))
-        return IntervalSet(out)
+        # toggle membership at 0 and at 1: each end of self stays an end
+        ends = list(self._ends)
+        one = (self._den, 0)
+        if ends and ends[-1] == one:
+            ends.pop()
+        else:
+            ends.append(one)
+        if ends and ends[0] == (0, 0):
+            del ends[0]
+        else:
+            ends.insert(0, (0, 0))
+        return _from_ends(self._den, self._disc, ends)
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self.spans == other.spans
+        return (
+            self._den == other._den
+            and self._disc == other._disc
+            and self._ends == other._ends
+        )
 
     def __hash__(self):
-        return hash(self.spans)
+        return hash((self._den, self._disc, self._ends))
 
     def __repr__(self):
         body = " u ".join(f"[{lo}, {hi})" for lo, hi in self.spans)
         return f"IntervalSet({body or 'empty'})"
+
+
+def neighborhood_union(points: Sequence[QuadExt], epsilon) -> IntervalSet:
+    """Union of the circular epsilon-balls around the given points.
+
+    Each ball is [p - epsilon, p + epsilon) taken mod 1: at most two spans,
+    and all of [0, 1) once 2 * epsilon >= 1.  Points must lie in [0, 1) and
+    epsilon must be positive."""
+    points = [as_scalar(p) for p in points]
+    radius = as_scalar(epsilon)
+    den, disc = _lattice(points, radius.den, radius.disc)
+    ra, rb = _pair(radius, den)
+    if _sign3(ra, rb, disc) <= 0:
+        raise ValueError("radius must be positive")
+    whole = _sign3(2 * ra - den, 2 * rb, disc) >= 0
+    spans = []
+    for p in points:
+        pa, pb = _pair(p, den)
+        if _sign3(pa, pb, disc) < 0 or _sign3(pa - den, pb, disc) >= 0:
+            raise ValueError(f"center {p} outside [0, 1)")
+        if whole:
+            continue
+        lo = (pa - ra, pb - rb)
+        hi = (pa + ra, pb + rb)
+        if _sign3(*lo, disc) < 0:
+            spans += [((0, 0), hi), ((lo[0] + den, lo[1]), (den, 0))]
+        elif _sign3(hi[0] - den, hi[1], disc) > 0:
+            spans += [(lo, (den, 0)), ((0, 0), (hi[0] - den, hi[1]))]
+        else:
+            spans.append((lo, hi))
+    if whole and points:
+        return IntervalSet.full()
+    return _from_ends(den, disc, _union_ends(disc, spans))
 
 
 def circular_ball(center, radius) -> IntervalSet:
@@ -137,18 +189,89 @@ def circular_ball(center, radius) -> IntervalSet:
 
     The ball is represented left-closed: [center - r, center + r) taken mod 1.
     """
-    center = as_scalar(center)
-    radius = as_scalar(radius)
-    if not (ZERO <= center < ONE):
-        raise ValueError(f"center {center} outside [0, 1)")
-    if radius.sign() <= 0:
-        raise ValueError("radius must be positive")
-    if radius + radius >= ONE:
-        return IntervalSet.full()
-    lo = center - radius
-    hi = center + radius
-    if lo < ZERO:
-        return IntervalSet([(ZERO, hi), (lo + ONE, ONE)])
-    if hi > ONE:
-        return IntervalSet([(lo, ONE), (ZERO, hi - ONE)])
-    return IntervalSet([(lo, hi)])
+    return neighborhood_union((center,), radius)
+
+
+# -- the integer walks -------------------------------------------------------------
+
+
+def _ends_over(s: IntervalSet, den: int) -> Sequence[Pair]:
+    """s's ends over den, a multiple of s's denominator."""
+    c = den // s._den
+    return s._ends if c == 1 else [(a * c, b * c) for a, b in s._ends]
+
+
+def _merge(s: IntervalSet, t: IntervalSet, both: bool) -> IntervalSet:
+    """s & t when both, else s | t: one walk over the ends of both in
+    ascending order.  After the walk passes a point, it lies in s exactly when
+    an odd number of s's ends were passed; an end of the result is each point
+    where the wanted membership changes."""
+    den = s._den if s._den == t._den else math.lcm(s._den, t._den)
+    disc = _merged_disc(s._disc, t._disc)
+    a, b = _ends_over(s, den), _ends_over(t, den)
+    na, nb = len(a), len(b)
+    out: List[Pair] = []
+    i = j = inside = 0
+    while i < na and j < nb:
+        x = a[i]
+        y = b[j]
+        c = _sign3(x[0] - y[0], x[1] - y[1], disc)
+        if c <= 0:
+            i += 1
+        if c >= 0:
+            j += 1
+            x = y
+        now = (i & j if both else i | j) & 1
+        if now != inside:
+            out.append(x)
+            inside = now
+    if not both:
+        # past the end of one set, the other's ends alone decide
+        out += a[i:] if i < na else b[j:]
+    return _from_ends(den, disc, out)
+
+
+def _union_ends(disc: int, spans: List[Tuple[Pair, Pair]]) -> List[Pair]:
+    """The ends of the union of nonempty spans given in any order: sorted by
+    lo, then each span that starts at or below the last hi extends it.
+    Sorting spans that are nearly in order costs about one exact comparison
+    per span."""
+    spans.sort(key=cmp_to_key(lambda s, t: _sign3(s[0][0] - t[0][0], s[0][1] - t[0][1], disc)))
+    ends: List[Pair] = []
+    for lo, hi in spans:
+        if ends and _sign3(lo[0] - ends[-1][0], lo[1] - ends[-1][1], disc) <= 0:
+            if _sign3(hi[0] - ends[-1][0], hi[1] - ends[-1][1], disc) > 0:
+                ends[-1] = hi
+        else:
+            ends += (lo, hi)
+    return ends
+
+
+def _from_ends(den: int, disc: int, ends: Sequence[Pair]) -> IntervalSet:
+    """The set whose ends over den are ends: ascending, strictly, with no two
+    spans touching."""
+    return _store(object.__new__(IntervalSet), den, disc, ends)
+
+
+_SET_DEN = IntervalSet._den.__set__
+_SET_DISC = IntervalSet._disc.__set__
+_SET_ENDS = IntervalSet._ends.__set__
+
+
+def _store(s: IntervalSet, den: int, disc: int, ends: Sequence[Pair]) -> IntervalSet:
+    """Store ends over den into s in canonical form, and return s: den
+    reduced as far as the integers allow, disc 0 when every end is rational."""
+    g = den
+    for a, b in ends:
+        g = math.gcd(g, a, b)
+        if g == 1:
+            break
+    if g > 1:
+        den //= g
+        ends = [(a // g, b // g) for a, b in ends]
+    if disc and not any(b for _, b in ends):
+        disc = 0
+    _SET_DEN(s, den)
+    _SET_DISC(s, disc)
+    _SET_ENDS(s, tuple(ends))
+    return s

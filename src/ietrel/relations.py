@@ -28,11 +28,11 @@ algebra that built h, k and T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import InvariantError, PreconditionError, SearchCapError
 from .iet import Iet
-from .intervals import IntervalSet, circular_ball
+from .intervals import IntervalSet, circular_ball, neighborhood_union
 from .rotation import FINITE_ORDER, DisjointRotationSpec
 from .scalars import ONE, QuadExt, as_scalar
 from .words import MAX_EXPONENT_DIGITS, Word, verify_word
@@ -64,7 +64,13 @@ BRANCH_H_TRIVIAL = "h_trivial"
 BRANCH_T_TRIVIAL = "T_trivial"
 BRANCH_T_SIXTH = "T_sixth"
 
-DEFAULT_M_CAP = 10_000_000
+# find_M visits only the M that one block's integer filter passes, about a
+# 2 * theta share of those up to the cap.  At the cap, in-process, CPython
+# 3.11 on one x86 core of a shared host (medians of five runs): epsilon =
+# 10^-9 on one block, under 1 ms; ten blocks with rates frac((7^j + 3j) *
+# sqrt(2)), j = 1 .. 10, and epsilon = 1/41, 0.4 s.  Six such blocks with
+# epsilon = 1/25 stop at M = 15994428 in 0.13 s.
+DEFAULT_M_CAP = 100_000_000
 # find_epsilon raises SearchCapError when eps0 / 2^MAX_HALVINGS still fails.
 MAX_HALVINGS = 200
 
@@ -159,14 +165,6 @@ def find_d(r: Iet, points: Sequence[QuadExt]) -> int:
     raise InvariantError(f"no admissible d up to {cap}; orbit structure violated")
 
 
-def neighborhood_union(points: Sequence[QuadExt], epsilon) -> IntervalSet:
-    """Union of the circular epsilon-balls around the given points."""
-    spans = []
-    for p in points:
-        spans.extend(circular_ball(p, epsilon).spans)
-    return IntervalSet(spans)
-
-
 def find_epsilon(
     r: Iet,
     points: Sequence[QuadExt],
@@ -179,28 +177,45 @@ def find_epsilon(
     makes the balls pairwise disjoint.  Halving continues until additionally
     10*eps < 1, eps is below a quarter of the smallest block when a block
     length is supplied, and the supported part X' of the ball union is moved
-    off itself by r^d.
+    off itself by r^d.  Each check that holds for eps holds for every smaller
+    eps, since X' shrinks with eps, so the least t is found by galloping:
+    the first two checks step t up to t0, and the third is tried at t0,
+    t0 + 1, t0 + 2, t0 + 4, ... and then bisected.  t stays below
+    MAX_HALVINGS.
     """
     pts = sorted(set(as_scalar(p) for p in points))
     if len(pts) >= 2:
         gaps = [b - a for a, b in zip(pts, pts[1:])]
         gaps.append(pts[0] + ONE - pts[-1])
-        eps = min(gaps) / 2
+        eps0 = min(gaps) / 2
     else:
-        eps = as_scalar(1) / 4
+        eps0 = as_scalar(1) / 4
     supp = r.support()
     rd = r.power(d)
-    for _ in range(MAX_HALVINGS):
-        ok = eps * 10 < ONE
-        if ok and min_block is not None:
-            ok = eps * 4 < min_block
-        if ok:
-            x_prime = neighborhood_union(pts, eps).intersect(supp)
-            ok = x_prime.is_disjoint(rd.image_of(x_prime))
-        if ok:
-            return eps
-        eps = eps / 2
-    raise SearchCapError(f"no admissible epsilon after MAX_HALVINGS = {MAX_HALVINGS}")
+
+    def moved_off(t: int) -> bool:
+        x_prime = neighborhood_union(pts, eps0 / 2**t).intersect(supp)
+        return x_prime.is_disjoint(rd.image_of(x_prime))
+
+    last = MAX_HALVINGS - 1
+    cap = f"no admissible epsilon after MAX_HALVINGS = {MAX_HALVINGS}"
+    t0 = 0
+    while not (eps0 * 10 < 2**t0 and (min_block is None or eps0 * 4 < min_block * 2**t0)):
+        if t0 == last:
+            raise SearchCapError(cap)
+        t0 += 1
+    failed, t = t0 - 1, t0  # failed: the largest t known to fail
+    while not moved_off(t):
+        if t == last:
+            raise SearchCapError(cap)
+        failed, t = t, min(last, t0 + max(1, 2 * (t - t0)))
+    while t - failed > 1:
+        mid = (failed + t) // 2
+        if moved_off(mid):
+            t = mid
+        else:
+            failed = mid
+    return eps0 / 2**t
 
 
 def find_M(
@@ -209,17 +224,20 @@ def find_M(
     """Smallest M >= 1 with every block rate of r^M within theta = epsilon/10
     of 0 circularly: frac(M * alpha_j) < theta or > 1 - theta for every j.
 
-    A filtered scan, exact in every decision.  Each nonzero rate alpha is
-    stepped as the integer A = floor(alpha * 2^K), found once with
+    A filtered search, exact in every decision.  Each nonzero rate alpha is
+    taken as the integer A = floor(alpha * 2^K), found once with
     `QuadExt.floor`.  Since m * alpha * 2^K exceeds m * A by less than m, the
     true frac(m * alpha) * 2^K lies in [x, x + m) with x = m * A mod 2^K.  A
     block with t <= x and x + m_cap <= 2^K - t, where t = ceil(theta * 2^K),
     is at least theta from 0 on both sides, so m fails with integer work
-    only.  An m that no block rejects this way is decided by the exact test
-    on (alpha * m).mod_one().  K has at least 96 bits and 32 to spare over
-    m_cap / theta, so the filter passes about a 2 * theta share of the steps
-    on the first block; the others are filtered only at those steps.  Zero
-    rates always pass and are left out.
+    only.  K has at least 96 bits and 32 to spare over m_cap / theta.
+
+    The first block's filter passes m exactly when x lies in the arc of the
+    residues from 2^K - t - m_cap + 1 up to t - 1 + 2^K, about a 2 * theta
+    share of all m, and `_arc_hits` lists just those m, with a few integer
+    steps each.  Each of them goes to the other blocks' filters, and an m
+    that no block rejects is decided by the exact test on
+    (alpha * m).mod_one().  Zero rates always pass and are left out.
     """
     if epsilon.sign() <= 0:
         raise PreconditionError("epsilon must be positive")
@@ -232,16 +250,93 @@ def find_M(
     high = full - low - m_cap
     steps = [(a * full).floor() for a in rates]
     lead, *rest = steps or [0]
-    x = 0
-    for m in range(1, m_cap + 1):
-        x += lead
-        if x >= full:
-            x -= full
-        if low <= x <= high or any(low <= m * a % full <= high for a in rest):
-            continue
-        if all(c < theta or c > upper for c in ((a * m).mod_one() for a in rates)):
-            return m
+    for m in _arc_hits(lead, full, high + 1, low - 1 + full - high):
+        if m > m_cap:
+            break
+        for a in rest:
+            if low <= m * a % full <= high:
+                break
+        else:
+            if all(c < theta or c > upper for c in ((a * m).mod_one() for a in rates)):
+                return m
     raise SearchCapError(f"no admissible M up to cap {m_cap}")
+
+
+def _arc_hits(a: int, n: int, p: int, w: int) -> Iterator[int]:
+    """In increasing order, the m >= 1 with m * a mod n among the w >= 1
+    residues from p, that is in [p, p + w) taken mod n; every m >= 1 once w
+    passes n / 2.
+
+    `_first_hit` finds the first, and two gaps: ga, the least g >= 1 with
+    g * a mod n < w, and gb, the least with it > n - w.  From an m at offset
+    u = m * a - p mod n in [0, w), m + g qualifies exactly when u + g * a
+    mod n < w, and while w is at most n / 2 the first of m + ga, m + gb and
+    m + ga + gb that qualifies is the next m that does: the three-gap theorem
+    (Slater, 1967).  So each m after the first costs a few integer steps.
+    """
+    if 2 * w > n:
+        w = n
+
+    def after(c: int, q: int, v: int) -> Optional[int]:
+        # the least x >= 0 with c + x * a mod n among the v residues from q
+        lo = (q - c) % n
+        return 0 if lo + v > n else _first_hit(a, n, lo, lo + v - 1)
+
+    x = after(a, p, w)
+    if x is None:
+        return
+    m = 1 + x
+    yield m
+    ga = 1 + after(a, 0, w)  # g = n / gcd(a, n) has g * a mod n = 0, so ga exists
+    gb = after(a, 1 - w, w - 1) if w > 1 else None
+    gaps = [ga] if gb is None else [ga, 1 + gb, 1 + ga + gb]
+    gaps = sorted((g, g * a % n) for g in gaps)
+    u = (m * a - p) % n
+    while True:
+        for g, step in gaps:
+            v = (u + step) % n
+            if v < w:
+                m += g
+                u = v
+                break
+        else:
+            return
+        yield m
+
+
+def _first_hit(a: int, n: int, lo: int, hi: int) -> Optional[int]:
+    """The least x >= 0 with lo <= a * x mod n <= hi, for 0 <= lo <= hi < n,
+    or None when there is none.
+
+    If no x with a * x in [lo, hi] works outright, that span lies strictly
+    between two multiples of a, and x works for the least t >= 0 with a
+    multiple of a in [lo + n * t, hi + n * t], which is the least t with
+    (n mod a) * t mod a in [a - hi mod a, a - lo mod a]: the same question
+    for (n mod a, a), as in Euclid's algorithm, and x = ceil((lo + n * t) / a).
+    The way back up multiplies no two large numbers: with n = q * a + r,
+    and t landing one level down on rho = r * t mod a after floor(r * t / a)
+    wraps (the answer two levels down), x = q * t + floor(r * t / a) +
+    ceil((lo + rho) / a), and a * x mod n = a * ceil((lo + rho) / a) - rho.
+    Both ways are loops, so a 13000-bit n takes about 10^4 levels and no
+    recursion."""
+    a %= n
+    levels = []
+    while lo:
+        if a == 0:
+            return None
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        q, r = divmod(n, a)
+        levels.append((a, q, lo))
+        a, n, lo, hi = r, a, a - hi % a, a - lo % a
+    else:
+        x = 0
+    t, rho = 0, a * x  # at the lowest level, a * x lands without a wrap
+    for a, q, lo in reversed(levels):
+        c = -(-(lo + rho) // a)
+        x, t, rho = q * x + t + c, x, a * c - rho
+    return x
 
 
 def _commutator_word(exponent: int) -> Word:

@@ -14,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import ContextMismatchError, ParseError, SearchCapError
 
@@ -98,6 +98,23 @@ def _sign3(an: int, bn: int, disc: int) -> int:
     rhs = bn * bn * disc
     s = (lhs > rhs) - (lhs < rhs)
     return s if sa > 0 else -s
+
+
+def _locate(
+    bps: Sequence[Tuple[int, int]], xa: int, xb: int, disc: int, lo: int = 0, scale: int = 1
+) -> int:
+    """Index of the last pair (a, b) of the ascending bps, from lo on, with
+    (a + b sqrt(disc)) * scale at or below xa + xb sqrt(disc); bps[lo] must
+    qualify.  A plain bisection: about log2(len(bps) - lo) exact comparisons."""
+    hi = len(bps)
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        a, b = bps[mid]
+        if _sign3(xa - a * scale, xb - b * scale, disc) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class QuadExt:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given
 
+from ietrel.errors import ContextMismatchError
 from ietrel.intervals import IntervalSet, circular_ball
 from ietrel.scalars import ONE, ZERO, QuadExt
 
@@ -51,6 +52,48 @@ def test_contains_point_is_half_open():
     assert not s.contains_point(q(F(1, 2)))
     assert s.contains_point(q(F(3, 8)))
     assert not s.contains_point(q(0))
+
+
+def test_rational_and_root_spans_over_different_denominators():
+    r2 = QuadExt(0, F(1, 4), 2)  # sqrt(2)/4, about 0.354
+    a = IntervalSet([(q(F(5, 7)), ONE), (q(F(1, 3)), r2 + F(1, 5))])
+    b = IntervalSet([(r2, q(F(3, 4)))])
+    assert a.spans == ((q(F(1, 3)), r2 + F(1, 5)), (q(F(5, 7)), ONE))
+    assert a.intersect(b) == IntervalSet([(r2, r2 + F(1, 5)), (q(F(5, 7)), q(F(3, 4)))])
+    assert a.intersect(b).measure() == F(1, 5) + F(1, 28)
+    assert a.contains_point(r2) and not a.contains_point(r2 + F(1, 5))
+    assert not b.contains_point(q(F(1, 3))) and b.contains_point(q(F(1, 2)))
+    # the union is rational again: its root terms cancel and it is stored over 3
+    u = a.union(b)
+    assert u == IntervalSet([(q(F(1, 3)), ONE)]) and hash(u) == hash(IntervalSet([(q(F(1, 3)), ONE)]))
+    assert u.complement().spans == ((ZERO, q(F(1, 3))),)
+    assert not u.is_disjoint(b) and u.contains_set(b) and not b.contains_set(u)
+    # spans over 6 and over 10 meet over 30; what is left of them reduces
+    sixths = IntervalSet([(q(F(1, 6)), q(F(1, 2)))])
+    tenths = IntervalSet([(q(F(3, 10)), q(F(9, 10)))])
+    assert sixths.intersect(tenths).spans == ((q(F(3, 10)), q(F(1, 2))),)
+    assert sixths.union(tenths) == IntervalSet([(q(F(1, 6)), q(F(9, 10)))])
+    assert sixths.is_disjoint(IntervalSet([(q(F(1, 2)), q(F(7, 10)))]))
+
+
+def test_mixed_discriminants_are_a_context_error():
+    r2 = QuadExt(0, F(1, 4), 2)
+    r3 = QuadExt(0, F(1, 4), 3)
+    a = IntervalSet([(q(0), r2)])
+    b = IntervalSet([(q(0), r3)])
+    with pytest.raises(ContextMismatchError):
+        IntervalSet([(q(0), r2), (q(F(1, 2)), r3 + F(1, 2))])
+    for op in (a.intersect, a.union, a.is_disjoint, a.contains_set):
+        with pytest.raises(ContextMismatchError):
+            op(b)
+    with pytest.raises(ContextMismatchError):
+        a.contains_point(r3)
+    with pytest.raises(ContextMismatchError):
+        circular_ball(r2, r3 / 8)
+    # a rational set meets either field
+    tail = IntervalSet([(q(F(1, 8)), ONE)])
+    assert a.intersect(tail) == IntervalSet([(q(F(1, 8)), r2)])
+    assert tail.union(b) == IntervalSet.full()
 
 
 @given(interval_sets(), interval_sets())

@@ -20,6 +20,7 @@ from ietrel.relations import (
     BRANCH_T_SIXTH,
     BRANCH_T_TRIVIAL,
     DEFAULT_M_CAP,
+    MAX_HALVINGS,
     build_h,
     build_k,
     build_T,
@@ -31,9 +32,11 @@ from ietrel.relations import (
     neighborhood_union,
     synthesize,
     synthesize_with_context,
+    _arc_hits,
+    _first_hit,
 )
-from ietrel.rotation import DisjointRotationSpec
-from ietrel.sampling import demo_suite, random_rotation_spec
+from ietrel.rotation import FINITE_ORDER, DisjointRotationSpec
+from ietrel.sampling import demo_suite, random_iet, random_partition, random_rotation_spec
 from ietrel.scalars import ONE, QuadExt
 from ietrel.words import Word, eval_word, eval_word_naive
 
@@ -117,6 +120,72 @@ def test_epsilon_separates_the_balls(ks):
     x = neighborhood_union(pts, eps)
     assert x.is_disjoint(r.image_of(x))
     assert x.measure() == eps * 2 * len(pts)
+
+
+def halving_find_epsilon(r, points, d, min_block=None):
+    """The oracle: the halving loop, one full check per halving."""
+    pts = sorted(set(points))
+    if len(pts) >= 2:
+        gaps = [b - a for a, b in zip(pts, pts[1:])]
+        gaps.append(pts[0] + ONE - pts[-1])
+        eps = min(gaps) / 2
+    else:
+        eps = q(F(1, 4))
+    supp = r.support()
+    rd = r.power(d)
+    for _ in range(MAX_HALVINGS):
+        ok = eps * 10 < ONE and (min_block is None or eps * 4 < min_block)
+        if ok:
+            x_prime = neighborhood_union(pts, eps).intersect(supp)
+            ok = x_prime.is_disjoint(rd.image_of(x_prime))
+        if ok:
+            return eps
+        eps = eps / 2
+    raise SearchCapError("no admissible epsilon")
+
+
+def _convergent(k):
+    """The k-th continued-fraction convergent of sqrt(2) - 1 = [0; 2, 2, ...]."""
+    p0, q0, p1, q1 = 0, 1, 1, 2
+    for _ in range(k - 1):
+        p0, q0, p1, q1 = p1, q1, 2 * p1 + p0, 2 * q1 + q0
+    return F(p1, q1)
+
+
+def near_orbit_g(k, grid):
+    """The reversing exchange of the 1/grid cells, with two more breakpoints
+    1/3 and 1/3 + p/q, p/q the k-th convergent of sqrt(2) - 1: nearly one
+    step apart on an orbit of the rotation by sqrt(2) - 1, so epsilon needs
+    about 2 log2(q) halvings."""
+    x = F(1, 3)
+    cuts = sorted({F(j, grid) for j in range(grid)} | {x, x + _convergent(k)})
+    lengths = [b - a for a, b in zip(cuts, cuts[1:] + [F(1)])]
+    return Iet.from_perm_lambda(PermLambdaSpec(
+        tuple(range(len(lengths), 0, -1)), tuple(q(v) for v in lengths)))
+
+
+def test_find_epsilon_matches_the_halving_loop():
+    cases = [(ONE_BLOCK, near_orbit_g(k, 16)) for k in (4, 12, 30)]
+    rng = random.Random(2)
+    while len(cases) < 63:
+        spec = random_rotation_spec(rng)
+        if spec.classify().kind != FINITE_ORDER:
+            cases.append((spec, random_iet(rng, 8, 64)))
+    halvings = []
+    for spec, g in cases:
+        L = spec.fixing_power()
+        fixed = spec.power_spec(L)
+        r = fixed.to_iet()
+        supp = r.support()
+        P = compute_P(fixed, g)
+        d = find_d(r, [p for p in P if supp.contains_point(p)])
+        for min_block in (None, spec.min_block_length()):
+            want = halving_find_epsilon(r, P, d, min_block)
+            assert find_epsilon(r, P, d, min_block) == want, (spec, g)
+        halvings.append((min(b - a for a, b in zip(P, P[1:] + (P[0] + 1,))) / want).floor())
+    # multi-block specs, and searches of a few halvings up to more than 60
+    assert sum(spec.n > 1 for spec, _ in cases) >= 30
+    assert min(halvings) <= 8 and max(halvings) >= 2**60
 
 
 # -- the flattening exponent M ---------------------------------------------------
@@ -236,6 +305,60 @@ def test_find_M_reaches_the_default_cap_quickly():
     with pytest.raises(SearchCapError, match=f"cap {DEFAULT_M_CAP}"):
         find_M(ONE_BLOCK, q(F(1, 10**9)))
     assert time.perf_counter() - start < 5.0
+
+
+def brute_first_hit(a, n, lo, hi):
+    # a * x mod n repeats with period at most n
+    return next((x for x in range(n) if lo <= a * x % n <= hi), None)
+
+
+def test_first_hit_matches_a_brute_force_search():
+    rng = random.Random(4)
+    cases = [(0, 7, 0, 3), (0, 7, 1, 3), (9, 7, 2, 2), (14, 7, 1, 6), (6, 8, 1, 1)]
+    for _ in range(3000):
+        n = rng.randrange(1, 70)
+        lo = rng.randrange(n)
+        cases.append((rng.randrange(3 * n), n, lo, rng.randrange(lo, n)))
+    for a, n, lo, hi in cases:
+        assert _first_hit(a, n, lo, hi) == brute_first_hit(a, n, lo, hi), (a, n, lo, hi)
+
+
+def test_first_hit_descends_13000_bits_without_recursion():
+    # an odd a is a unit mod 2^K, so x0 is the one x below 2^K that lands on a * x0
+    n = 1 << 13000
+    a = (SQRT2M1 * n).floor() | 1
+    x0 = 3**8000
+    target = a * x0 % n
+    assert _first_hit(a, n, target, target) == x0
+    x = _first_hit(a, n, n // 3, n // 3 + (n >> 12900))
+    assert n // 3 <= a * x % n <= n // 3 + (n >> 12900)
+
+
+def test_arc_hits_match_a_brute_force_scan():
+    rng = random.Random(6)
+    for _ in range(3000):
+        n = rng.randrange(1, 70)
+        a, p, w = rng.randrange(3 * n), rng.randrange(-n, 2 * n), rng.randrange(1, n + 1)
+        limit = 3 * n + 3
+        want = [m for m in range(1, limit) if 2 * w > n or (m * a - p) % n < w]
+        hits = _arc_hits(a, n, p, w)
+        got = [m for m in (next(hits, limit) for _ in want) if m < limit]
+        assert got == want and next(hits, limit) >= limit, (a, n, p, w)
+
+
+def test_a_flattening_exponent_past_ten_million_synthesizes():
+    # 100 rational intervals over 4 * 100^2 drive epsilon to 1/4096000, and
+    # the least M for sqrt(3) - 1 is then a convergent denominator past 10^7
+    n = 100
+    rng = random.Random(0)
+    units = random_partition(rng, 4 * n * n, n)
+    pi = list(range(1, n + 1))
+    rng.shuffle(pi)
+    g = Iet.from_perm_lambda(PermLambdaSpec(tuple(pi), tuple(q(F(u, 4 * n * n)) for u in units)))
+    r = DisjointRotationSpec((q(1),), (QuadExt(-1, 1, 3),))
+    cert = synthesize(r, g)
+    assert (cert.epsilon, cert.M) == (q(F(1, 4096000)), 29354524)
+    assert cert.verified and words.verify_word(cert.word, r, g)
 
 
 # -- h, k, T ---------------------------------------------------------------------
