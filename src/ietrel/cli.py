@@ -9,7 +9,9 @@ Exit codes:
   1  verification failure or internal invariant violation;
   2  parse error;
   3  precondition or context error, such as an iet whose images do not
-     tile [0, 1);
+     tile [0, 1), or a count below its floor: orbit --n or disc-growth
+     --max-n below 1, prop-check --size below finite_model.MIN_POINTS, or
+     --trials below 1;
   4  a search cap exhausted, or an input past a size cap: a discriminant
      above scalars.MAX_DISC, a word with more than words.MAX_B_LETTERS
      b letters or an exponent of more than words.MAX_EXPONENT_DIGITS
@@ -57,6 +59,7 @@ from .errors import (
     SearchCapError,
 )
 from .finite_model import (
+    MIN_POINTS,
     CommutatorInstance,
     check_hypotheses,
     classify_point,
@@ -147,6 +150,12 @@ def _check_cap(what: str, value: int, cap_name: str, cap: int) -> None:
         raise SearchCapError(f"{what} {value} exceeds {cap_name} = {cap}")
 
 
+def _check_floor(what: str, value: int, least: int) -> None:
+    # a count below its floor would run nothing and still report success
+    if value < least:
+        raise PreconditionError(f"{what} must be at least {least}, got {value}")
+
+
 # -- commands ---------------------------------------------------------------
 
 
@@ -191,6 +200,7 @@ def _cmd_l1(args) -> int:
 
 
 def _cmd_disc_growth(args) -> int:
+    _check_floor("disc-growth --max-n", args.max_n, 1)
     _check_cap("disc-growth --max-n", args.max_n, "MAX_GROWTH_N", MAX_GROWTH_N)
     f, _ = _load_map(args.map)
     k = f.num_intervals
@@ -265,6 +275,7 @@ def _check_instance(inst: CommutatorInstance) -> Optional[str]:
 
 
 def _cmd_prop_check(args) -> int:
+    _check_floor("prop-check --size", args.size, MIN_POINTS)
     if args.exhaustive:
         _check_cap("prop-check --exhaustive --size", args.size,
                    "MAX_EXHAUSTIVE_SIZE", MAX_EXHAUSTIVE_SIZE)
@@ -272,6 +283,7 @@ def _cmd_prop_check(args) -> int:
         label = f"exhaustive size {args.size}"
     else:
         _check_cap("prop-check --size", args.size, "MAX_RANDOM_SIZE", MAX_RANDOM_SIZE)
+        _check_floor("prop-check --trials", args.trials, 1)
         _check_cap("prop-check --trials", args.trials, "MAX_TRIALS", MAX_TRIALS)
         rng = random.Random(args.seed)
         instances = (random_instance(args.size, rng) for _ in range(args.trials))

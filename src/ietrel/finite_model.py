@@ -168,6 +168,9 @@ def orbit_sizes(t: Map) -> Tuple[int, ...]:
 
 # Rejection-sampling draws per instance before random_instance gives up.
 MAX_TRIES = 10_000
+# The fewest points with an instance: on 2 points h = phi is the swap, and
+# phi(A) = A.
+MIN_POINTS = 3
 
 
 def random_instance(m: int, rng: random.Random) -> CommutatorInstance:
@@ -179,8 +182,8 @@ def random_instance(m: int, rng: random.Random) -> CommutatorInstance:
     and the hypothesis are decided from the draws, and only an accepted
     pair is built.
     """
-    if m < 3:
-        raise PreconditionError("need at least 3 points")
+    if m < MIN_POINTS:
+        raise PreconditionError(f"need at least {MIN_POINTS} points")
     points = list(range(m))
     for _ in range(MAX_TRIES):
         size_h = rng.randrange(2, max(3, m // 2 + 1))

@@ -7,19 +7,10 @@ Composition follows (f.compose(g))(x) = f(g(x)): the right-hand factor acts
 first.
 
 Storage.  The group operations only add and subtract translations, so all
-the breakpoints and translations of a map lie in one lattice
-(1/N)(Z + Z sqrt(D)).  An Iet stores the denominator N, the discriminant D
-(0 when every value is rational) and each breakpoint and translation as an
-integer pair (a, b) meaning (a + b sqrt(D)) / N.  Every operation runs on
-these integers, and every order decision is exact: the sign of an integer
-difference, decided by scalars._sign3.  Two operands with different
-denominators are rescaled once to their lcm; operands from different
-discriminants raise ContextMismatchError.
-
-Canonical form: ascending breakpoints starting at 0, one translation per
-interval, adjacent intervals with equal translations merged, and the
-smallest N (gcd(N, all the integers) = 1).  So == and hash compare integer
-tuples.
+the breakpoints and translations of a map lie in one lattice; an Iet keeps
+them as integer pairs in the form of scalars._OnLattice.  Canonical form adds
+ascending breakpoints starting at 0, one translation per interval, and
+adjacent intervals with equal translations merged.
 
 QuadExt is the only scalar of the API: breakpoints, translations, pieces(),
 apply, discontinuities and l1_distance_to_identity build QuadExt values from
@@ -31,19 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import InvariantError, PreconditionError
-from .intervals import IntervalSet, _ends_over, _from_ends
+from .intervals import IntervalSet, _from_ends
 from .scalars import (
-    ONE, ZERO, QuadExt, _lattice, _locate, _make, _merged_disc, _pair, _sign3, as_scalar,
+    ONE, ZERO, Pair, QuadExt, _lattice, _locate, _make, _merged_disc, _OnLattice, _pair,
+    _sign3, as_scalar,
 )
 
 __all__ = ["Iet", "PermLambdaSpec"]
-
-Pair = Tuple[int, int]  # (a, b): the value (a + b sqrt(D)) / N of one Iet
 
 
 def check_lengths(lengths: Sequence[QuadExt]) -> None:
@@ -79,10 +67,10 @@ class PermLambdaSpec:
         return len(self.pi)
 
 
-class Iet:
+class Iet(_OnLattice):
     """An invertible piecewise translation of [0, 1), in canonical form."""
 
-    __slots__ = ("_den", "_disc", "_bps", "_trs")
+    __slots__ = ("_bps", "_trs")
 
     def __init__(self, breakpoints: Sequence, translations: Sequence):
         """Check outside data once: raises PreconditionError unless the pieces
@@ -109,9 +97,6 @@ class Iet:
             raise PreconditionError(
                 "the iet is not a bijection: its image intervals do not tile [0, 1)"
             )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Iet is immutable")
 
     # -- constructors -----------------------------------------------------
 
@@ -155,10 +140,6 @@ class Iet:
     @property
     def translations(self) -> Tuple[QuadExt, ...]:
         return self._scalars(self._trs)
-
-    def _scalars(self, pairs: Sequence[Pair]) -> Tuple[QuadExt, ...]:
-        den, disc = self._den, self._disc
-        return tuple([_make(a, b, den, disc) for a, b in pairs])
 
     @property
     def num_intervals(self) -> int:
@@ -239,8 +220,8 @@ class Iet:
         otrs = other._trs
         if other._den != den:
             den = math.lcm(den, other._den)
-            sbps, strs = _rescaled(self, den)
-            obps, otrs = _rescaled(other, den)
+            sbps, strs = self._over(den)
+            obps, otrs = other._over(den)
         k = len(obps)
         # firsts[p], lasts[p]: the first and the last piece of self that the
         # image of other's piece p meets
@@ -325,8 +306,8 @@ class Iet:
         comparison; fragments that touch are joined."""
         den = math.lcm(self._den, s._den)
         disc = _merged_disc(self._disc, s._disc)
-        bps, trs = _rescaled(self, den)
-        ends = _ends_over(s, den)
+        bps, trs = self._over(den)
+        (ends,) = s._over(den)
         m = len(bps)
         moved: List[List[Pair]] = [[] for _ in range(m)]
         j = 0  # the spans ascend, so each search starts where the last one ended
@@ -372,21 +353,6 @@ class Iet:
             )
         return self
 
-    # -- identity -----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Iet):
-            return NotImplemented
-        return (
-            self._den == other._den
-            and self._disc == other._disc
-            and self._bps == other._bps
-            and self._trs == other._trs
-        )
-
-    def __hash__(self):
-        return hash((self._den, self._disc, self._bps, self._trs))
-
     def __repr__(self):
         body = ", ".join(
             f"[{lo},{hi})+{t}" for lo, hi, t in self.pieces()
@@ -395,14 +361,6 @@ class Iet:
 
 
 # -- the integer kernel ----------------------------------------------------------
-
-
-def _rescaled(f: Iet, den: int) -> Tuple[Sequence[Pair], Sequence[Pair]]:
-    """f's breakpoints and translations over den, a multiple of f's denominator."""
-    c = den // f._den
-    if c == 1:
-        return f._bps, f._trs
-    return [(a * c, b * c) for a, b in f._bps], [(a * c, b * c) for a, b in f._trs]
 
 
 def _pieces(f: Iet) -> Iterator[Tuple[Pair, Pair, Pair]]:
@@ -432,36 +390,10 @@ def _image_order(
     return order, his
 
 
-_root = itemgetter(1)  # the b of a pair (a, b)
-# The slot setters, called directly: Iet.__setattr__ refuses every write.
-_SET_DEN = Iet._den.__set__
-_SET_DISC = Iet._disc.__set__
-_SET_BPS = Iet._bps.__set__
-_SET_TRS = Iet._trs.__set__
-
-
-def _store(f: Iet, den: int, disc: int, bps: Sequence[Pair], trs: Sequence[Pair]) -> Iet:
-    """Store pieces over den into f, and return f: den reduced as far as the
-    integers allow, disc 0 when every value is rational.
-
-    The pieces must already have no two neighbours with equal translations;
-    the constructor merges them, compose never emits them, and the inverse of
-    a canonical map has none.  Nothing is checked: the constructor checks
-    outside data first, and the group operations build their results here,
-    since products and inverses of bijections of [0, 1) are bijections."""
-    g = den
-    for a, b in chain(trs, bps):
-        g = math.gcd(g, a, b)
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        bps = [(a // g, b // g) for a, b in bps]
-        trs = [(a // g, b // g) for a, b in trs]
-    if disc and not any(map(_root, bps)) and not any(map(_root, trs)):
-        disc = 0
-    _SET_DEN(f, den)
-    _SET_DISC(f, disc)
-    _SET_BPS(f, tuple(bps))
-    _SET_TRS(f, tuple(trs))
-    return f
+# Stores the pieces (bps, trs) over den into a bare Iet: _store(f, den, disc,
+# bps, trs).  The pieces must already have no two neighbours with equal
+# translations; the constructor merges them, compose never emits them, and
+# the inverse of a canonical map has none.  The constructor checks outside
+# data first, and the group operations build their results here unchecked,
+# since products and inverses of bijections of [0, 1) are bijections.
+_store = _OnLattice._store

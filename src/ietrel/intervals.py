@@ -1,17 +1,9 @@
 """Finite unions of half-open subintervals of [0, 1), with exact endpoints.
 
-Storage.  A set keeps its endpoints on one lattice (1/N)(Z + Z sqrt(D)), as
-an Iet keeps its breakpoints: the denominator N, the discriminant D (0 when
-every endpoint is rational) and the ascending ends lo_0 < hi_0 < lo_1 < ...
-as integer pairs (a, b) meaning (a + b sqrt(D)) / N.  A point lies in the
-set exactly when an odd number of ends lie at or below it.  Every order
-decision is scalars._sign3 on an integer difference; operands with
-different denominators are rescaled once to their lcm, and operands from
-different discriminants raise ContextMismatchError.
-
-Canonical form: touching spans coalesce and N is the smallest, so two sets
-are equal exactly when their (N, D, ends) tuples are.  QuadExt spans are
-built only when `spans` is read.
+Storage.  A set keeps its ascending ends lo_0 < hi_0 < lo_1 < ... as integer
+pairs in the form of scalars._OnLattice, as an Iet keeps its breakpoints.  A
+point lies in the set exactly when an odd number of ends lie at or below it.
+Canonical form adds that touching spans coalesce.
 """
 
 from __future__ import annotations
@@ -21,19 +13,19 @@ from functools import cmp_to_key
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .scalars import (
-    QuadExt, _lattice, _locate, _make, _merged_disc, _pair, _sign3, as_scalar,
+    Pair, QuadExt, _lattice, _locate, _make, _merged_disc, _OnLattice, _pair, _sign3,
+    as_scalar,
 )
 
 __all__ = ["IntervalSet", "circular_ball", "neighborhood_union"]
 
 Span = Tuple[QuadExt, QuadExt]
-Pair = Tuple[int, int]  # (a, b): the value (a + b sqrt(D)) / N of one set
 
 
-class IntervalSet:
+class IntervalSet(_OnLattice):
     """A finite union of disjoint [lo, hi) spans inside [0, 1)."""
 
-    __slots__ = ("_den", "_disc", "_ends")
+    __slots__ = ("_ends",)
 
     def __init__(self, spans: Iterable[Span] = ()):
         """Check outside spans: raises ValueError for a span with lo > hi or
@@ -52,10 +44,7 @@ class IntervalSet:
             if _sign3(la, lb, disc) < 0 or _sign3(ha - den, hb, disc) > 0:
                 raise ValueError(f"span [{lo}, {hi}) leaves [0, 1)")
             pairs.append(((la, lb), (ha, hb)))
-        _store(self, den, disc, _union_ends(disc, pairs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalSet is immutable")
+        self._store(den, disc, _union_ends(disc, pairs))
 
     @classmethod
     def full(cls) -> "IntervalSet":
@@ -65,11 +54,8 @@ class IntervalSet:
 
     @property
     def spans(self) -> Tuple[Span, ...]:
-        den, disc, ends = self._den, self._disc, self._ends
-        return tuple(
-            (_make(*ends[i], den, disc), _make(*ends[i + 1], den, disc))
-            for i in range(0, len(ends), 2)
-        )
+        ends = self._scalars(self._ends)
+        return tuple(zip(ends[::2], ends[1::2]))
 
     def is_empty(self) -> bool:
         return not self._ends
@@ -132,20 +118,6 @@ class IntervalSet:
             ends.insert(0, (0, 0))
         return _from_ends(self._den, self._disc, ends)
 
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, IntervalSet):
-            return NotImplemented
-        return (
-            self._den == other._den
-            and self._disc == other._disc
-            and self._ends == other._ends
-        )
-
-    def __hash__(self):
-        return hash((self._den, self._disc, self._ends))
-
     def __repr__(self):
         body = " u ".join(f"[{lo}, {hi})" for lo, hi in self.spans)
         return f"IntervalSet({body or 'empty'})"
@@ -195,12 +167,6 @@ def circular_ball(center, radius) -> IntervalSet:
 # -- the integer walks -------------------------------------------------------------
 
 
-def _ends_over(s: IntervalSet, den: int) -> Sequence[Pair]:
-    """s's ends over den, a multiple of s's denominator."""
-    c = den // s._den
-    return s._ends if c == 1 else [(a * c, b * c) for a, b in s._ends]
-
-
 def _merge(s: IntervalSet, t: IntervalSet, both: bool) -> IntervalSet:
     """s & t when both, else s | t: one walk over the ends of both in
     ascending order.  After the walk passes a point, it lies in s exactly when
@@ -208,7 +174,7 @@ def _merge(s: IntervalSet, t: IntervalSet, both: bool) -> IntervalSet:
     where the wanted membership changes."""
     den = s._den if s._den == t._den else math.lcm(s._den, t._den)
     disc = _merged_disc(s._disc, t._disc)
-    a, b = _ends_over(s, den), _ends_over(t, den)
+    (a,), (b,) = s._over(den), t._over(den)
     na, nb = len(a), len(b)
     out: List[Pair] = []
     i = j = inside = 0
@@ -250,28 +216,4 @@ def _union_ends(disc: int, spans: List[Tuple[Pair, Pair]]) -> List[Pair]:
 def _from_ends(den: int, disc: int, ends: Sequence[Pair]) -> IntervalSet:
     """The set whose ends over den are ends: ascending, strictly, with no two
     spans touching."""
-    return _store(object.__new__(IntervalSet), den, disc, ends)
-
-
-_SET_DEN = IntervalSet._den.__set__
-_SET_DISC = IntervalSet._disc.__set__
-_SET_ENDS = IntervalSet._ends.__set__
-
-
-def _store(s: IntervalSet, den: int, disc: int, ends: Sequence[Pair]) -> IntervalSet:
-    """Store ends over den into s in canonical form, and return s: den
-    reduced as far as the integers allow, disc 0 when every end is rational."""
-    g = den
-    for a, b in ends:
-        g = math.gcd(g, a, b)
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        ends = [(a // g, b // g) for a, b in ends]
-    if disc and not any(b for _, b in ends):
-        disc = 0
-    _SET_DEN(s, den)
-    _SET_DISC(s, disc)
-    _SET_ENDS(s, tuple(ends))
-    return s
+    return object.__new__(IntervalSet)._store(den, disc, ends)

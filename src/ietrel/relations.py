@@ -135,9 +135,10 @@ class SynthesisContext:
 
 def compute_P(r_spec: DisjointRotationSpec, g: Iet) -> Tuple[QuadExt, ...]:
     """Block endpoints of r, their preimages under g, and disc(g), sorted."""
-    points = set(r_spec.block_bounds()[:-1])
+    bounds = r_spec.block_bounds()[:-1]
+    points = set(bounds)
     g_inv = g.inverse()
-    points.update(g_inv.apply(b) for b in r_spec.block_bounds()[:-1])
+    points.update(g_inv.apply(b) for b in bounds)
     points.update(g.discontinuities())
     return tuple(sorted(points))
 

@@ -112,8 +112,4 @@ class DisjointRotationSpec:
         return DisjointRotationSpec(self.lengths, self.block_rates(m))
 
     def min_block_length(self) -> QuadExt:
-        smallest = self.lengths[0]
-        for v in self.lengths[1:]:
-            if v < smallest:
-                smallest = v
-        return smallest
+        return min(self.lengths)

@@ -14,6 +14,8 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, Tuple
 
 from .errors import ContextMismatchError, ParseError, SearchCapError
@@ -66,6 +68,9 @@ def _merged_disc(d0: int, d1: int) -> int:
     return d0 or d1
 
 
+Pair = Tuple[int, int]  # (a, b): the value (a + b sqrt(D)) / N on a lattice
+
+
 def _lattice(values: Iterable[QuadExt], den: int = 1, disc: int = 0) -> Tuple[int, int]:
     """The lattice (1/N)(Z + Z sqrt(D)) of den, disc and the values: N the least
     common denominator, D their one discriminant (0 if all are rational)."""
@@ -75,7 +80,7 @@ def _lattice(values: Iterable[QuadExt], den: int = 1, disc: int = 0) -> Tuple[in
     return den, disc
 
 
-def _pair(v: QuadExt, den: int) -> Tuple[int, int]:
+def _pair(v: QuadExt, den: int) -> Pair:
     """v as the integer pair (a, b) with v = (a + b sqrt(D)) / den; den must be
     a multiple of v.den."""
     c = den // v.den
@@ -101,7 +106,7 @@ def _sign3(an: int, bn: int, disc: int) -> int:
 
 
 def _locate(
-    bps: Sequence[Tuple[int, int]], xa: int, xb: int, disc: int, lo: int = 0, scale: int = 1
+    bps: Sequence[Pair], xa: int, xb: int, disc: int, lo: int = 0, scale: int = 1
 ) -> int:
     """Index of the last pair (a, b) of the ascending bps, from lo on, with
     (a + b sqrt(disc)) * scale at or below xa + xb sqrt(disc); bps[lo] must
@@ -115,6 +120,81 @@ def _locate(
         else:
             hi = mid
     return lo
+
+
+_root = itemgetter(1)  # the b of a pair (a, b)
+
+
+class _OnLattice:
+    """An immutable exact object whose values all lie on one lattice
+    (1/N)(Z + Z sqrt(D)): the breakpoints and translations of an Iet, the
+    ends of an IntervalSet.
+
+    Storage.  The object holds the denominator N in _den, the discriminant D
+    in _disc (0 when every value is rational), and in each slot that a
+    subclass names in its __slots__ a tuple of integer pairs (a, b), each
+    meaning (a + b sqrt(D)) / N.  Operations run on these integers, and every
+    order decision is exact: the sign of an integer difference, decided by
+    _sign3.  Two operands with different denominators are rescaled once to
+    their lcm by _over; operands from different discriminants raise
+    ContextMismatchError.
+
+    Canonical form: _store keeps the smallest N (gcd(N, all the integers) =
+    1) and D = 0 when no pair has a root term, and each subclass keeps its
+    own order and merging rules, so == and hash compare (N, D, the pair
+    tuples).  QuadExt values are built from the pairs, by _scalars, only when
+    they are read.
+    """
+
+    __slots__ = ("_den", "_disc")
+
+    def __init_subclass__(cls):
+        names = ("_den", "_disc", *cls.__slots__)
+        cls._key = attrgetter(*names)  # (N, D, the pair tuples) of an object
+        # the slot setters, called directly: __setattr__ refuses every write
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def _store(self, den: int, disc: int, *tuples: Sequence[Pair]):
+        """Store pair sequences over den into self's pair slots, in the order
+        of __slots__, and return self: den reduced as far as the integers
+        allow, disc 0 when every pair is rational.  Nothing else is checked."""
+        g = den
+        for a, b in chain(*tuples):
+            g = math.gcd(g, a, b)
+            if g == 1:
+                break
+        if g > 1:
+            den //= g
+            tuples = [[(a // g, b // g) for a, b in pairs] for pairs in tuples]
+        if disc and not any(map(_root, chain(*tuples))):
+            disc = 0
+        for put, value in zip(self._setters, (den, disc, *map(tuple, tuples))):
+            put(self, value)
+        return self
+
+    def _over(self, den: int) -> Sequence[Sequence[Pair]]:
+        """self's pair tuples over den, a multiple of self's N."""
+        tuples = self._key(self)[2:]
+        c = den // self._den
+        if c == 1:
+            return tuples
+        return [[(a * c, b * c) for a, b in pairs] for pairs in tuples]
+
+    def _scalars(self, pairs: Iterable[Pair]) -> Tuple[QuadExt, ...]:
+        """The QuadExt values of pairs over self's N and D."""
+        den, disc = self._den, self._disc
+        return tuple([_make(a, b, den, disc) for a, b in pairs])
 
 
 class QuadExt:

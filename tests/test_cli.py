@@ -626,6 +626,32 @@ def test_prop_check_past_a_size_cap_exits_4_before_any_instance(capsys, monkeypa
     assert cap_name in err
 
 
+@pytest.mark.parametrize("args", [
+    ("--size", "2", "--exhaustive"),
+    ("--size", "1", "--exhaustive"),
+    ("--size", "0", "--exhaustive"),
+    ("--size", "-2", "--exhaustive"),
+    ("--size", "2", "--trials", "3"),
+    ("--size", "5", "--trials", "-4"),
+    ("--size", "5", "--trials", "0"),
+], ids=["size-2", "size-1", "size-0", "size-negative", "random-size-2", "trials-negative",
+        "trials-0"])
+def test_prop_check_below_a_floor_exits_3_instead_of_checking_nothing(capsys, args):
+    code, out, err = run(capsys, "prop-check", *args)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "must be at least" in err
+
+
+@pytest.mark.parametrize("max_n", ["-3", "0"])
+def test_disc_growth_below_one_exits_3_instead_of_a_bare_header(files, capsys, max_n):
+    f = files("f.iet", Iet.rotation(SQRT2M1))
+    code, out, err = run(capsys, "disc-growth", "--map", f, "--max-n", max_n)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "--max-n must be at least 1" in err
+
+
 # -- error plumbing --------------------------------------------------------------------
 
 

@@ -240,6 +240,18 @@ def test_equality_and_hash():
     assert len({r, s, Iet.identity()}) == 2
 
 
+def test_iets_and_interval_sets_are_immutable_and_never_equal():
+    f = Iet.rotation(q(F(1, 4)))
+    s = IntervalSet([(q(0), q(F(3, 4)))])
+    for obj in (f, s):
+        for name in ("_den", "_disc", "_bps", "_trs", "_ends", "breakpoints", "spans", "extra"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(obj, name, 1)
+    assert f == Iet.rotation(q(F(1, 4))) and s == IntervalSet([(q(0), q(F(3, 4)))])
+    assert f != s and s != f and not f == s
+    assert Iet.identity() != IntervalSet.full() and len({f, s}) == 2
+
+
 def test_validate_returns_self():
     r = Iet.rotation(q(F(1, 4)))
     assert r.validate() is r

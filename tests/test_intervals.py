@@ -76,6 +76,24 @@ def test_rational_and_root_spans_over_different_denominators():
     assert sixths.is_disjoint(IntervalSet([(q(F(1, 2)), q(F(7, 10)))]))
 
 
+def test_spans_over_a_reducible_denominator_store_the_reduced_form():
+    # spans over 6 whose union has its ends over 3, rational and quadratic
+    r2 = QuadExt(0, F(1, 3), 2)  # sqrt(2)/3, about 0.471
+    for lo, hi in ((q(F(1, 3)), q(F(2, 3))), (r2, r2 + F(1, 3))):
+        sixths = IntervalSet([(lo, q(F(1, 2))), (q(F(1, 2)), hi)])
+        thirds = IntervalSet([(lo, hi)])
+        assert sixths == thirds and hash(sixths) == hash(thirds)
+
+
+def test_an_intersection_with_only_rational_ends_is_stored_rational():
+    a = IntervalSet([(QuadExt(0, F(1, 4), 2), q(F(3, 4)))])
+    b = IntervalSet([(q(F(1, 2)), ONE)])
+    both = a.intersect(b)
+    want = IntervalSet([(q(F(1, 2)), q(F(3, 4)))])
+    assert both == want and hash(both) == hash(want)
+    assert both._disc == 0
+
+
 def test_mixed_discriminants_are_a_context_error():
     r2 = QuadExt(0, F(1, 4), 2)
     r3 = QuadExt(0, F(1, 4), 3)
