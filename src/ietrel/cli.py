@@ -9,13 +9,16 @@ Exit codes:
   1  verification failure or internal invariant violation;
   2  parse error;
   3  precondition or context error, such as an iet whose images do not
-     tile [0, 1), or a count below its floor: orbit --n or disc-growth
-     --max-n below 1, prop-check --size below finite_model.MIN_POINTS, or
-     --trials below 1;
+     tile [0, 1), or a count below its floor: orbit --n, disc-growth
+     --max-n or synthesize --m-cap below 1, prop-check --size below
+     finite_model.MIN_POINTS, or --trials below 1;
   4  a search cap exhausted, or an input past a size cap: a discriminant
-     above scalars.MAX_DISC, a word with more than words.MAX_B_LETTERS
-     b letters or an exponent of more than words.MAX_EXPONENT_DIGITS
-     digits, a word whose pushes in verify may walk more than
+     above scalars.MAX_DISC, an integer literal with more significant
+     digits than its cap (the 11 digits of MAX_DISC for a discriminant,
+     words.MAX_EXPONENT_DIGITS for a word exponent, and
+     scalars.MAX_PRINT_DIGITS for a scalar's numerator or denominator and
+     for a document integer), a word with more than words.MAX_B_LETTERS
+     b letters, a word whose pushes in verify may walk more than
      words.MAX_VERIFY_PIECES pieces, |pow --n| above MAX_POW_N, orbit --n
      above MAX_ORBIT_N, disc-growth --max-n above MAX_GROWTH_N,
      synthesize --m-cap above relations.DEFAULT_M_CAP, a map whose piece
@@ -220,6 +223,7 @@ def _cmd_disc_growth(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     # relations.DEFAULT_M_CAP records find_M's time at the cap
+    _check_floor("synthesize --m-cap", args.m_cap, 1)
     _check_cap("synthesize --m-cap", args.m_cap, "DEFAULT_M_CAP", DEFAULT_M_CAP)
     spec = _load(args.r, KIND_ROTATION).payload
     g, _ = _load_map(args.g)

@@ -35,7 +35,7 @@ from .relations import (
     RelationCertificate,
 )
 from .rotation import DisjointRotationSpec
-from .scalars import QuadExt, _disc_of, _lattice
+from .scalars import QuadExt, _check_read_disc, _lattice, _read_disc, _read_int
 from .words import Word
 
 __all__ = [
@@ -83,20 +83,10 @@ def _join(xs: Sequence) -> str:
     return ", ".join(str(x) for x in xs)
 
 
-def _int(text: str, disc: int = 0) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {text!r}") from None
-
-
 def _disc(text: str, _context: int = 0) -> int:
-    disc = _disc_of(text) if text.isdecimal() else _int(text)
-    if disc != 0:
-        try:
-            QuadExt.sqrt(disc)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+    disc = _read_disc(text)
+    if disc:
+        _check_read_disc(disc)
     return disc
 
 
@@ -116,8 +106,8 @@ _SCALARS = _Codec(
     scalars=tuple,
 )
 _DISC = _Codec(_disc)
-_INT = _Codec(_int)
-_INTS = _Codec(lambda text, disc: tuple(_int(tok) for tok in _split(text)), emit=_join)
+_INT = _Codec(lambda text, disc: _read_int(text))
+_INTS = _Codec(lambda text, disc: tuple(map(_read_int, _split(text))), emit=_join)
 _WORD = _Codec(lambda text, disc: Word.parse(text))
 _BRANCH = _Codec(
     _one_of(BRANCH_FINITE_ORDER, BRANCH_H_TRIVIAL, BRANCH_T_TRIVIAL, BRANCH_T_SIXTH)

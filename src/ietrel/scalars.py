@@ -6,6 +6,10 @@ checked once where a scalar enters (the constructor and parse); pure
 rationals are the degenerate case coef = 0 and combine freely with any
 context.  Every predicate (sign, ordering, floor) is decided exactly with
 integer arithmetic; floats appear only in diagnostic renderings.
+
+Integer text has one reader, _read_int: the discriminant, the numerators and
+denominators of scalars, word exponents and document integers all go
+through it, each under a cap on its significant digits.
 """
 
 from __future__ import annotations
@@ -50,15 +54,34 @@ def _require_valid_disc(disc: int) -> None:
         p += 1
 
 
-def _disc_of(digits: str) -> int:
-    """The discriminant spelled by a string of decimal digits.  One with more
-    digits than MAX_DISC raises SearchCapError before int() reads it, which
-    would refuse a string of more than 4300 digits with a ValueError."""
-    if len(digits.lstrip("0")) > len(str(MAX_DISC)):
-        raise SearchCapError(
-            f"a discriminant of {len(digits)} digits exceeds MAX_DISC = {MAX_DISC}"
-        )
-    return int(digits)
+def _read_int(text: str, max_digits: int = MAX_PRINT_DIGITS,
+              cap: str = f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS}") -> int:
+    """The integer that text spells in decimal digits after an optional sign,
+    the one reader of integer text.  Leading zeros are dropped, and more than
+    max_digits significant digits raise SearchCapError naming cap before
+    int() sees them: int() refuses more than 4300 digits with a ValueError.
+    Anything but digits is a ParseError."""
+    sign = text[:1] in ("+", "-")
+    digits = text[sign:]
+    if not digits.isdecimal():
+        raise ParseError(f"expected an integer, got {text!r}")
+    digits = digits.lstrip("0")
+    if len(digits) > max_digits:
+        raise SearchCapError(f"an integer of {len(digits)} significant digits exceeds {cap}")
+    return int(text[:sign] + (digits or "0"))
+
+
+def _read_disc(text: str) -> int:
+    """The discriminant that text spells, with at most the digits of MAX_DISC."""
+    return _read_int(text, len(str(MAX_DISC)), f"MAX_DISC = {MAX_DISC}")
+
+
+def _check_read_disc(disc: int) -> None:
+    # _require_valid_disc for a discriminant read from text: ParseError, not ValueError
+    try:
+        _require_valid_disc(disc)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _merged_disc(d0: int, d1: int) -> int:
@@ -231,45 +254,37 @@ class QuadExt:
     @classmethod
     def parse(cls, text: str, disc: int | None = None) -> "QuadExt":
         """Parse 'p/q', 'p/q+r/s*sqrt(D)' or 'r/s*sqrt(D)' (signs optional,
-        whitespace insignificant).  With an ambient disc given, a mismatched
-        D in the text is a context error."""
-        s = re.sub(r"\s+", "", text)
-        if not s:
+        whitespace insignificant).  _read_int reads every integer: p, q, r
+        and s under MAX_PRINT_DIGITS, D under the digits of MAX_DISC.  With
+        an ambient disc given, a mismatched D in the text is a context error."""
+        terms = re.split(r"(?<=.)(?=[+-])", re.sub(r"\s+", "", text))
+        if terms == [""]:
             raise ParseError("empty scalar")
-        starts = [0] + [i for i in range(1, len(s)) if s[i] in "+-"]
-        if len(starts) > 2:
+        if len(terms) > 2:
             raise ParseError(f"malformed scalar {text!r}")
-        rat = None
-        coef = None
-        found_disc = 0
-        for a, b in zip(starts, starts[1:] + [len(s)]):
-            term = s[a:b]
-            sign = 1
-            if term and term[0] in "+-":
-                sign = -1 if term[0] == "-" else 1
-                term = term[1:]
-            m = _ROOT_TERM.match(term)
-            if m:
-                if coef is not None:
-                    raise ParseError(f"two root terms in scalar {text!r}")
-                coef = sign * _parse_fraction(m.group(1) or "1", text)
-                found_disc = _disc_of(m.group(2))
-            elif _RAT_TERM.match(term):
-                if rat is not None:
-                    raise ParseError(f"two rational terms in scalar {text!r}")
-                rat = sign * _parse_fraction(term, text)
-            else:
+        read = {}  # "rational" and "root": the term's numerator, denominator, D
+        for term in terms:
+            m = _TERM.fullmatch(term)
+            if m is None:
                 raise ParseError(f"malformed scalar term {term!r} in {text!r}")
-        if coef is not None and coef != 0:
-            try:
-                _require_valid_disc(found_disc)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from None
-            if disc is not None and found_disc != disc:
+            sign, p, q, d, bare_d = m.groups()
+            d = d or bare_d
+            kind = "rational" if d is None else "root"
+            if kind in read:
+                raise ParseError(f"two {kind} terms in scalar {text!r}")
+            den = _read_int(q or "1")
+            if not den:
+                raise ParseError(f"zero denominator in scalar {text!r}")
+            read[kind] = _read_int(sign + (p or "1")), den, d and _read_disc(d)
+        a, b, _ = read.get("rational", (0, 1, 0))
+        c, e, root = read.get("root", (0, 1, 0))
+        if c:
+            _check_read_disc(root)
+            if disc is not None and root != disc:
                 raise ContextMismatchError(
-                    f"scalar {text!r} uses sqrt({found_disc}) under context D={disc}"
+                    f"scalar {text!r} uses sqrt({root}) under context D={disc}"
                 )
-        return cls(rat or 0, coef or 0, found_disc if coef else 0)
+        return _make(a * e, c * b, b * e, root)
 
     # -- context --------------------------------------------------------
 
@@ -514,15 +529,8 @@ def as_scalar(x) -> QuadExt:
     return v
 
 
-def _parse_fraction(text: str, whole: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r} in {whole!r}: {exc}") from None
-
-
-_RAT_TERM = re.compile(r"^\d+(?:/\d+)?$")
-_ROOT_TERM = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+)\)$")
+# One term of a scalar: a sign, then p, p/q, sqrt(D), p*sqrt(D) or p/q*sqrt(D).
+_TERM = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?(?:\*sqrt\((\d+)\))?|sqrt\((\d+)\))")
 
 ZERO = QuadExt(0)
 ONE = QuadExt(1)

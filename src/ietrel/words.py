@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Tuple
 from .errors import ParseError, PreconditionError, SearchCapError
 from .iet import Iet
 from .rotation import DisjointRotationSpec
-from .scalars import QuadExt, _lattice, _pair, _sign3
+from .scalars import QuadExt, _lattice, _pair, _read_int, _sign3
 
 __all__ = [
     "Word",
@@ -49,8 +49,9 @@ GENERATORS = ("a", "b")
 # their work grow with the square of the count (MAX_VERIFY_PIECES bounds it).
 # Certificates hold 4, 16 or 96 b letters, by branch.
 MAX_B_LETTERS = 1000
-# Word.parse refuses an exponent of more digits, so every count the program
-# prints stays far below the 4300 digits that int() and str() accept.
+# Word.parse refuses an exponent of more significant digits, so every count
+# the program prints stays far below the 4300 digits that int() and str()
+# accept.
 MAX_EXPONENT_DIGITS = 1000
 # Before any push, verify_word bounds the pieces its pushes may walk in all:
 # each push can grow the composite map by its step's piece count less one.
@@ -103,14 +104,8 @@ class Word:
             m = _TOKEN.match(token)
             if not m:
                 raise ParseError(f"bad word token {token!r}")
-            spelled = m.group(2) or "1"
-            digits = len(spelled.lstrip("-"))
-            if digits > MAX_EXPONENT_DIGITS:
-                raise SearchCapError(
-                    f"a word exponent of {digits} digits exceeds "
-                    f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS}"
-                )
-            exp = int(spelled)
+            exp = _read_int(m.group(2) or "1", MAX_EXPONENT_DIGITS,
+                            f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS}")
             if exp == 0:
                 raise ParseError(f"zero exponent in token {token!r}")
             raw.append((m.group(1), exp))

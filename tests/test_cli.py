@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -13,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ietrel import cli, relations, words
 from ietrel.cli import (
@@ -355,6 +358,174 @@ def test_verify_refuses_an_exponent_too_long_for_int(files, capsys):
     assert f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS}" in err
 
 
+# 5000 leading zeros, more digits than int() reads, before a short value
+PADDING = "0" * 5000
+ROOT2_ROTATION = "ietrel v1\nD = {D}\nkind = rotation\nlengths = 1\nrates = -1+1*sqrt({root})\n"
+DISC_PATHS = {
+    "l1-D-line": (("l1",), ROOT2_ROTATION.format(D="{D}", root="2")),
+    "l1-root-term": (("l1",), ROOT2_ROTATION.format(D="2", root="{D}")),
+    "eval-root-term": (("eval", "--x", "1/8*sqrt({D})"), None),
+}
+
+
+def _run_disc_path(files, capsys, path, disc_text):
+    command, text = DISC_PATHS[path]
+    name, *rest = command
+    f = files("f.txt", Iet.identity(), text=text and text.format(D=disc_text))
+    return run(capsys, name, "--map", f, *[arg.format(D=disc_text) for arg in rest])
+
+
+@pytest.mark.parametrize("path", DISC_PATHS)
+def test_a_zero_padded_discriminant_reads_as_its_value(files, capsys, path):
+    code, out, err = _run_disc_path(files, capsys, path, PADDING + "2")
+    assert (code, err) == (EXIT_OK, "")
+    assert "sqrt(2)" in out
+    assert (code, out, err) == _run_disc_path(files, capsys, path, "2")
+
+
+@pytest.mark.parametrize("path", DISC_PATHS)
+def test_a_zero_padded_discriminant_of_12_digits_exits_4(files, capsys, path):
+    code, out, err = _run_disc_path(files, capsys, path, PADDING + "1" * 12)
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert f"MAX_DISC = {MAX_DISC}" in err
+
+
+def test_a_zero_padded_exponent_reads_as_its_value(files, capsys):
+    r = files("r.rot", DisjointRotationSpec((q(1),), (q(F(1, 2)),)))
+    g = files("g.iet", Iet.identity())
+    w = files("w.txt", None, text=f"ietrel v1\nD = 0\nkind = word\nword = a^{PADDING}2\n")
+    code, out, err = run(capsys, "verify", "--word", w, "--r", r, "--g", g)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == "verified: 2 letters evaluate to the identity\n"
+
+
+# Each integer of a document, with a (rotation, g, certificate) that verify
+# accepts or a map for l1; {n} marks the integer.
+ZERO_ROTATION = DisjointRotationSpec((q(1),), (q(0),))
+CERT_TEXT = ("ietrel v1\nD = 0\nkind = certificate\nbranch = finite_order\n"
+             "L = {L}\nd = {d}\nM = {M}\nverified = true\nword = a^2\n")
+DOCUMENT_INTEGERS = {
+    "pi": ("ietrel v1\nD = 0\nkind = perm-lambda\npi = {n}, 1\nlengths = 1/2, 1/2\n", "2"),
+    "L": (CERT_TEXT.format(L="{n}", d=1, M=1), "1"),
+    "d": (CERT_TEXT.format(L=1, d="{n}", M=1), "1"),
+    "M": (CERT_TEXT.format(L=1, d=1, M="{n}"), "70"),
+}
+
+
+def _run_document_integer(files, capsys, key, n):
+    text, _ = DOCUMENT_INTEGERS[key]
+    f = files("f.txt", None, text=text.format(n=n))
+    if key == "pi":
+        return run(capsys, "l1", "--map", f)
+    r = files("r.rot", ZERO_ROTATION)
+    g = files("g.iet", Iet.identity())
+    return run(capsys, "verify", "--word", f, "--r", r, "--g", g)
+
+
+@pytest.mark.parametrize("key", DOCUMENT_INTEGERS)
+def test_a_zero_padded_document_integer_reads_as_its_value(files, capsys, key):
+    value = DOCUMENT_INTEGERS[key][1]
+    code, out, err = _run_document_integer(files, capsys, key, PADDING + value)
+    assert (code, err) == (EXIT_OK, "")
+    assert (code, out, err) == _run_document_integer(files, capsys, key, value)
+
+
+# one significant digit past MAX_PRINT_DIGITS, and the same length with separators
+TOO_LONG = "7" * (MAX_PRINT_DIGITS + 1)
+
+
+@pytest.mark.parametrize("key", DOCUMENT_INTEGERS)
+def test_a_document_integer_past_the_print_cap_exits_4_with_a_short_message(files, capsys,
+                                                                           key):
+    code, out, err = _run_document_integer(files, capsys, key, PADDING + TOO_LONG)
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS}" in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("key", DOCUMENT_INTEGERS)
+def test_a_document_integer_with_separators_is_a_parse_error(files, capsys, key):
+    code, out, err = _run_document_integer(files, capsys, key, "1_0")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "expected an integer, got '1_0'" in err
+
+
+@pytest.mark.parametrize("x", [f"{TOO_LONG}/8", f"1/{TOO_LONG}", f"1/{TOO_LONG}*sqrt(2)",
+                               f"{TOO_LONG}*sqrt(2)"],
+                         ids=["numerator", "denominator", "root-denominator",
+                              "root-numerator"])
+def test_a_scalar_literal_past_the_print_cap_exits_4_with_a_short_message(files, capsys, x):
+    f = files("f.iet", Iet.identity())
+    code, out, err = run(capsys, "eval", "--map", f, "--x", x)
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS}" in err
+    assert len(err) < 200
+
+
+def test_a_zero_padded_scalar_literal_reads_as_its_value(files, capsys):
+    f = files("f.iet", Iet.identity())
+    padded = run(capsys, "eval", "--map", f, "--x", f"{PADDING}1/{PADDING}8")
+    assert padded == (EXIT_OK, emit_document(document(q(F(1, 8)))), "")
+
+
+# Every site of an integer literal: the cap on its significant digits, the
+# signs its grammar allows, the document that holds {lit}, and the command
+# that reads it ({doc} is that document, {r} and {g} verify's maps).
+VERIFY = ("verify", "--word", "{doc}", "--r", "{r}", "--g", "{g}")
+LITERAL_SITES = {
+    "D": (11, "+-", ("l1", "--map", "{doc}"),
+          emit_document(document(Iet.identity())).replace("D = 0", "D = {lit}")),
+    "numerator": (MAX_PRINT_DIGITS, "+-", ("l1", "--map", "{doc}"),
+                  "ietrel v1\nD = 0\nkind = rotation\nlengths = 1\nrates = {lit}/3\n"),
+    "denominator": (MAX_PRINT_DIGITS, "", ("l1", "--map", "{doc}"),
+                    "ietrel v1\nD = 0\nkind = rotation\nlengths = 1\nrates = 1/{lit}\n"),
+    "sqrt": (11, "", ("l1", "--map", "{doc}"), ROOT2_ROTATION.format(D="2", root="{lit}")),
+    "pi": (MAX_PRINT_DIGITS, "+-", ("l1", "--map", "{doc}"),
+           DOCUMENT_INTEGERS["pi"][0].format(n="{lit}")),
+    **{key: (MAX_PRINT_DIGITS, "+-", VERIFY, DOCUMENT_INTEGERS[key][0].format(n="{lit}"))
+       for key in ("L", "d", "M")},
+    "exponent": (MAX_EXPONENT_DIGITS, "-", VERIFY,
+                 "ietrel v1\nD = 0\nkind = word\nword = a^{lit}\n"),
+    "eval --x": (MAX_PRINT_DIGITS, "+-", ("eval", "--map", "{g}", "--x={lit}/8"), ""),
+}
+NOT_DIGITS = ("x", "1_0", "1.5", "1e3", "0x1f", "1 2", "\u00b2", "\u0663")
+
+
+@pytest.fixture(scope="module")
+def literal_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("literals")
+    (d / "r.rot").write_text(emit_document(document(ZERO_ROTATION)))
+    (d / "g.iet").write_text(emit_document(document(Iet.identity())))
+    return d
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(site=st.sampled_from(sorted(LITERAL_SITES)), sign=st.sampled_from(("", "+", "-")),
+       zeros=st.sampled_from((0, 1, 5000)), size=st.integers(0, 5),
+       digit=st.sampled_from("2379"), junk=st.none() | st.sampled_from(NOT_DIGITS))
+@example(site="D", sign="", zeros=5000, size=1, digit="2", junk=None)
+@example(site="numerator", sign="", zeros=0, size=5, digit="7", junk=None)
+def test_integer_literals_exit_cleanly_and_past_their_cap_exit_4(literal_dir, site, sign,
+                                                                 zeros, size, digit, junk):
+    cap, signs, argv, text = LITERAL_SITES[site]
+    significant = (0, 1, 2, cap - 1, cap, cap + 1)[size]
+    lit = sign + "0" * zeros + (digit * significant if junk is None else junk)
+    doc = literal_dir / "doc.txt"
+    doc.write_text(text.replace("{lit}", lit))
+    paths = {"doc": str(doc), "r": str(literal_dir / "r.rot"), "g": str(literal_dir / "g.iet")}
+    argv = [arg.format(lit=lit, **paths) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SEARCH_CAP), err.getvalue()
+    if junk is None and sign in signs and significant > cap:
+        assert code == EXIT_SEARCH_CAP, err.getvalue()
+
+
 def test_verify_refuses_exponents_whose_letter_count_is_too_long_to_print(files, capsys):
     # a^X a^X reduces to a^(10^4300), the identity for rate 1/2, and its
     # letter count has 4301 digits
@@ -578,6 +749,17 @@ def test_synthesize_past_the_m_cap_exits_4_before_any_document_is_read(capsys,
     assert code == EXIT_SEARCH_CAP
     assert out == ""
     assert "DEFAULT_M_CAP" in err
+
+
+@pytest.mark.parametrize("m_cap", ["0", "-5"])
+def test_synthesize_m_cap_below_one_exits_3_instead_of_a_search_result(files, capsys,
+                                                                       m_cap):
+    r = files("r.rot", DisjointRotationSpec((q(1),), (SQRT2M1,)))
+    g = files("g.iet", Iet.identity())
+    code, out, err = run(capsys, "synthesize", "--r", r, "--g", g, "--m-cap", m_cap)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "--m-cap must be at least 1" in err
 
 
 def test_synthesize_requires_a_rotation_document(files, capsys):

@@ -265,6 +265,21 @@ def test_parse_rejects_malformed_input():
             QuadExt.parse(text)
 
 
+def test_read_int_counts_significant_digits_against_its_cap():
+    read = scalars._read_int
+    assert [read(t) for t in ("0", "-0", "+7", "-007", "0" * 5000 + "12")] == [0, 0, 7, -7, 12]
+    assert read("-" + "0" * 9 + "9" * 3, 3, "CAP = 999") == -999
+    with pytest.raises(SearchCapError,
+                       match="^an integer of 4 significant digits exceeds CAP = 999$"):
+        read("0" * 9 + "1000", 3, "CAP = 999")
+    with pytest.raises(SearchCapError, match=f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS}"):
+        read("1" * (MAX_PRINT_DIGITS + 1))
+    assert read("1" * MAX_PRINT_DIGITS) == int("1" * MAX_PRINT_DIGITS)
+    for text in ("", "-", "+-1", "--1", " 1", "1 ", "1_000", "1.0", "1e3", "0x1f", "\u00b2"):
+        with pytest.raises(ParseError, match="expected an integer"):
+            read(text)
+
+
 @given(quads())
 def test_str_parse_round_trip(x):
     assert QuadExt.parse(str(x)) == x
