@@ -7,7 +7,8 @@ iet, perm-lambda or rotation documents interchangeably.
 Exit codes:
   0  success;
   1  verification failure or internal invariant violation;
-  2  parse error;
+  2  parse error, such as an integer literal with a digit outside ASCII
+     0-9;
   3  precondition or context error, such as an iet whose images do not
      tile [0, 1), or a count below its floor: orbit --n, disc-growth
      --max-n or synthesize --m-cap below 1, prop-check --size below
@@ -357,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help="check exactly that a relation word evaluates to the identity, "
-        "pushing pieces of [0, 1) through it syllable by syllable",
+        "pushing pieces of [0, 1) through it syllable by syllable, the root of "
+        "a power once",
     )
     p.add_argument("--word", required=True, help="word or certificate document")
     p.add_argument("--r", required=True, help="rotation document")
@@ -381,8 +383,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _attach_x(argv) -> list:
+    # argparse reads a token that starts with "-" as an option, not as the
+    # value of --x; "-1+1*sqrt(2)" is how the program itself writes
+    # sqrt(2) - 1, so the token after --x is joined to it as --x=<value>
+    out = []
+    for token in argv:
+        if out and out[-1] == "--x":
+            out[-1] = f"--x={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_x(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as exc:

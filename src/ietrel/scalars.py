@@ -9,7 +9,8 @@ integer arithmetic; floats appear only in diagnostic renderings.
 
 Integer text has one reader, _read_int: the discriminant, the numerators and
 denominators of scalars, word exponents and document integers all go
-through it, each under a cap on its significant digits.
+through it, each under a cap on its significant digits.  Literals are
+ASCII: every digit is one of 0-9, as in everything the program writes.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ def _read_int(text: str, max_digits: int = MAX_PRINT_DIGITS,
     the one reader of integer text.  Leading zeros are dropped, and more than
     max_digits significant digits raise SearchCapError naming cap before
     int() sees them: int() refuses more than 4300 digits with a ValueError.
-    Anything but digits is a ParseError."""
+    Anything but the ASCII digits 0-9 is a ParseError: int() would also read
+    other Unicode decimal digits, whose zeros lstrip("0") keeps."""
     sign = text[:1] in ("+", "-")
     digits = text[sign:]
-    if not digits.isdecimal():
+    if not (digits.isascii() and digits.isdecimal()):
         raise ParseError(f"expected an integer, got {text!r}")
     digits = digits.lstrip("0")
     if len(digits) > max_digits:
@@ -530,7 +532,7 @@ def as_scalar(x) -> QuadExt:
 
 
 # One term of a scalar: a sign, then p, p/q, sqrt(D), p*sqrt(D) or p/q*sqrt(D).
-_TERM = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?(?:\*sqrt\((\d+)\))?|sqrt\((\d+)\))")
+_TERM = re.compile(r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?(?:\*sqrt\(([0-9]+)\))?|sqrt\(([0-9]+)\))")
 
 ZERO = QuadExt(0)
 ONE = QuadExt(1)

@@ -9,9 +9,11 @@ Three evaluators live here.  `verify_word` is the one relation checker: it
 certifies every synthesized word and backs `ietrel verify`.  It pushes the
 composite map through the word one syllable at a time, on integer pairs
 over a lattice (1/N)(Z + Z sqrt(D)) of its own; its one hot loop is
-`_push`.  It shares with the Iet algebra of synthesis only what defines
-the maps: QuadExt at entry, `DisjointRotationSpec.pieces`, `Iet.pieces`
-and the scalars helpers _lattice, _pair, _sign3 and _merged_disc.
+`_push`.  A word x u^k x^-1 with k >= 2 has its root u pushed once, and
+the map of u then pushed k times as one step.  It shares with the Iet
+algebra of synthesis only what defines the maps: QuadExt at entry,
+`DisjointRotationSpec.pieces`, `Iet.pieces` and the scalars helpers
+_lattice, _pair, _sign3 and _merged_disc.
 `eval_word` (repeated squaring through `Iet.power`) and `eval_word_naive`
 (one letter at a time) return the evaluated `Iet`; tests compare them with
 each other and with `verify_word`.
@@ -43,18 +45,21 @@ __all__ = [
 
 GENERATORS = ("a", "b")
 
-# verify_word pushes every b letter through on its own, while an a^k
-# syllable is one push for any k, so the total count of b letters bounds the
-# number of pushes.  A generic g can add pieces with every letter, which makes
-# their work grow with the square of the count (MAX_VERIFY_PIECES bounds it).
+# The word's own push plan pushes every b letter through on its own, while
+# an a^k syllable is one push for any k, so the total count of b letters
+# bounds the number of pushes.  A generic g can add pieces with every letter,
+# which makes their work grow with the square of the count (MAX_VERIFY_PIECES
+# bounds it).  Both caps are counted on the word as given; a power's plan,
+# its root pushed once, is taken only when it may walk no more pieces.
 # Certificates hold 4, 16 or 96 b letters, by branch.
 MAX_B_LETTERS = 1000
 # Word.parse refuses an exponent of more significant digits, so every count
 # the program prints stays far below the 4300 digits that int() and str()
 # accept.
 MAX_EXPONENT_DIGITS = 1000
-# Before any push, verify_word bounds the pieces its pushes may walk in all:
-# each push can grow the composite map by its step's piece count less one.
+# Before any push, verify_word bounds the pieces the word's pushes may walk
+# in all: each push can grow the composite map by its step's piece count
+# less one.
 # The suite's certificates walk at most 75077, a 96-b-letter word against a
 # 100-interval g about 931490.  At the cap, b^250 a against a 64-interval g
 # that gains 63 pieces per b letter: 0.9-1.4 s, 23 MB, on CPython 3.11, one
@@ -146,7 +151,7 @@ class Word:
         return f"Word({str(self)!r})"
 
 
-_TOKEN = re.compile(r"^([ab])(?:\^(-?\d+))?$")
+_TOKEN = re.compile(r"^([ab])(?:\^(-?[0-9]+))?$")
 
 
 def free_reduce(syllables: Iterable[Syllable]) -> Word:
@@ -201,43 +206,111 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
     The composite map, kept in image order as pieces (image lo, total
     translation), starts as the one piece (0, 0); `_push` sends it through
     the syllables right to left, a b^k syllable |k| times, and the word is
-    the identity when one piece with translation (0, 0) remains.  More than
-    MAX_B_LETTERS b letters, or pushes that may walk more than
-    MAX_VERIFY_PIECES pieces in all, raise SearchCapError before any push.
+    the identity when one piece with translation (0, 0) remains.
+
+    A word that is a power up to conjugation, x u^k x^-1 with k >= 2 (see
+    `_root`), is pushed by a shorter plan: u's syllables from the identity
+    once, then that composite U, made a step by `_as_step`, in the plan of
+    the word x U^k x^-1.  The final composite is the map of the word itself,
+    not of a conjugate; a T_sixth certificate, x one a syllable and u 32
+    syllables to the sixth, takes 40 pushes instead of 193.
+
+    More than MAX_B_LETTERS b letters, or pushes of the word's own plan that
+    may walk more than MAX_VERIFY_PIECES pieces in all, raise
+    SearchCapError before any push.  The power plan, whose U has at most the
+    pieces u's pushes may leave, is taken only when it may walk no more
+    than the word's own plan, so both caps bound it as well.
     """
     b_letters = sum(abs(exp) for gen, exp in word.syllables if gen == "b")
     if b_letters > MAX_B_LETTERS:
         raise SearchCapError(
             f"word has {b_letters} b letters, more than MAX_B_LETTERS = {MAX_B_LETTERS}"
         )
+    x, u, k = _root(word)
+    x_inv = tuple((gen, -exp) for gen, exp in reversed(x))
     steps: Dict[Tuple[str, int], List[Step]] = {}
     if b_letters:
         g_pieces = list(g.pieces())
         steps["b", 1] = g_pieces
         steps["b", -1] = [(lo + t, hi + t, -t) for lo, hi, t in g_pieces]
-    for k in {exp for gen, exp in word.syllables if gen == "a"}:
-        steps["a", k] = spec.pieces(k)
-    pushes = []  # the step of each push, in the order they act
-    for gen, exp in reversed(word.syllables):
-        if gen == "a":
-            pushes.append((gen, exp))
-        else:
-            pushes += [(gen, 1 if exp > 0 else -1)] * abs(exp)
-    # a push can add all but one of its step's pieces to the composite map
-    most, walked = 1, 0
-    for key in pushes:
-        most += len(steps[key]) - 1
-        walked += most
+    for exp in {exp for gen, exp in word.syllables + u + x_inv if gen == "a"}:
+        steps["a", exp] = spec.pieces(exp)
+    counts = {key: len(step) for key, step in steps.items()}
+    pushes = _pushes(word.syllables)
+    walked, _ = _walk(pushes, counts)
     if walked > MAX_VERIFY_PIECES:
         raise SearchCapError(
             f"the pushes may walk up to {walked} pieces, more than "
             f"MAX_VERIFY_PIECES = {MAX_VERIFY_PIECES}"
         )
-    _, disc, maps = _on_lattice(steps)
+    root_pushes: List[Tuple[str, int]] = []
+    if k > 1:
+        u_pushes = _pushes(u)
+        u_walked, counts["u", 1] = _walk(u_pushes, counts)
+        power_pushes = _pushes(x + (("u", k),) + x_inv)
+        if u_walked + _walk(power_pushes, counts)[0] <= walked:
+            root_pushes, pushes = u_pushes, power_pushes
+    den, disc, maps = _on_lattice(steps)
+    if root_pushes:
+        maps["u", 1] = _as_step(_run(root_pushes, maps, disc), den)
+    return _run(pushes, maps, disc) == [(0, 0, 0, 0)]
+
+
+def _root(word: Word) -> Tuple[Tuple[Syllable, ...], Tuple[Syllable, ...], int]:
+    """(x, u, k) such that the word is x u^k x^-1, freely reduced, with k >= 2
+    as large as can be; ((), the word's syllables, 1) when there is none.
+
+    The ends are reduced cyclically: while the first and the last syllable
+    of the core share a generator, the first moves into x, and the two drop
+    if their exponents cancel; otherwise their merged syllable ends the core
+    and the reduction stops.  u is the core's least period that divides its
+    length."""
+    core = word.syllables
+    x: List[Syllable] = []
+    while len(core) > 1 and core[0][0] == core[-1][0]:
+        (gen, first), (_, last) = core[0], core[-1]
+        x.append(core[0])
+        core = core[1:-1]
+        if first + last:
+            core += ((gen, first + last),)
+            break
+    n = len(core)
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and core[p:] == core[:-p]:
+            return tuple(x), core[:p], n // p
+    return (), word.syllables, 1
+
+
+def _pushes(syllables: Tuple[Syllable, ...]) -> List[Tuple[str, int]]:
+    """The step of each push, in the order they act: the syllables right to
+    left, an a^k syllable as one push and any other as |k| pushes of its
+    generator or its inverse."""
+    out = []
+    for gen, exp in reversed(syllables):
+        if gen == "a":
+            out.append((gen, exp))
+        else:
+            out += [(gen, 1 if exp > 0 else -1)] * abs(exp)
+    return out
+
+
+def _walk(pushes: List[Tuple[str, int]], counts: Dict[Tuple[str, int], int]) -> Tuple[int, int]:
+    """The pieces the pushes may walk in all from the identity, and the most
+    pieces the composite map may then hold: a push can add all but one of
+    its step's counts[key] pieces to the composite map."""
+    most, walked = 1, 0
+    for key in pushes:
+        most += counts[key] - 1
+        walked += most
+    return walked, most
+
+
+def _run(pushes: List[Tuple[str, int]], maps: dict, disc: int) -> List[Piece]:
+    """The composite map after the pushes, from the identity."""
     pieces: List[Piece] = [(0, 0, 0, 0)]
     for key in pushes:
         pieces = _push(pieces, maps[key], disc)
-    return pieces == [(0, 0, 0, 0)]
+    return pieces
 
 
 def _on_lattice(steps: Dict[Tuple[str, int], List[Step]]) -> Tuple[int, int, dict]:
@@ -288,3 +361,22 @@ def _push(pieces: List[Piece], step: LatticeStep, disc: int) -> List[Piece]:
             del run[0]
         out += run
     return out
+
+
+def _as_step(pieces: List[Piece], den: int) -> LatticeStep:
+    """The composite map pieces, over den, as a step for `_push`: its pieces in
+    domain order, each with the pairs of lo, hi and shift laid flat, and
+    their indices in image order.  The domain order is chained from 0, each
+    next piece found by the exact pair its last one ends on, so no
+    comparison is made (as in iet._image_order)."""
+    his = [piece[:2] for piece in pieces[1:]] + [(den, 0)]
+    flat = [(la - ta, lb - tb, ha - ta, hb - tb, ta, tb)
+            for (la, lb, ta, tb), (ha, hb) in zip(pieces, his)]
+    piece_at = {piece[:2]: p for p, piece in enumerate(flat)}
+    order = [piece_at[0, 0]]
+    for _ in flat[1:]:
+        order.append(piece_at[flat[order[-1]][2:4]])
+    image_order = [0] * len(flat)
+    for i, p in enumerate(order):
+        image_order[p] = i
+    return [flat[p] for p in order], image_order

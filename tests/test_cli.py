@@ -111,6 +111,18 @@ def test_eval_point_outside_domain(files, capsys):
     assert "precondition" in err
 
 
+@pytest.mark.parametrize("command", [("eval",), ("orbit", "--n", "3")], ids=["eval", "orbit"])
+def test_an_x_that_starts_with_a_minus_is_read_as_the_value(files, capsys, command):
+    # -1+1*sqrt(2) is how the program writes sqrt(2) - 1
+    f = files("f.iet", Iet.rotation(q(F(1, 3))))
+    name, *rest = command
+    x = emit_document(document(SQRT2M1)).splitlines()[-1].split(" = ")[1]
+    assert x == "-1+1*sqrt(2)"
+    joined = run(capsys, name, "--map", f, f"--x={x}", *rest)
+    assert joined[0] == EXIT_OK
+    assert run(capsys, name, "--map", f, "--x", x, *rest) == joined
+
+
 def test_orbit(files, capsys):
     f = files("f.iet", Iet.rotation(q(F(1, 3))))
     code, out, _ = run(capsys, "orbit", "--map", f, "--x", "0", "--n", "3")
@@ -511,9 +523,18 @@ def literal_dir(tmp_path_factory):
 @example(site="numerator", sign="", zeros=0, size=5, digit="7", junk=None)
 def test_integer_literals_exit_cleanly_and_past_their_cap_exit_4(literal_dir, site, sign,
                                                                  zeros, size, digit, junk):
-    cap, signs, argv, text = LITERAL_SITES[site]
+    cap, signs, _, _ = LITERAL_SITES[site]
     significant = (0, 1, 2, cap - 1, cap, cap + 1)[size]
     lit = sign + "0" * zeros + (digit * significant if junk is None else junk)
+    code, err = _run_literal(literal_dir, site, lit)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SEARCH_CAP), err
+    if junk is None and sign in signs and significant > cap:
+        assert code == EXIT_SEARCH_CAP, err
+
+
+def _run_literal(literal_dir, site, lit):
+    """The exit code and stderr of the command of site with lit in its place."""
+    _, _, argv, text = LITERAL_SITES[site]
     doc = literal_dir / "doc.txt"
     doc.write_text(text.replace("{lit}", lit))
     paths = {"doc": str(doc), "r": str(literal_dir / "r.rot"), "g": str(literal_dir / "g.iet")}
@@ -521,9 +542,17 @@ def test_integer_literals_exit_cleanly_and_past_their_cap_exit_4(literal_dir, si
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
-    assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SEARCH_CAP), err.getvalue()
-    if junk is None and sign in signs and significant > cap:
-        assert code == EXIT_SEARCH_CAP, err.getvalue()
+    return code, err.getvalue()
+
+
+# Arabic-Indic digits: 3, 13, and 1 after 5000 zeros, which int() would read
+@pytest.mark.parametrize("lit", ["\u0663", "1\u0663", "\u0660" * 5000 + "\u0661"],
+                         ids=["digit", "after-ascii", "padded"])
+@pytest.mark.parametrize("site", sorted(LITERAL_SITES))
+def test_a_literal_with_a_non_ascii_digit_is_a_parse_error(literal_dir, site, lit):
+    code, err = _run_literal(literal_dir, site, lit)
+    assert code == EXIT_PARSE, err
+    assert err.startswith("parse error:")
 
 
 def test_verify_refuses_exponents_whose_letter_count_is_too_long_to_print(files, capsys):

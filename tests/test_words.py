@@ -361,6 +361,118 @@ def test_verify_word_admits_a_96_b_letter_word_against_a_100_interval_g():
     assert verify_word(word, spec, g)
 
 
+# -- powers up to conjugation ----------------------------------------------------
+
+
+def _alternating_syllables(rng, count):
+    """count syllables with alternating generators: a^+-(1..7), b^+-(1..3)."""
+    gen = rng.choice("ab")
+    out = []
+    for _ in range(count):
+        top = 8 if gen == "a" else 4
+        out.append((gen, rng.choice((-1, 1)) * rng.randrange(1, top)))
+        gen = "b" if gen == "a" else "a"
+    return out
+
+
+def _inverse(syllables):
+    return [(gen, -exp) for gen, exp in reversed(syllables)]
+
+
+def _push_count(syllables):
+    return sum(1 if gen == "a" else abs(exp) for gen, exp in syllables)
+
+
+def _walk_bound(word, spec, g):
+    """The pieces the pushes of the word, one per a syllable and b letter,
+    may walk: each push adds at most its step's pieces less one."""
+    most, walked = 1, 0
+    for gen, exp in reversed(word.syllables):
+        sizes = [len(spec.pieces(exp))] if gen == "a" else [g.num_intervals] * abs(exp)
+        for size in sizes:
+            most += size - 1
+            walked += most
+    return walked
+
+
+def test_verify_word_pushes_a_power_once_and_agrees_with_naive(pushed):
+    rng = random.Random(20261019)
+    seen = Counter()
+    for _ in range(120):
+        spec = _random_spec(rng)
+        g = _random_g(rng, spec)
+        k = rng.randrange(2, 8)
+        u = _alternating_syllables(rng, rng.randrange(1, 13))
+        x = _alternating_syllables(rng, rng.randrange(0, 4))
+        roll = rng.randrange(5)
+        if roll == 0:
+            # g = r^j commutes with r: u a^-e, e the total exponent of r in
+            # u, is the identity, and so is its k-th power
+            j = rng.choice((-2, -1, 1, 2))
+            g = spec.power_spec(j).to_iet()
+            e = sum(exp if gen == "a" else j * exp for gen, exp in u)
+            u = list(free_reduce(u + [("a", -e)]).syllables) or [("b", 1)]
+            seen["u^k the identity"] += 1
+        elif roll == 1:
+            # g a rotation by 1/k: b^k is the identity
+            g = Iet.rotation(q(Fraction(1, k)))
+            u = [("b", 1)]
+            seen["u^k the identity"] += 1
+        if x and rng.randrange(2):
+            # x's last syllable cancels u's first, or merges with it
+            gen, exp = u[0]
+            x[-1] = (gen, -exp if rng.randrange(2) else exp)
+            if len(x) > 1 and x[-2][0] == gen:
+                del x[-2]
+            seen["x meets u"] += 1
+        w = free_reduce(x + u * k + _inverse(x))
+        f = eval_word_naive(w, spec.to_iet(), g)
+        pushed.clear()
+        assert verify_word(w, spec, g) == f.is_identity(), (spec, g, w)
+        # the whole map of w, not of a conjugate
+        assert (pushed or [[(ZERO, ZERO)]])[-1] == _image_form(f), (spec, g, w)
+        walked = sum(len(pushed[i]) for i in range(len(pushed)))
+        assert walked <= _walk_bound(w, spec, g), (spec, g, w)
+        root_x, root_u, root_k = words_module._root(w)
+        assert free_reduce(list(root_x) + list(root_u) * root_k + _inverse(root_x)) == w
+        if len(pushed) < _push_count(w.syllables):
+            # u once, then x^-1, U k times and x
+            assert root_k >= 2
+            assert len(pushed) == (_push_count(root_u) + 2 * _push_count(root_x) + root_k)
+            seen["pushed as a power"] += 1
+        else:
+            assert len(pushed) == _push_count(w.syllables)
+        seen[f.is_identity()] += 1
+    for key in (True, False, "u^k the identity", "x meets u"):
+        assert seen[key], key
+    assert seen["pushed as a power"] >= 60, seen
+
+
+def test_verify_word_keeps_the_word_plan_when_the_power_plan_may_walk_more(pushed):
+    # b a b^2 a b is b (a b^2)^2 b^-1, but pushing a b^2 once, then b^-1, U
+    # twice and b may walk 14 + 39 pieces against the 6 pushes' 41
+    spec = DisjointRotationSpec((q(1),), (q(Fraction(1, 4)),))
+    _, g = _sample_pair()
+    w = Word.parse("b a b^2 a b")
+    assert words_module._root(w) == ((("b", 1),), (("a", 1), ("b", 2)), 2)
+    f = eval_word_naive(w, spec.to_iet(), g)
+    assert verify_word(w, spec, g) == f.is_identity()
+    assert len(pushed) == 6
+    assert pushed[-1] == _image_form(f)
+
+
+def test_t_sixth_certificates_verify_as_a_sixth_power_in_40_pushes(pushed):
+    cases = [case for case in _golden_cases() if case[1].syllable_count() == 193]
+    assert len(cases) == 8
+    for name, w, spec, g in cases:
+        x, u, k = words_module._root(w)
+        assert (len(x), len(u), k) == (1, 32, 6), name
+        pushed.clear()
+        assert verify_word(w, spec, g), name
+        # 32 pushes of u, then a^-1, U six times and a
+        assert len(pushed) == 40, name
+
+
 # -- the integer verifier against the QuadExt one it replaced ------------------
 
 
