@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ContextMismatchError, ParseError
+from .errors import ContextMismatchError, ParseError, shown
 from .iet import Iet, PermLambdaSpec
 from .relations import (
     BRANCH_FINITE_ORDER,
@@ -93,7 +93,7 @@ def _disc(text: str, _context: int = 0) -> int:
 def _one_of(*options: str) -> Callable[[str, int], str]:
     def parse(text: str, disc: int) -> str:
         if text not in options:
-            raise ParseError(f"expected one of {', '.join(options)}, got {text!r}")
+            raise ParseError(f"expected one of {', '.join(options)}, got {shown(text)}")
         return text
 
     return parse
@@ -215,22 +215,22 @@ def parse_document(text: str, *kinds: str) -> Document:
             continue
         if not saw_magic:
             if line != MAGIC:
-                raise ParseError(f"expected header {MAGIC!r}, got {line!r}", line=n)
+                raise ParseError(f"expected header {MAGIC!r}, got {shown(line)}", line=n)
             saw_magic = True
             continue
         key, eq, value = line.partition("=")
         if not eq:
-            raise ParseError(f"expected 'key = value', got {line!r}", line=n)
+            raise ParseError(f"expected 'key = value', got {shown(line)}", line=n)
         key = key.strip()
         if key in entries:
-            raise ParseError(f"duplicate key {key!r}", line=n)
+            raise ParseError(f"duplicate key {shown(key)}", line=n)
         entries[key] = (value.strip(), n)
     if not saw_magic:
         raise ParseError("empty document")
     disc = _field(entries, "D", _DISC, 0)
     kind, n = _pop(entries, "kind")
     if kind not in KINDS:
-        raise ParseError(f"unknown kind {kind!r}", line=n)
+        raise ParseError(f"unknown kind {shown(kind)}", line=n)
     spec = KINDS[kind]
     values = {
         key: None if optional and key not in entries else _field(entries, key, codec, disc)
@@ -239,7 +239,7 @@ def parse_document(text: str, *kinds: str) -> Document:
     payload = next(iter(values.values())) if spec.bare else spec.type(**values)
     if entries:
         key, (_, n) = next(iter(entries.items()))
-        raise ParseError(f"unexpected key {key!r} for kind {kind!r}", line=n)
+        raise ParseError(f"unexpected key {shown(key)} for kind {kind!r}", line=n)
     if kinds and kind not in kinds:
         raise ParseError(f"expected a {' or '.join(kinds)} document, got kind {kind!r}")
     return Document(disc=disc, kind=kind, payload=payload)

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `shown`, the one way a
+message quotes input."""
+
+# The most characters of a value's repr that a message quotes: input can be
+# as long as a file, and a message that echoed it whole would be as long.
+SHOWN_CHARS = 40
+
+
+def shown(value) -> str:
+    """repr(value), or, past SHOWN_CHARS characters, its first SHOWN_CHARS
+    and the value's length."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... (length {len(value)})"
 
 
 class IetError(Exception):

@@ -21,10 +21,10 @@ IntervalSets, which keep their ends on a lattice in the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError, shown
 from .intervals import IntervalSet, _from_ends
 from .scalars import (
     ONE, ZERO, Pair, QuadExt, _lattice, _locate, _make, _merged_disc, _OnLattice, _pair,
@@ -34,15 +34,17 @@ from .scalars import (
 __all__ = ["Iet", "PermLambdaSpec"]
 
 
-def check_lengths(lengths: Sequence[QuadExt]) -> None:
-    """Raise PreconditionError unless the lengths are positive and sum to 1."""
-    total = ZERO
+def check_lengths(lengths: Sequence[QuadExt]) -> Tuple[QuadExt, ...]:
+    """The bounds beta_0 = 0 < beta_1 < ... < beta_n = 1 that the lengths sum
+    to; raises PreconditionError unless they are positive and sum to 1."""
+    beta = [ZERO]
     for v in lengths:
         if v.sign() <= 0:
             raise PreconditionError(f"lengths must be positive, got {v}")
-        total = total + v
-    if total != ONE:
-        raise PreconditionError(f"lengths must sum to 1, got {total}")
+        beta.append(beta[-1] + v)
+    if beta[-1] != ONE:
+        raise PreconditionError(f"lengths must sum to 1, got {beta[-1]}")
+    return tuple(beta)
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,7 @@ class PermLambdaSpec:
 
     pi: Tuple[int, ...]
     lengths: Tuple[QuadExt, ...]
+    _bounds: Tuple[QuadExt, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pi", tuple(int(p) for p in self.pi))
@@ -59,8 +62,8 @@ class PermLambdaSpec:
         if n == 0 or len(self.lengths) != n:
             raise PreconditionError("pi and lengths must be nonempty and parallel")
         if sorted(self.pi) != list(range(1, n + 1)):
-            raise PreconditionError(f"pi must permute 1..{n}, got {self.pi}")
-        check_lengths(self.lengths)
+            raise PreconditionError(f"pi must permute 1..{n}, got {shown(self.pi)}")
+        object.__setattr__(self, "_bounds", check_lengths(self.lengths))
 
     @property
     def n(self) -> int:
@@ -121,9 +124,7 @@ class Iet(_OnLattice):
         pi order keeps the first total as a running sum.
         """
         n = spec.n
-        beta = [ZERO]
-        for v in spec.lengths:
-            beta.append(beta[-1] + v)
+        beta = spec._bounds
         omegas = [ZERO] * n
         before_image = ZERO
         for j in sorted(range(n), key=spec.pi.__getitem__):

@@ -10,7 +10,7 @@ most twice the number of blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from .errors import PreconditionError
@@ -40,6 +40,7 @@ class OrderClass:
 class DisjointRotationSpec:
     lengths: Tuple[QuadExt, ...]
     rates: Tuple[QuadExt, ...]
+    _bounds: Tuple[QuadExt, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(as_scalar(v) for v in self.lengths))
@@ -47,7 +48,7 @@ class DisjointRotationSpec:
         if not self.lengths or len(self.lengths) != len(self.rates):
             raise PreconditionError("need equally many block lengths and rates")
         _lattice(self.lengths + self.rates)  # ContextMismatchError if D is mixed
-        check_lengths(self.lengths)
+        object.__setattr__(self, "_bounds", check_lengths(self.lengths))
         for a in self.rates:
             if not (ZERO <= a < ONE):
                 raise PreconditionError(f"rates must lie in [0, 1), got {a}")
@@ -58,10 +59,7 @@ class DisjointRotationSpec:
 
     def block_bounds(self) -> Tuple[QuadExt, ...]:
         """beta_0 = 0 < beta_1 < ... < beta_n = 1."""
-        beta = [ZERO]
-        for v in self.lengths:
-            beta.append(beta[-1] + v)
-        return tuple(beta)
+        return self._bounds
 
     def pieces(self, k: int) -> List[Tuple[QuadExt, QuadExt, QuadExt]]:
         """The (lo, hi, shift) pieces of r^k in domain order: block j is rotated

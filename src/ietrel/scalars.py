@@ -23,7 +23,7 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, Tuple
 
-from .errors import ContextMismatchError, ParseError, SearchCapError
+from .errors import ContextMismatchError, ParseError, SearchCapError, shown
 
 __all__ = ["QuadExt", "as_scalar", "ZERO", "ONE", "MAX_DISC", "MAX_PRINT_DIGITS"]
 
@@ -66,7 +66,7 @@ def _read_int(text: str, max_digits: int = MAX_PRINT_DIGITS,
     sign = text[:1] in ("+", "-")
     digits = text[sign:]
     if not (digits.isascii() and digits.isdecimal()):
-        raise ParseError(f"expected an integer, got {text!r}")
+        raise ParseError(f"expected an integer, got {shown(text)}")
     digits = digits.lstrip("0")
     if len(digits) > max_digits:
         raise SearchCapError(f"an integer of {len(digits)} significant digits exceeds {cap}")
@@ -263,20 +263,20 @@ class QuadExt:
         if terms == [""]:
             raise ParseError("empty scalar")
         if len(terms) > 2:
-            raise ParseError(f"malformed scalar {text!r}")
+            raise ParseError(f"malformed scalar {shown(text)}")
         read = {}  # "rational" and "root": the term's numerator, denominator, D
         for term in terms:
             m = _TERM.fullmatch(term)
             if m is None:
-                raise ParseError(f"malformed scalar term {term!r} in {text!r}")
+                raise ParseError(f"malformed scalar term {shown(term)} in {shown(text)}")
             sign, p, q, d, bare_d = m.groups()
             d = d or bare_d
             kind = "rational" if d is None else "root"
             if kind in read:
-                raise ParseError(f"two {kind} terms in scalar {text!r}")
+                raise ParseError(f"two {kind} terms in scalar {shown(text)}")
             den = _read_int(q or "1")
             if not den:
-                raise ParseError(f"zero denominator in scalar {text!r}")
+                raise ParseError(f"zero denominator in scalar {shown(text)}")
             read[kind] = _read_int(sign + (p or "1")), den, d and _read_disc(d)
         a, b, _ = read.get("rational", (0, 1, 0))
         c, e, root = read.get("root", (0, 1, 0))
@@ -284,7 +284,7 @@ class QuadExt:
             _check_read_disc(root)
             if disc is not None and root != disc:
                 raise ContextMismatchError(
-                    f"scalar {text!r} uses sqrt({root}) under context D={disc}"
+                    f"scalar {shown(text)} uses sqrt({root}) under context D={disc}"
                 )
         return _make(a * e, c * b, b * e, root)
 

@@ -9,7 +9,9 @@ Three evaluators live here.  `verify_word` is the one relation checker: it
 certifies every synthesized word and backs `ietrel verify`.  It pushes the
 composite map through the word one syllable at a time, on integer pairs
 over a lattice (1/N)(Z + Z sqrt(D)) of its own; its one hot loop is
-`_push`.  A word x u^k x^-1 with k >= 2 has its root u pushed once, and
+`_push`.  Every step it pushes, one syllable's map, is built by `_as_step`,
+which chains the pieces' domain and image orders from 0 and so makes no
+comparison.  A word x u^k x^-1 with k >= 2 has its root u pushed once, and
 the map of u then pushed k times as one step.  It shares with the Iet
 algebra of synthesis only what defines the maps: QuadExt at entry,
 `DisjointRotationSpec.pieces`, `Iet.pieces` and the scalars helpers
@@ -23,10 +25,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, Iterable, List, Tuple
 
-from .errors import ParseError, PreconditionError, SearchCapError
+from .errors import ParseError, PreconditionError, SearchCapError, shown
 from .iet import Iet
 from .rotation import DisjointRotationSpec
 from .scalars import QuadExt, _lattice, _pair, _read_int, _sign3
@@ -69,7 +70,7 @@ MAX_VERIFY_PIECES = 2 * 10**6
 Syllable = Tuple[str, int]
 # (domain lo, domain hi, shift): one piece of a syllable's map
 Step = Tuple[QuadExt, QuadExt, QuadExt]
-# verify_word's integer forms: a syllable's map (see _on_lattice), and one
+# verify_word's integer forms: a syllable's map (see _as_step), and one
 # piece of the composite map, (image lo, translation) as flat integer pairs
 LatticeStep = Tuple[List[Tuple[int, ...]], List[int]]
 Piece = Tuple[int, int, int, int]
@@ -108,11 +109,11 @@ class Word:
         for token in text.split():
             m = _TOKEN.match(token)
             if not m:
-                raise ParseError(f"bad word token {token!r}")
+                raise ParseError(f"bad word token {shown(token)}")
             exp = _read_int(m.group(2) or "1", MAX_EXPONENT_DIGITS,
                             f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS}")
             if exp == 0:
-                raise ParseError(f"zero exponent in token {token!r}")
+                raise ParseError(f"zero exponent in token {shown(token)}")
             raw.append((m.group(1), exp))
         return free_reduce(raw)
 
@@ -202,7 +203,8 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
 
     The syllable maps are built in QuadExt, r^k once per distinct k from
     spec.pieces(k) and g from g.pieces(), and `_on_lattice` writes them as
-    integer pairs (a, b), meaning (a + b sqrt(D)) / N, over one N and D.
+    integer pairs (a, b), meaning (a + b sqrt(D)) / N, over one N and D,
+    each ordered by `_as_step`.
     The composite map, kept in image order as pieces (image lo, total
     translation), starts as the one piece (0, 0); `_push` sends it through
     the syllables right to left, a b^k syllable |k| times, and the word is
@@ -252,7 +254,10 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
             root_pushes, pushes = u_pushes, power_pushes
     den, disc, maps = _on_lattice(steps)
     if root_pushes:
-        maps["u", 1] = _as_step(_run(root_pushes, maps, disc), den)
+        u_map = _run(root_pushes, maps, disc)  # piece p's image ends where p + 1's starts
+        his = [piece[:2] for piece in u_map[1:]] + [(den, 0)]
+        maps["u", 1] = _as_step([(la - ta, lb - tb, ha - ta, hb - tb, ta, tb)
+                                 for (la, lb, ta, tb), (ha, hb) in zip(u_map, his)])
     return _run(pushes, maps, disc) == [(0, 0, 0, 0)]
 
 
@@ -315,16 +320,11 @@ def _run(pushes: List[Tuple[str, int]], maps: dict, disc: int) -> List[Piece]:
 
 def _on_lattice(steps: Dict[Tuple[str, int], List[Step]]) -> Tuple[int, int, dict]:
     """N and D, the lattice of every value (scalars._lattice, which raises
-    ContextMismatchError if D is mixed), and each map of steps over them:
-    its pieces in domain order, each with the pairs of lo, hi and shift
-    laid flat, and their indices in image order, both sorted in QuadExt."""
+    ContextMismatchError if D is mixed), and each map of steps over them,
+    made a step by `_as_step`."""
     den, disc = _lattice(v for step in steps.values() for piece in step for v in piece)
-    maps = {}
-    for key, step in steps.items():
-        step = sorted(step, key=itemgetter(0))
-        flat = [(*_pair(lo, den), *_pair(hi, den), *_pair(s, den)) for lo, hi, s in step]
-        maps[key] = flat, sorted(range(len(step)), key=lambda p: step[p][0] + step[p][2])
-    return den, disc, maps
+    return den, disc, {key: _as_step([(*_pair(lo, den), *_pair(hi, den), *_pair(s, den))
+                                      for lo, hi, s in step]) for key, step in steps.items()}
 
 
 def _push(pieces: List[Piece], step: LatticeStep, disc: int) -> List[Piece]:
@@ -363,20 +363,19 @@ def _push(pieces: List[Piece], step: LatticeStep, disc: int) -> List[Piece]:
     return out
 
 
-def _as_step(pieces: List[Piece], den: int) -> LatticeStep:
-    """The composite map pieces, over den, as a step for `_push`: its pieces in
+def _as_step(pieces: List[Tuple[int, ...]]) -> LatticeStep:
+    """A map's pieces, in any order, as a step for `_push`: the pieces in
     domain order, each with the pairs of lo, hi and shift laid flat, and
-    their indices in image order.  The domain order is chained from 0, each
-    next piece found by the exact pair its last one ends on, so no
-    comparison is made (as in iet._image_order)."""
-    his = [piece[:2] for piece in pieces[1:]] + [(den, 0)]
-    flat = [(la - ta, lb - tb, ha - ta, hb - tb, ta, tb)
-            for (la, lb, ta, tb), (ha, hb) in zip(pieces, his)]
-    piece_at = {piece[:2]: p for p, piece in enumerate(flat)}
-    order = [piece_at[0, 0]]
-    for _ in flat[1:]:
-        order.append(piece_at[flat[order[-1]][2:4]])
-    image_order = [0] * len(flat)
-    for i, p in enumerate(order):
-        image_order[p] = i
-    return [flat[p] for p in order], image_order
+    their indices in image order.  Both orders are chained from 0, each next
+    piece found by the exact pair its last one ends on, so no comparison is
+    made (as in iet._image_order)."""
+    at_lo = {piece[:2]: piece for piece in pieces}
+    domain_order = [at_lo[0, 0]]
+    while len(domain_order) < len(pieces):
+        domain_order.append(at_lo[domain_order[-1][2:4]])
+    at_image_lo = {(la + sa, lb + sb): p for p, (la, lb, _, _, sa, sb) in enumerate(domain_order)}
+    image_order = [at_image_lo[0, 0]]
+    while len(image_order) < len(pieces):
+        _, _, ha, hb, sa, sb = domain_order[image_order[-1]]
+        image_order.append(at_image_lo[ha + sa, hb + sb])
+    return domain_order, image_order

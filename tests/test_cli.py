@@ -115,7 +115,8 @@ def test_eval_point_outside_domain(files, capsys):
 def test_an_x_that_starts_with_a_minus_is_read_as_the_value(files, capsys, command):
     f = files("f.iet", Iet.rotation(q(F(1, 3))))
     name, *rest = command
-    x = str(SQRT2M1)  # how the program writes sqrt(2) - 1: "-1+1*sqrt(2)"
+    x = str(SQRT2M1)  # how the program writes sqrt(2) - 1
+    assert x == "-1+1*sqrt(2)"
     joined = run(capsys, name, "--map", f, f"--x={x}", *rest)
     assert joined[0] == EXIT_OK
     assert run(capsys, name, "--map", f, "--x", x, *rest) == joined
@@ -882,6 +883,63 @@ def test_context_mismatch_is_a_precondition_error(files, capsys):
     code, _, err = run(capsys, "eval", "--map", f, "--x", "1/2+1/3*sqrt(3)")
     assert code == EXIT_PRECONDITION
     assert "context error" in err
+
+
+LONG = 5000
+
+
+def _doc(kind, *lines):
+    return "\n".join(("ietrel v1", "D = 0", f"kind = {kind}") + lines) + "\n"
+
+
+def _pi_with_1_twice(n):
+    head, _, rest = perm_lambda_text(n).partition("pi = ")
+    pi_line, _, tail = rest.partition("\n")
+    pi = ["1" if p == "2" else p for p in pi_line.split(", ")]
+    return f"{head}pi = {', '.join(pi)}\n{tail}"
+
+
+_VERIFY_DOCS = {
+    "word": _doc("word", "word = a"),
+    "r": _doc("rotation", "lengths = 1", "rates = 1/2"),
+    "g": _doc("rotation", "lengths = 1", "rates = 1/3"),
+}
+# (which verify document, or "x" for eval --x; its text; the exit code): each
+# input's message quotes a value of LONG characters, or a 10000-entry pi
+_LONG_INPUTS = {
+    "D in Arabic-Indic digits": ("r", "ietrel v1\nD = " + "\u0660" * LONG + "\u0661\n",
+                                 EXIT_PARSE),
+    "header": ("r", "h" * LONG + "\n", EXIT_PARSE),
+    "line without =": ("r", _VERIFY_DOCS["r"] + "k" * LONG + "\n", EXIT_PARSE),
+    "duplicate key": ("r", _VERIFY_DOCS["r"] + ("k" * LONG + " = 1\n") * 2, EXIT_PARSE),
+    "unknown kind": ("r", _doc("k" * LONG), EXIT_PARSE),
+    "unexpected key": ("r", _VERIFY_DOCS["r"] + "k" * LONG + " = 1\n", EXIT_PARSE),
+    "scalar": ("r", _doc("rotation", "lengths = 1", "rates = 1/2+" + "3" * LONG + "x"),
+               EXIT_PARSE),
+    "eval --x": ("x", "1/2+" + "3" * LONG + "x", EXIT_PARSE),
+    "word token": ("word", _doc("word", "word = " + "c" * LONG), EXIT_PARSE),
+    "zero exponent": ("word", _doc("word", "word = a^" + "0" * LONG), EXIT_PARSE),
+    "branch": ("word", _doc("certificate", "branch = " + "z" * LONG, "verified = true",
+                            "word = a"), EXIT_PARSE),
+    "pi with 1 twice": ("g", _pi_with_1_twice(10000), EXIT_PRECONDITION),
+}
+
+
+@pytest.mark.parametrize("case", list(_LONG_INPUTS))
+def test_a_message_quotes_a_long_input_in_short(files, capsys, case):
+    role, text, code_wanted = _LONG_INPUTS[case]
+    if role == "x":
+        argv = ["eval", "--map", files("g.txt", None, text=_VERIFY_DOCS["g"]), "--x", text]
+    else:
+        docs = {**_VERIFY_DOCS, role: text}
+        argv = ["verify"]
+        for name, doc in docs.items():
+            argv += [f"--{name}", files(f"{name}.txt", None, text=doc)]
+    code, out, err = run(capsys, *argv)
+    assert code == code_wanted
+    assert out == ""
+    assert "(length " in err
+    assert len(err.encode()) < 400, err
 
 
 def test_console_entry_point():

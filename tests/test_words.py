@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.relations import synthesize
 from ietrel.rotation import DisjointRotationSpec
 from ietrel.sampling import demo_suite, random_iet, random_partition, random_rotation_spec
-from ietrel.scalars import ONE, ZERO, QuadExt
+from ietrel.scalars import ONE, ZERO, QuadExt, _lattice, _pair
 from ietrel.words import (
     MAX_B_LETTERS,
     MAX_EXPONENT_DIGITS,
@@ -582,6 +584,109 @@ def test_verify_word_matches_the_quadext_verifier_on_rational_maps(monkeypatch, 
     word = Word.parse("a^4 b a^-4 b^-1")
     _assert_agrees_with_oracle([("rational", word, spec, g)], pushed)
     assert {disc for _, disc in lattices} == {0}
+
+
+# -- one step builder --------------------------------------------------------------
+
+
+def _sorting_on_lattice(steps):
+    """_on_lattice as it was before every step came from _as_step: each map
+    sorted in QuadExt, by lo and by image lo."""
+    den, disc = _lattice(v for step in steps.values() for piece in step for v in piece)
+    maps = {}
+    for key, step in steps.items():
+        step = sorted(step, key=itemgetter(0))
+        flat = [(*_pair(lo, den), *_pair(hi, den), *_pair(s, den)) for lo, hi, s in step]
+        maps[key] = flat, sorted(range(len(step)), key=lambda p: step[p][0] + step[p][2])
+    return den, disc, maps
+
+
+def _composite_as_step(pieces, den):
+    """U's step as it was built from the composite map pieces (image lo,
+    translation), in image order over den: the domain order chained from 0,
+    the image order its inverse."""
+    his = [piece[:2] for piece in pieces[1:]] + [(den, 0)]
+    flat = [(la - ta, lb - tb, ha - ta, hb - tb, ta, tb)
+            for (la, lb, ta, tb), (ha, hb) in zip(pieces, his)]
+    piece_at = {piece[:2]: p for p, piece in enumerate(flat)}
+    order = [piece_at[0, 0]]
+    for _ in flat[1:]:
+        order.append(piece_at[flat[order[-1]][2:4]])
+    image_order = [0] * len(flat)
+    for i, p in enumerate(order):
+        image_order[p] = i
+    return [flat[p] for p in order], image_order
+
+
+def _builder_cases():
+    """(name, word, spec, g): the golden and deep-m-like words with their
+    perturbations, then 300 seeded random cases, every other one a power
+    x u^k x^-1."""
+    yield from _perturbed(_golden_cases())
+    yield from _perturbed(_deep_m_like_cases())
+    rng = random.Random(20261020)
+    for i in range(300):
+        spec = _random_spec(rng)
+        g = _random_g(rng, spec)
+        if i % 2:
+            w = _random_word(rng)
+        else:
+            u = _alternating_syllables(rng, rng.randrange(1, 9))
+            x = _alternating_syllables(rng, rng.randrange(0, 3))
+            w = free_reduce(x + u * rng.randrange(2, 6) + _inverse(x))
+        yield f"random {i}", w, spec, g
+
+
+def test_every_step_is_the_one_the_sorting_builder_made(monkeypatch):
+    events = []  # (name, args, result) of each call, in the order it returns
+    for name in ("_on_lattice", "_run", "_as_step"):
+        def record(*args, _name=name, _call=getattr(words_module, name)):
+            result = _call(*args)
+            events.append((_name, args, result))
+            return result
+
+        monkeypatch.setattr(words_module, name, record)
+    seen = Counter()
+    for name, w, spec, g in _builder_cases():
+        events.clear()
+        verify_word(w, spec, g)
+        at = [event[0] for event in events].index("_on_lattice")
+        (steps,), (den, disc, maps) = events[at][1:]
+        maps.pop(("u", 1), None)  # added to the dict _on_lattice returned
+        assert (den, disc, maps) == _sorting_on_lattice(steps), name
+        seen["steps"] += len(steps)
+        seen["g^-1"] += ("b", -1) in steps
+        seen["rate-0 block"] += any(gen == "a" for gen, _ in steps) and not all(spec.rates)
+        after = [event[0] for event in events[at + 1:]]
+        if after == ["_run", "_as_step", "_run"]:
+            (_, _, u_map), (_, _, u_step) = events[at + 1:at + 3]
+            assert u_step == _composite_as_step(u_map, den), name
+            seen["U"] += 1
+        else:
+            assert after == ["_run"], name
+    assert seen["steps"] >= 1500 and min(seen.values()) >= 50, seen
+
+
+def test_verify_word_makes_no_quadext_comparison(monkeypatch):
+    cases = list(_builder_cases())  # synthesis compares: build the cases first
+
+    def forbidden(*args):
+        raise AssertionError("verify_word compared QuadExt values")
+
+    monkeypatch.setattr(QuadExt, "_cmp", forbidden)
+    verdicts = Counter(verify_word(w, spec, g) for _, w, spec, g in cases)
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_the_verifier_imports_only_iet_from_the_iet_algebra():
+    tree = ast.parse(Path(words_module.__file__).read_text())
+    imported = [(node.module or "", alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    imported += [(alias.name, "") for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names]
+    modules = [(module.split(".")[-1], name) for module, name in imported]
+    assert [name for module, name in modules if "iet" in (module, name)] == ["Iet"]
+    assert not [name for module, name in modules if "relations" in (module, name)]
 
 
 def test_verify_word_certifies_golden_words_without_iet_arithmetic(monkeypatch):
