@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
-from .errors import InvariantError, PreconditionError, shown
+from .errors import SHOWN_CHARS, InvariantError, PreconditionError, shown
 from .intervals import IntervalSet, _from_ends
 from .scalars import (
     ONE, ZERO, Pair, QuadExt, _lattice, _locate, _make, _merged_disc, _OnLattice, _pair,
@@ -40,11 +40,20 @@ def check_lengths(lengths: Sequence[QuadExt]) -> Tuple[QuadExt, ...]:
     beta = [ZERO]
     for v in lengths:
         if v.sign() <= 0:
-            raise PreconditionError(f"lengths must be positive, got {v}")
+            raise PreconditionError(f"lengths must be positive, got {_quoted(v, 0)}")
         beta.append(beta[-1] + v)
     if beta[-1] != ONE:
-        raise PreconditionError(f"lengths must sum to 1, got {beta[-1]}")
+        raise PreconditionError(f"lengths must sum to 1, got {_quoted(beta[-1], 1)}")
     return tuple(beta)
+
+
+def _quoted(v: QuadExt, ref: int) -> str:
+    """v's text for a message, or only the side of ref that v lies on when an
+    integer of v has more than SHOWN_CHARS digits: the sum of many lengths can
+    have thousands of digits, or more than str() will print."""
+    if max(abs(v.an), abs(v.bn), v.den) < 10**SHOWN_CHARS:
+        return str(v)
+    return f"a value {'above' if v > ref else 'below'} {ref} too long to show"
 
 
 @dataclass(frozen=True)
@@ -188,7 +197,9 @@ class Iet(_OnLattice):
         disc = self._disc
         rat = root = 0
         for (la, lb), (ha, hb), (ta, tb) in _pieces(self):
-            if _sign3(ta, tb, disc) > 0:
+            # ta + tb sqrt(disc) > 0, the test of scalars._sign3's comment
+            if ((tb >= 0 or ta * ta > tb * tb * disc) if ta > 0
+                    else (tb > 0 and tb * tb * disc > ta * ta)):
                 wa = ha - la
                 wb = hb - lb
                 rat += ta * wa + tb * wb * disc

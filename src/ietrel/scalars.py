@@ -113,9 +113,14 @@ def _pair(v: QuadExt, den: int) -> Pair:
 
 
 def _sign3(an: int, bn: int, disc: int) -> int:
-    # Sign of an + bn*sqrt(disc), exactly.  When the two terms have opposite
-    # signs the comparison reduces to an^2 vs bn^2*disc; equality there would
-    # force sqrt(disc) rational, impossible for square-free disc >= 2.
+    # Sign of an + bn*sqrt(disc), exactly: it is the sign of
+    # an*|an| + bn*|bn|*disc.  When the two terms share a sign, that is their
+    # sign; otherwise an^2 against bn^2*disc decides, and equality there would
+    # force sqrt(disc) rational, impossible for square-free disc >= 2.  The
+    # hot loops (Iet.l1_distance_to_identity, _locate, words._push) test this
+    # inline in its branch form, which measures faster than a call:
+    # an + bn*sqrt(disc) > 0 exactly when
+    #   (bn >= 0 or an*an > bn*bn*disc) if an > 0 else (bn > 0 and bn*bn*disc > an*an).
     if bn == 0:
         return (an > 0) - (an < 0)
     if an == 0:
@@ -140,10 +145,13 @@ def _locate(
     while hi - lo > 1:
         mid = (lo + hi) >> 1
         a, b = bps[mid]
-        if _sign3(xa - a * scale, xb - b * scale, disc) >= 0:
-            lo = mid
-        else:
+        p = xa - a * scale
+        q = xb - b * scale
+        # p + q sqrt(disc) < 0, the test of _sign3's comment negated
+        if (q <= 0 or p * p > q * q * disc) if p < 0 else (q < 0 and q * q * disc > p * p):
             hi = mid
+        else:
+            lo = mid
     return lo
 
 
@@ -160,9 +168,9 @@ class _OnLattice:
     subclass names in its __slots__ a tuple of integer pairs (a, b), each
     meaning (a + b sqrt(D)) / N.  Operations run on these integers, and every
     order decision is exact: the sign of an integer difference, decided by
-    _sign3.  Two operands with different denominators are rescaled once to
-    their lcm by _over; operands from different discriminants raise
-    ContextMismatchError.
+    _sign3 or, in the hot loops, by its rule inline.  Two operands with
+    different denominators are rescaled once to their lcm by _over; operands
+    from different discriminants raise ContextMismatchError.
 
     Canonical form: _store keeps the smallest N (gcd(N, all the integers) =
     1) and D = 0 when no pair has a root term, and each subclass keeps its
@@ -465,20 +473,23 @@ class QuadExt:
         return ((an << k) + (root if bn > 0 else -root)) / (den << k)
 
     def __str__(self):
-        rat, coef = self.rat, self.coef
-        for n in (rat.numerator, rat.denominator, coef.numerator, coef.denominator):
-            if not -_PRINT_BOUND < n < _PRINT_BOUND:
-                raise SearchCapError(
-                    "an exact value with an integer of more than "
-                    f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits is too long to print"
-                )
-        if self.bn == 0:
-            return str(rat)
-        root = f"{abs(coef)}*sqrt({self.disc})"
-        if self.an == 0:
-            return root if self.bn > 0 else "-" + root
-        sign = "+" if self.bn > 0 else "-"
-        return f"{rat}{sign}{root}"
+        # rat = an/den and |coef| = |bn|/den, each written in lowest terms
+        an, bn, den = self.an, self.bn, self.den
+        g = math.gcd(an, den)
+        h = math.gcd(bn, den)
+        p, q, r, s = an // g, den // g, abs(bn) // h, den // h
+        if max(abs(p), q, r, s) >= _PRINT_BOUND:
+            raise SearchCapError(
+                "an exact value with an integer of more than "
+                f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits is too long to print"
+            )
+        rat = f"{p}" if q == 1 else f"{p}/{q}"
+        if bn == 0:
+            return rat
+        root = f"{r}*sqrt({self.disc})" if s == 1 else f"{r}/{s}*sqrt({self.disc})"
+        if an == 0:
+            return root if bn > 0 else "-" + root
+        return f"{rat}{'+' if bn > 0 else '-'}{root}"
 
     def __repr__(self):
         return f"QuadExt({str(self)!r})"

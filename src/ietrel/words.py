@@ -14,8 +14,9 @@ which chains the pieces' domain and image orders from 0 and so makes no
 comparison.  A word x u^k x^-1 with k >= 2 has its root u pushed once, and
 the map of u then pushed k times as one step.  It shares with the Iet
 algebra of synthesis only what defines the maps: QuadExt at entry,
-`DisjointRotationSpec.pieces`, `Iet.pieces` and the scalars helpers
-_lattice, _pair, _sign3 and _merged_disc.
+`DisjointRotationSpec.pieces`, `Iet.pieces`, the scalars helpers _lattice
+and _pair, and the exact sign test stated at scalars._sign3, which `_push`
+makes inline.
 `eval_word` (repeated squaring through `Iet.power`) and `eval_word_naive`
 (one letter at a time) return the evaluated `Iet`; tests compare them with
 each other and with `verify_word`.
@@ -30,7 +31,7 @@ from typing import Dict, Iterable, List, Tuple
 from .errors import ParseError, PreconditionError, SearchCapError, shown
 from .iet import Iet
 from .rotation import DisjointRotationSpec
-from .scalars import QuadExt, _lattice, _pair, _read_int, _sign3
+from .scalars import QuadExt, _lattice, _pair, _read_int
 
 __all__ = [
     "Word",
@@ -345,7 +346,11 @@ def _push(pieces: List[Piece], step: LatticeStep, disc: int) -> List[Piece]:
         run = [(la + sa, lb + sb, ta + sa, tb + sb)]
         while i < n:
             pa, pb, qa, qb = pieces[i]
-            if _sign3(ha - pa, hb - pb, disc) <= 0:
+            da = ha - pa
+            db = hb - pb
+            # da + db sqrt(disc) <= 0, the test of scalars._sign3's comment negated
+            if ((db <= 0 or da * da > db * db * disc) if da <= 0
+                    else (db < 0 and db * db * disc > da * da)):
                 break
             run.append((pa + sa, pb + sb, qa + sa, qb + sb))
             ta, tb = qa, qb

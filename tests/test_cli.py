@@ -942,6 +942,33 @@ def test_a_message_quotes_a_long_input_in_short(files, capsys, case):
     assert len(err.encode()) < 400, err
 
 
+def _first_primes(count):
+    primes = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+# lengths 1/p over the first primes: the sum's numerator and denominator have
+# about 2200 digits at 700 primes, and more than MAX_PRINT_DIGITS at 1500
+@pytest.mark.parametrize("count, got", [
+    (2, "got 5/6"),
+    (700, "got a value above 1 too long to show"),
+    (1500, "got a value above 1 too long to show"),
+])
+def test_lengths_that_do_not_sum_to_1_exit_3_with_a_short_message(files, capsys, count, got):
+    text = _doc("perm-lambda", "pi = " + ", ".join(map(str, range(count, 0, -1))),
+                "lengths = " + ", ".join(f"1/{p}" for p in _first_primes(count)))
+    code, out, err = run(capsys, "l1", "--map", files("f.pl", None, text=text))
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert f"lengths must sum to 1, {got}" in err
+    assert len(err.encode()) < 400, err
+
+
 def test_console_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

@@ -1,8 +1,12 @@
-"""Frozen certificates: `ietrel synthesize` on the 22 demo pairs is byte-stable.
+"""Frozen outputs: `ietrel synthesize` on the 22 demo pairs and the README's
+`disc-growth` example are byte-stable.
 
 Each tests/golden/<pair>.cert was written by `ietrel synthesize` on the
 pair's r and g documents.  Minimality of d, epsilon and M is part of the
 contract, so any change to a word, branch or parameter shows up here.
+tests/golden/disc-growth-generic.csv was written by `ietrel disc-growth
+--map generic.pl --max-n 50` on the README's generic.pl: it pins the exact
+and float L1 renderings of f^1 to f^50 and the discontinuity counts.
 """
 
 from __future__ import annotations
@@ -29,3 +33,22 @@ def test_synthesize_matches_the_golden_certificate(tmp_path, capsys, pair):
     capsys.readouterr()
     assert code == EXIT_OK
     assert cert.read_bytes() == (GOLDEN / f"{pair.name}.cert").read_bytes()
+
+
+# the README's generic.pl
+GENERIC_PL = """ietrel v1
+D = 2
+kind = perm-lambda
+pi = 3, 2, 1
+lengths = 1/4*sqrt(2), 1/4, 3/4-1/4*sqrt(2)
+"""
+
+
+def test_disc_growth_matches_the_golden_csv(tmp_path, capsys):
+    f = tmp_path / "generic.pl"
+    f.write_text(GENERIC_PL, encoding="utf-8")
+    assert GENERIC_PL in (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = main(["disc-growth", "--map", str(f), "--max-n", "50"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN / "disc-growth-generic.csv").read_bytes()

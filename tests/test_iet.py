@@ -462,6 +462,33 @@ def test_l1_distance_equals_the_sum_over_every_piece():
     assert Iet.identity().l1_distance_to_identity() == ZERO
 
 
+def big_coefficient_map(rng, disc, n):
+    """The reversal of n intervals whose lengths have integers past 10**40, each
+    length (a + b sqrt(disc)) / den with b of either sign."""
+    den = rng.randrange(10**45, 10**46)
+    while True:
+        most = den // (4 * n) if disc else 1  # the root coefficients lie in (-most, most)
+        coefs = [rng.randrange(-most, most) if disc else 0 for _ in range(n - 1)]
+        coefs.append(-sum(coefs))
+        rats = [den * u // (2 * n * n) + rng.randrange(10**20)
+                for u in random_partition(rng, 2 * n * n, n)]
+        rats[-1] += den - sum(rats)
+        lengths = [QuadExt(F(a, den), F(b, den), disc) for a, b in zip(rats, coefs)]
+        if all(v.sign() > 0 for v in lengths):
+            pi = tuple(range(n, 0, -1))  # the reversal moves every interval
+            return Iet.from_perm_lambda(PermLambdaSpec(pi, tuple(lengths)))
+
+
+def test_l1_distance_equals_the_sum_over_every_piece_on_large_coefficients():
+    rng = random.Random(24)
+    for disc in (0, 2, 3, 5):
+        for _ in range(6):
+            f = big_coefficient_map(rng, disc, rng.randrange(2, 7))
+            for g in (f, f.power(7), f.compose(quadratic_rotation(rng, disc or 2)).power(-3)):
+                assert max(abs(a) for pair in g._bps for a in pair) > 10**40
+                assert g.l1_distance_to_identity() == l1_by_every_piece(g)
+
+
 # -- the integer kernel against QuadExt --------------------------------------------
 #
 # Iet stores integer pairs over one shared denominator.  The references below

@@ -5,7 +5,9 @@ from __future__ import annotations
 import decimal
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given
@@ -288,3 +290,102 @@ def test_str_parse_round_trip(x):
 @given(rationals())
 def test_rational_str_matches_fraction(r):
     assert str(q(r)) == str(r)
+
+
+# -- the inline sign tests and the integer rendering against references ----------
+#
+# _locate decides each comparison inline and __str__ reduces its integers by
+# gcd; the references below use _sign3 and Fraction.  Integers run past 10**40.
+
+DIFF_DISCS = (0, 2, 3, 5)
+
+
+def _near_zero(rng, disc, big):
+    """c + d sqrt(disc) with |c|, |d| about big and the value tiny, of either sign."""
+    d = rng.randrange(big, 10 * big) * rng.choice((-1, 1))
+    c = -math.isqrt(d * d * disc) * (1 if d > 0 else -1)
+    return c + rng.choice((-1, 0, 1)), d
+
+
+def _ascending_pairs(rng, disc, big, count):
+    pairs = set()
+    while len(pairs) < count:
+        if disc and rng.random() < 0.3:
+            c, d = _near_zero(rng, disc, big)
+            pairs.add((c + rng.randrange(-3, 4), d))
+        else:
+            pairs.add((rng.randrange(-big, big), rng.randrange(-big, big) if disc else 0))
+    key = cmp_to_key(lambda s, t: scalars._sign3(s[0] - t[0], s[1] - t[1], disc))
+    return sorted(pairs, key=key)
+
+
+def test_locate_matches_a_linear_scan_with_sign3():
+    rng = random.Random(24)
+    checked = 0
+    for disc in DIFF_DISCS:
+        for _ in range(150):
+            big = 10 ** rng.choice((2, 41, 60))
+            bps = _ascending_pairs(rng, disc, big, rng.randrange(1, 40))
+            scale = rng.choice((1, 1, rng.randrange(2, big)))
+            pick = rng.randrange(3)
+            if pick == 0:  # exactly on a breakpoint
+                a, b = rng.choice(bps)
+                xa, xb = a * scale, b * scale
+            elif pick == 1 and disc:  # a breakpoint plus a tiny irrational offset
+                a, b = rng.choice(bps)
+                c, d = _near_zero(rng, disc, big)
+                xa, xb = a * scale + c, b * scale + d
+            else:
+                xa = rng.randrange(-2 * big, 2 * big) * scale
+                xb = rng.randrange(-2 * big, 2 * big) * scale if disc else 0
+            at_or_below = [i for i, (a, b) in enumerate(bps)
+                           if scalars._sign3(xa - a * scale, xb - b * scale, disc) >= 0]
+            assert at_or_below == list(range(len(at_or_below)))  # a prefix, as bps ascend
+            if not at_or_below:
+                continue
+            lo = rng.randrange(len(at_or_below))
+            assert scalars._locate(bps, xa, xb, disc, lo=lo, scale=scale) == at_or_below[-1]
+            checked += 1
+    assert checked > 400
+
+
+def _str_by_fractions(x):
+    """The reference rendering, through two Fractions."""
+    rat, coef = Fraction(x.an, x.den), Fraction(x.bn, x.den)
+    for n in (rat.numerator, rat.denominator, coef.numerator, coef.denominator):
+        if abs(n) >= 10**MAX_PRINT_DIGITS:
+            return None
+    if x.bn == 0:
+        return str(rat)
+    root = f"{abs(coef)}*sqrt({x.disc})"
+    if x.an == 0:
+        return root if x.bn > 0 else "-" + root
+    return f"{rat}{'+' if x.bn > 0 else '-'}{root}"
+
+
+def test_str_matches_a_rendering_through_fractions():
+    rng = random.Random(2024)
+    values = []
+    for disc in DIFF_DISCS:
+        for _ in range(400):
+            big = 10 ** rng.choice((1, 3, 41, 70))
+            rat = Fraction(rng.randrange(-big, big), rng.choice((1, rng.randrange(1, big))))
+            coef = Fraction(rng.randrange(-big, big), rng.choice((1, rng.randrange(1, big))))
+            if rng.random() < 0.2:
+                rat = Fraction(0)
+            values.append(QuadExt(rat, coef if disc else 0, disc))
+    # each part printable, though their common denominator is not
+    values.append(QuadExt(Fraction(1, 3**6000), Fraction(-1, 7**3400), 2))
+    values += [q(Fraction(1, 10**4300)), q(0, Fraction(-10**4300, 3), 5)]
+    shapes = Counter()
+    for x in values:
+        want = _str_by_fractions(x)
+        if want is None:
+            with pytest.raises(SearchCapError):
+                str(x)
+            continue
+        assert str(x) == want
+        shapes["den 1"] += x.den == 1
+        shapes["no rational part"] += x.an == 0 and x.bn != 0
+        shapes["negative root"] += x.bn < 0
+    assert min(shapes.values()) >= 50, shapes
