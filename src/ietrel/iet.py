@@ -160,6 +160,13 @@ class Iet(_OnLattice):
         bps = self.breakpoints
         return zip(bps, bps[1:] + (ONE,), self.translations)
 
+    def lattice_pieces(self) -> Tuple[int, int, List[Tuple[int, ...]]]:
+        """The pieces as DisjointRotationSpec.lattice_pieces gives a power's:
+        (den, disc, pieces in domain order), each piece the pairs of lo, hi
+        and translation laid flat, (la, lb, ha, hb, ta, tb), every value
+        (a + b sqrt(disc)) / den, read from the stored integers."""
+        return self._den, self._disc, [(*lo, *hi, *t) for lo, hi, t in _pieces(self)]
+
     def apply(self, x) -> QuadExt:
         x = as_scalar(x)
         disc = _merged_disc(self._disc, x.disc)

@@ -17,9 +17,15 @@ it.  The construction:
     k = r^d h r^-d has support disjoint from h's inside supp r, which
     forces T = k h^-1 k^-1 h to have order dividing 6.
 
+s = r^M and r^d are taken in closed form (`DisjointRotationSpec.power`),
+not by repeated squaring.
+
 The emitted word is, by branch: a^q, the word of h when h is trivial, the
 word of T when T is trivial, and the word of T concatenated six times
-otherwise.  Every branch re-checks that the word evaluates to the identity
+otherwise.  T is known trivial without building k or T when supp h lies in
+supp r^L: then supp h lies in X', which r^d moves off itself, so h and k
+have disjoint supports and commute.  Otherwise k and T are built and T is
+tested.  Every branch re-checks that the word evaluates to the identity
 exactly before it is certified, with `verify_word`: the syllable-by-syllable
 checker behind `ietrel verify`, which shares no map arithmetic with the Iet
 algebra that built h, k and T.
@@ -90,7 +96,11 @@ class RelationCertificate:
 
 @dataclass
 class SynthesisContext:
-    """Every intermediate object of one synthesis run, for inspection."""
+    """Every intermediate object of one synthesis run, for inspection.
+
+    k and T are None on the h_trivial branch, and on the T_trivial branch
+    when supp h lies in supp r^L, which proves T = 1 without building them.
+    """
 
     r_spec: DisjointRotationSpec  # post-fixing-power spec
     g: Iet  # the working copy of g (conjugator already absorbed)
@@ -126,6 +136,13 @@ class SynthesisContext:
                     return False
         if not self.X_prime.is_disjoint(rd.image_of(self.X_prime)):
             return False
+        if self.T is None and not self.h.is_identity():
+            # T = 1 was decided from supports: the premise synthesis tested,
+            # supp h inside supp r^L, and what it stands for, supp k =
+            # r^d(supp h) off supp h (which r^d could not give a point r^L fixes)
+            h_supp = self.h.support()
+            if not (supp.contains_set(h_supp) and h_supp.is_disjoint(rd.image_of(h_supp))):
+                return False
         theta = self.epsilon / 10
         for rate in self.r_spec.block_rates(self.M):
             if not (rate < theta or rate > ONE - theta):
@@ -355,8 +372,11 @@ def _commutator_word(exponent: int) -> Word:
     )
 
 
-def build_h(r_fixed: Iet, g: Iet, M: int, fixing_power: int = 1) -> Tuple[Iet, Word]:
-    """h = (g^-1 s^-1 g s)(g^-1 s g s^-1) with s = r_fixed^M.
+def build_h(
+    r_fixed: Iet | DisjointRotationSpec, g: Iet, M: int, fixing_power: int = 1
+) -> Tuple[Iet, Word]:
+    """h = (g^-1 s^-1 g s)(g^-1 s g s^-1) with s = r_fixed^M, taken by
+    r_fixed.power: repeated squaring for an Iet, the closed form for a spec.
 
     The word's exponents fold in the fixing power, so it evaluates against
     the original r rather than r_fixed.
@@ -376,19 +396,27 @@ def check_small_support(h: Iet, x: IntervalSet) -> bool:
 
 
 def build_k(
-    r_fixed: Iet, h: Iet, word_h: Word, d: int, fixing_power: int = 1
+    r_fixed: Iet | DisjointRotationSpec, h: Iet, word_h: Word, d: int, fixing_power: int = 1
 ) -> Tuple[Iet, Word]:
-    """k = r_fixed^d h r_fixed^-d and its word."""
+    """k = r_fixed^d h r_fixed^-d and its word; r_fixed^d as in build_h."""
     rd = r_fixed.power(d)
     k = rd.compose(h).compose(rd.inverse())
-    wa = Word.generator("a", d * fixing_power)
-    return k, wa * word_h * wa.inverse()
+    return k, _word_k(word_h, d * fixing_power)
 
 
 def build_T(h: Iet, k: Iet, word_h: Word, word_k: Word) -> Tuple[Iet, Word]:
     """T = k h^-1 k^-1 h and its word."""
     t = k.compose(h.inverse()).compose(k.inverse()).compose(h)
-    return t, word_k * word_h.inverse() * word_k.inverse() * word_h
+    return t, _word_T(word_h, word_k)
+
+
+def _word_k(word_h: Word, exponent: int) -> Word:
+    wa = Word.generator("a", exponent)
+    return wa * word_h * wa.inverse()
+
+
+def _word_T(word_h: Word, word_k: Word) -> Word:
+    return word_k * word_h.inverse() * word_k.inverse() * word_h
 
 
 def synthesize(
@@ -434,9 +462,13 @@ def synthesize_with_context(
     d = find_d(r_fixed, P_prime)
     epsilon = find_epsilon(r_fixed, P, d, min_block=r_spec.min_block_length())
     M = find_M(spec_fixed, epsilon, m_cap=m_cap)
-    h, word_h = build_h(r_fixed, g_work, M, fixing_power=L)
+    h, word_h = build_h(spec_fixed, g_work, M, fixing_power=L)
     X = neighborhood_union(P, epsilon)
-    if not check_small_support(h, X):
+    X_prime = X.intersect(supp)
+    # X' lies in X: supp h inside X' settles the bound and, below, T = 1;
+    # only otherwise is supp h tested against X itself
+    in_X_prime = check_small_support(h, X_prime)
+    if not (in_X_prime or check_small_support(h, X)):
         raise InvariantError("support of h escaped its neighborhood bound X")
 
     k = None
@@ -444,8 +476,13 @@ def synthesize_with_context(
     if h.is_identity():
         word = word_h
         branch = BRANCH_H_TRIVIAL
+    elif in_X_prime:
+        # find_epsilon moved X' off itself by r^d, and supp k = r^d(supp h),
+        # so h and k have disjoint supports and commute: T = 1
+        word = _word_T(word_h, _word_k(word_h, d * L))
+        branch = BRANCH_T_TRIVIAL
     else:
-        k, word_k = build_k(r_fixed, h, word_h, d, fixing_power=L)
+        k, word_k = build_k(spec_fixed, h, word_h, d, fixing_power=L)
         T, word_T = build_T(h, k, word_h, word_k)
         if T.is_identity():
             word = word_T
@@ -470,7 +507,7 @@ def synthesize_with_context(
         k=k,
         T=T,
         X=X,
-        X_prime=X.intersect(supp),
+        X_prime=X_prime,
     )
     return cert, ctx
 

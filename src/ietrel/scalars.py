@@ -63,6 +63,8 @@ def _read_int(text: str, max_digits: int = MAX_PRINT_DIGITS,
     int() sees them: int() refuses more than 4300 digits with a ValueError.
     Anything but the ASCII digits 0-9 is a ParseError: int() would also read
     other Unicode decimal digits, whose zeros lstrip("0") keeps."""
+    if len(text) <= max_digits and text.isascii() and text.isdecimal():
+        return int(text)  # unsigned, ASCII, and short enough to be under the cap
     sign = text[:1] in ("+", "-")
     digits = text[sign:]
     if not (digits.isascii() and digits.isdecimal()):
@@ -73,9 +75,13 @@ def _read_int(text: str, max_digits: int = MAX_PRINT_DIGITS,
     return int(text[:sign] + (digits or "0"))
 
 
+_DISC_DIGITS = len(str(MAX_DISC))
+_DISC_CAP = f"MAX_DISC = {MAX_DISC}"
+
+
 def _read_disc(text: str) -> int:
     """The discriminant that text spells, with at most the digits of MAX_DISC."""
-    return _read_int(text, len(str(MAX_DISC)), f"MAX_DISC = {MAX_DISC}")
+    return _read_int(text, _DISC_DIGITS, _DISC_CAP)
 
 
 def _check_read_disc(disc: int) -> None:
@@ -133,6 +139,18 @@ def _sign3(an: int, bn: int, disc: int) -> int:
     rhs = bn * bn * disc
     s = (lhs > rhs) - (lhs < rhs)
     return s if sa > 0 else -s
+
+
+def _floor(an: int, bn: int, den: int, disc: int) -> int:
+    """floor((an + bn sqrt(disc)) / den) for den >= 1, exactly."""
+    if bn == 0:
+        return an // den
+    s = math.isqrt(bn * bn * disc)
+    if bn > 0:
+        # bn*sqrt(disc) lies in [s, s+1), and the value is irrational,
+        # so no integer sits strictly inside the bracket.
+        return (an + s) // den
+    return (an - s - 1) // den
 
 
 def _locate(
@@ -266,18 +284,31 @@ class QuadExt:
         """Parse 'p/q', 'p/q+r/s*sqrt(D)' or 'r/s*sqrt(D)' (signs optional,
         whitespace insignificant).  _read_int reads every integer: p, q, r
         and s under MAX_PRINT_DIGITS, D under the digits of MAX_DISC.  With
-        an ambient disc given, a mismatched D in the text is a context error."""
-        terms = re.split(r"(?<=.)(?=[+-])", re.sub(r"\s+", "", text))
-        if terms == [""]:
-            raise ParseError("empty scalar")
-        if len(terms) > 2:
-            raise ParseError(f"malformed scalar {shown(text)}")
+        an ambient disc given, a mismatched D in the text is a context error.
+
+        One pattern, _SCALAR, matches the text of one or two terms; text it
+        does not match is split into terms only to say what is wrong."""
+        compact = "".join(text.split())
+        m = _SCALAR.fullmatch(compact)
+        if m is not None:
+            groups = m.groups()
+            terms = [groups[:5]] if groups[5] is None else [groups[:5], groups[5:]]
+        else:
+            # split before each sign that does not start the text
+            terms = re.split(r"(?<=.)(?=[+-])", compact)
+            if terms == [""]:
+                raise ParseError("empty scalar")
+            if len(terms) > 2:
+                raise ParseError(f"malformed scalar {shown(text)}")
+            # a term that _SCALAR does not match as one term stays text, and
+            # is reported when the loop reaches it, after the terms before it
+            terms = [term if (t := _SCALAR.fullmatch(term)) is None else t.groups()[:5]
+                     for term in terms]
         read = {}  # "rational" and "root": the term's numerator, denominator, D
         for term in terms:
-            m = _TERM.fullmatch(term)
-            if m is None:
+            if isinstance(term, str):
                 raise ParseError(f"malformed scalar term {shown(term)} in {shown(text)}")
-            sign, p, q, d, bare_d = m.groups()
+            sign, p, q, d, bare_d = term
             d = d or bare_d
             kind = "rational" if d is None else "root"
             if kind in read:
@@ -285,7 +316,8 @@ class QuadExt:
             den = _read_int(q or "1")
             if not den:
                 raise ParseError(f"zero denominator in scalar {shown(text)}")
-            read[kind] = _read_int(sign + (p or "1")), den, d and _read_disc(d)
+            num = _read_int(p or "1")
+            read[kind] = -num if sign == "-" else num, den, d and _read_disc(d)
         a, b, _ = read.get("rational", (0, 1, 0))
         c, e, root = read.get("root", (0, 1, 0))
         if c:
@@ -442,14 +474,7 @@ class QuadExt:
 
     def floor(self) -> int:
         """Exact floor, via integer square-root brackets for the root term."""
-        if self.bn == 0:
-            return self.an // self.den
-        s = math.isqrt(self.bn * self.bn * self.disc)
-        if self.bn > 0:
-            # bn*sqrt(disc) lies in [s, s+1), and the value is irrational,
-            # so no integer sits strictly inside the bracket.
-            return (self.an + s) // self.den
-        return (self.an - s - 1) // self.den
+        return _floor(self.an, self.bn, self.den, self.disc)
 
     def mod_one(self) -> "QuadExt":
         """Fractional part, always in [0, 1)."""
@@ -542,8 +567,11 @@ def as_scalar(x) -> QuadExt:
     return v
 
 
-# One term of a scalar: a sign, then p, p/q, sqrt(D), p*sqrt(D) or p/q*sqrt(D).
-_TERM = re.compile(r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?(?:\*sqrt\(([0-9]+)\))?|sqrt\(([0-9]+)\))")
+# A scalar: one term, then maybe a second that starts with its sign.  A term
+# is a sign, then p, p/q, sqrt(D), p*sqrt(D) or p/q*sqrt(D).  Text with no
+# sign past its start can match only as one term.
+_BODY = r"(?:([0-9]+)(?:/([0-9]+))?(?:\*sqrt\(([0-9]+)\))?|sqrt\(([0-9]+)\))"
+_SCALAR = re.compile(r"([+-]?)" + _BODY + r"(?:([+-])" + _BODY + ")?")
 
 ZERO = QuadExt(0)
 ONE = QuadExt(1)

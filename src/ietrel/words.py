@@ -13,10 +13,11 @@ over a lattice (1/N)(Z + Z sqrt(D)) of its own; its one hot loop is
 which chains the pieces' domain and image orders from 0 and so makes no
 comparison.  A word x u^k x^-1 with k >= 2 has its root u pushed once, and
 the map of u then pushed k times as one step.  It shares with the Iet
-algebra of synthesis only what defines the maps: QuadExt at entry,
-`DisjointRotationSpec.pieces`, `Iet.pieces`, the scalars helpers _lattice
-and _pair, and the exact sign test stated at scalars._sign3, which `_push`
-makes inline.
+algebra of synthesis only what defines the maps, as integers from entry:
+`DisjointRotationSpec.lattice_pieces`, the closed form of r^k, and
+`Iet.lattice_pieces`, g's stored pairs; the scalars helper _merged_disc;
+and the exact sign test stated at scalars._sign3, which `_push` makes
+inline.
 `eval_word` (repeated squaring through `Iet.power`) and `eval_word_naive`
 (one letter at a time) return the evaluated `Iet`; tests compare them with
 each other and with `verify_word`.
@@ -24,6 +25,7 @@ each other and with `verify_word`.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
@@ -31,7 +33,7 @@ from typing import Dict, Iterable, List, Tuple
 from .errors import ParseError, PreconditionError, SearchCapError, shown
 from .iet import Iet
 from .rotation import DisjointRotationSpec
-from .scalars import QuadExt, _lattice, _pair, _read_int
+from .scalars import _merged_disc, _read_int
 
 __all__ = [
     "Word",
@@ -69,10 +71,12 @@ MAX_EXPONENT_DIGITS = 1000
 MAX_VERIFY_PIECES = 2 * 10**6
 
 Syllable = Tuple[str, int]
-# (domain lo, domain hi, shift): one piece of a syllable's map
-Step = Tuple[QuadExt, QuadExt, QuadExt]
-# verify_word's integer forms: a syllable's map (see _as_step), and one
-# piece of the composite map, (image lo, translation) as flat integer pairs
+# verify_word's integer forms: a syllable's map as its generator gives it,
+# (den, disc, pieces in domain order) with each piece's lo, hi and shift
+# laid flat as (la, lb, ha, hb, sa, sb); that map made a step over the
+# verifier's one lattice (see _as_step); and one piece of the composite map,
+# (image lo, translation) as flat integer pairs
+LatticeMap = Tuple[int, int, List[Tuple[int, ...]]]
 LatticeStep = Tuple[List[Tuple[int, ...]], List[int]]
 Piece = Tuple[int, int, int, int]
 
@@ -105,17 +109,20 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        """Whitespace-separated tokens a^k / b^k; exponent 1 may be omitted."""
+        """Whitespace-separated tokens a^k / b^k; exponent 1 may be omitted.
+        One pattern, _TOKEN, reads the tokens in order."""
         raw = []
-        for token in text.split():
-            m = _TOKEN.match(token)
-            if not m:
-                raise ParseError(f"bad word token {shown(token)}")
-            exp = _read_int(m.group(2) or "1", MAX_EXPONENT_DIGITS,
-                            f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS}")
+        exps: Dict[str, int] = {}  # each distinct exponent text, read once
+        for token, gen, digits, bad in _TOKEN.findall(text):
+            if bad:
+                raise ParseError(f"bad word token {shown(bad)}")
+            exp = exps.get(digits)
+            if exp is None:
+                exp = exps[digits] = _read_int(digits or "1", MAX_EXPONENT_DIGITS,
+                                               f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS}")
             if exp == 0:
                 raise ParseError(f"zero exponent in token {shown(token)}")
-            raw.append((m.group(1), exp))
+            raw.append((gen, exp))
         return free_reduce(raw)
 
     # -- group operations -------------------------------------------------
@@ -153,7 +160,10 @@ class Word:
         return f"Word({str(self)!r})"
 
 
-_TOKEN = re.compile(r"^([ab])(?:\^(-?[0-9]+))?$")
+# A token is a run of non-whitespace: a well-formed a^k or b^k that the run
+# ends after, as (token, generator, exponent digits, ""), or else the whole
+# run, a bad token, as ("", "", "", run).
+_TOKEN = re.compile(r"(([ab])(?:\^(-?[0-9]+))?)(?!\S)|(\S+)")
 
 
 def free_reduce(syllables: Iterable[Syllable]) -> Word:
@@ -202,10 +212,10 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
     """True when the word evaluates to the identity with a -> r, b -> g,
     where r is the disjoint rotation map of spec.
 
-    The syllable maps are built in QuadExt, r^k once per distinct k from
-    spec.pieces(k) and g from g.pieces(), and `_on_lattice` writes them as
-    integer pairs (a, b), meaning (a + b sqrt(D)) / N, over one N and D,
-    each ordered by `_as_step`.
+    The syllable maps come as integer pairs (a, b), meaning
+    (a + b sqrt(D)) / N: r^k once per distinct k from
+    spec.lattice_pieces(k), and g and g^-1 from g.lattice_pieces().
+    `_on_lattice` rescales them to one N and D, each ordered by `_as_step`.
     The composite map, kept in image order as pieces (image lo, total
     translation), starts as the one piece (0, 0); `_push` sends it through
     the syllables right to left, a b^k syllable |k| times, and the word is
@@ -231,14 +241,14 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
         )
     x, u, k = _root(word)
     x_inv = tuple((gen, -exp) for gen, exp in reversed(x))
-    steps: Dict[Tuple[str, int], List[Step]] = {}
+    steps: Dict[Tuple[str, int], LatticeMap] = {}
     if b_letters:
-        g_pieces = list(g.pieces())
-        steps["b", 1] = g_pieces
-        steps["b", -1] = [(lo + t, hi + t, -t) for lo, hi, t in g_pieces]
+        den, disc, g_pieces = steps["b", 1] = g.lattice_pieces()
+        steps["b", -1] = den, disc, [(la + ta, lb + tb, ha + ta, hb + tb, -ta, -tb)
+                                     for la, lb, ha, hb, ta, tb in g_pieces]
     for exp in {exp for gen, exp in word.syllables + u + x_inv if gen == "a"}:
-        steps["a", exp] = spec.pieces(exp)
-    counts = {key: len(step) for key, step in steps.items()}
+        steps["a", exp] = spec.lattice_pieces(exp)
+    counts = {key: len(step[2]) for key, step in steps.items()}
     pushes = _pushes(word.syllables)
     walked, _ = _walk(pushes, counts)
     if walked > MAX_VERIFY_PIECES:
@@ -319,13 +329,21 @@ def _run(pushes: List[Tuple[str, int]], maps: dict, disc: int) -> List[Piece]:
     return pieces
 
 
-def _on_lattice(steps: Dict[Tuple[str, int], List[Step]]) -> Tuple[int, int, dict]:
-    """N and D, the lattice of every value (scalars._lattice, which raises
-    ContextMismatchError if D is mixed), and each map of steps over them,
-    made a step by `_as_step`."""
-    den, disc = _lattice(v for step in steps.values() for piece in step for v in piece)
-    return den, disc, {key: _as_step([(*_pair(lo, den), *_pair(hi, den), *_pair(s, den))
-                                      for lo, hi, s in step]) for key, step in steps.items()}
+def _on_lattice(steps: Dict[Tuple[str, int], LatticeMap]) -> Tuple[int, int, dict]:
+    """N and D, the one lattice of every map of steps (N the lcm of their
+    dens; ContextMismatchError, from scalars._merged_disc, if D is mixed),
+    and each map rescaled to N and made a step by `_as_step`."""
+    den, disc = 1, 0
+    for step_den, step_disc, _ in steps.values():
+        den = math.lcm(den, step_den)
+        disc = _merged_disc(disc, step_disc)
+    maps = {}
+    for key, (step_den, _, pieces) in steps.items():
+        c = den // step_den
+        if c > 1:
+            pieces = [tuple(v * c for v in piece) for piece in pieces]
+        maps[key] = _as_step(pieces)
+    return den, disc, maps
 
 
 def _push(pieces: List[Piece], step: LatticeStep, disc: int) -> List[Piece]:

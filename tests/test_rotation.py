@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from ietrel.rotation import (
     INFINITE_WITH_FIXED,
     DisjointRotationSpec,
 )
-from ietrel.scalars import QuadExt
+from ietrel.sampling import random_partition
+from ietrel.scalars import ONE, ZERO, QuadExt, _lattice
 
 from conftest import q, seeded_specs
 
@@ -151,3 +153,68 @@ def test_power_spec_keeps_the_blocks(spec):
     sq = spec.power_spec(2)
     assert sq.lengths == spec.lengths
     assert spec.power_spec(0).to_iet().is_identity()
+
+
+# -- the closed form against repeated squaring -----------------------------------
+
+
+def _quadext_pieces(spec, k):
+    """spec.pieces(k) as it was computed in QuadExt: each block's rate
+    k * alpha mod 1, its shift lambda * rate, and the cut right - shift."""
+    beta = [ZERO]
+    for lam in spec.lengths:
+        beta.append(beta[-1] + lam)
+    out = []
+    for left, right, lam, alpha in zip(beta, beta[1:], spec.lengths, spec.rates):
+        shift = lam * (alpha * k).mod_one()
+        cut = right - shift
+        out.append((left, cut, shift))
+        if shift:
+            out.append((cut, right, shift - lam))
+    return out
+
+
+def _closed_form_specs(rng, count):
+    """count seeded specs of 1 to 4 blocks over D in {2, 3, 5}: zero,
+    rational and irrational rates, every rate rational in a third of them,
+    and lengths with a root term in another third."""
+    for i in range(count):
+        disc = rng.choice((2, 3, 5))
+        n = rng.randrange(1, 5)
+        lengths = [q(F(u, 24)) for u in random_partition(rng, 24, n)]
+        if i % 3 == 1 and n > 1:
+            # move t sqrt(D) of length between two blocks, t small enough
+            # to keep both positive
+            t = QuadExt(0, F(1, rng.randrange(120, 200)), disc)
+            lengths[0], lengths[-1] = lengths[0] + t, lengths[-1] - t
+        rates = []
+        for _ in range(n):
+            den = rng.randrange(2, 9)
+            kind = rng.randrange(3) if i % 3 else 1
+            if kind == 0:
+                rates.append(q(0))
+            elif kind == 1:
+                rates.append(q(F(rng.randrange(den), den)))
+            else:
+                rates.append(QuadExt(0, F(rng.randrange(1, 9), den), disc).mod_one())
+        yield DisjointRotationSpec(tuple(lengths), tuple(rates))
+
+
+def test_closed_form_powers_match_quadext_pieces_and_repeated_squaring():
+    rng = random.Random(20261022)
+    seen = {"all rational": 0, "root lengths": 0, "pieces": 0}
+    for spec in _closed_form_specs(rng, 60):
+        r = spec.to_iet()
+        seen["all rational"] += all(a.is_rational for a in spec.rates)
+        seen["root lengths"] += not all(v.is_rational for v in spec.lengths)
+        big = [rng.randrange(2, 10**e) for e in (2, 4, 6)] + [10**6]
+        for k in [0, 1, -1] + big + [-m for m in big]:
+            den, disc, flat = spec.lattice_pieces(k)
+            old = _quadext_pieces(spec, k)
+            assert spec.pieces(k) == old, (spec, k)
+            # the integers are the old pieces' own lattice, in lowest terms
+            assert (den, disc) == _lattice(v for piece in old for v in piece), (spec, k)
+            assert len(flat) == len(old)
+            assert spec.power(k) == r.power(k), (spec, k)
+            seen["pieces"] += len(flat)
+    assert seen["all rational"] >= 20 and seen["root lengths"] >= 10, seen

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -41,6 +43,7 @@ from ietrel.scalars import ONE, QuadExt
 from ietrel.words import Word, eval_word, eval_word_naive
 
 from conftest import q, seeded_iets
+from test_words import _deep_m_like_cases
 
 F = Fraction
 
@@ -558,3 +561,103 @@ def test_synthesized_words_hold_on_random_g(g):
     assert cert.verified
     assert not cert.word.is_empty()
     assert eval_word(cert.word, ONE_BLOCK.to_iet(), g).is_identity()
+
+
+# -- T_trivial decided by disjoint supports ---------------------------------------
+
+README_PAIR = (ONE_BLOCK, Iet.from_perm_lambda(PermLambdaSpec(
+    pi=(3, 2, 1), lengths=(q(F(1, 4)), q(F(1, 4)), q(F(1, 2))))))
+
+
+def _built_k(r_fixed, h, word_h, d, fixing_power):
+    """build_k as synthesis ran it: r^d by repeated squaring, and its word."""
+    rd = r_fixed.power(d)
+    wa = Word.generator("a", d * fixing_power)
+    return rd.compose(h).compose(rd.inverse()), wa * word_h * wa.inverse()
+
+
+def _built_T(h, k, word_h, word_k):
+    """build_T as synthesis ran it."""
+    t = k.compose(h.inverse()).compose(k.inverse()).compose(h)
+    return t, word_k * word_h.inverse() * word_k.inverse() * word_h
+
+
+def _shortcut_cases():
+    """(name, r, g): the 22 suite pairs, the deep-m-like pairs and 200
+    seeded random pairs drawn with the suite's recipe."""
+    for pair in demo_suite():
+        yield pair.name, pair.r, pair.g
+    for name, _, spec, g in _deep_m_like_cases():
+        yield name, spec, g
+    rng = random.Random(20261023)
+    for i in range(200):
+        yield f"random {i}", random_rotation_spec(rng), random_iet(rng, 6, 8)
+
+
+def test_a_T_that_synthesis_skips_is_the_identity_the_iet_algebra_builds():
+    seen = Counter()
+    for name, r, g in _shortcut_cases():
+        try:
+            cert, ctx = synthesize_with_context(r, g)
+        except SearchCapError:
+            seen["M past its cap"] += 1
+            continue
+        if ctx is None or ctx.h.is_identity():
+            continue
+        assert ctx.invariants_hold(), name
+        if ctx.T is not None:
+            seen["T built"] += 1
+            continue
+        assert cert.branch == BRANCH_T_TRIVIAL and ctx.k is None, name
+        r_fixed = ctx.r_spec.to_iet()
+        h, word_h = build_h(r_fixed, ctx.g, ctx.M, ctx.fixing_power)
+        assert h == ctx.h, name
+        k, word_k = _built_k(r_fixed, h, word_h, ctx.d, ctx.fixing_power)
+        T, word_T = _built_T(h, k, word_h, word_k)
+        assert T.is_identity(), name
+        assert word_T == cert.word, name
+        seen["T skipped"] += 1
+    assert seen["T skipped"] >= 60 and seen["T built"] >= 40, seen
+
+
+def test_T_is_built_on_every_T_sixth_golden():
+    built = 0
+    for pair in demo_suite():
+        cert, ctx = synthesize_with_context(pair.r, pair.g)
+        if cert.branch == BRANCH_T_SIXTH:
+            assert ctx.T is not None and ctx.k is not None, pair.name
+            assert not ctx.T.is_identity(), pair.name
+            built += 1
+    assert built == 8
+
+
+def test_the_readme_and_deep_m_like_pairs_synthesize_without_k_or_T(monkeypatch):
+    cases = [("README", *README_PAIR)]
+    cases += [(name, spec, g) for name, _, spec, g in _deep_m_like_cases()]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("k or T was built")
+
+    monkeypatch.setattr(relations, "build_k", forbidden)
+    monkeypatch.setattr(relations, "build_T", forbidden)
+    branches = Counter()
+    for name, r, g in cases:
+        cert = synthesize(r, g)
+        assert cert.verified, name
+        branches[cert.branch] += 1
+    assert branches[BRANCH_T_TRIVIAL] >= 30, branches
+    assert set(branches) <= {BRANCH_H_TRIVIAL, BRANCH_T_TRIVIAL}, branches
+
+
+def test_invariants_hold_rederives_the_disjoint_support_premise():
+    cert, ctx = synthesize_with_context(*README_PAIR)
+    assert cert.branch == BRANCH_T_TRIVIAL and ctx.T is None
+    assert ctx.invariants_hold()
+    # an h that moves half of [0, 1) onto the other half: its support meets
+    # its image under r^d
+    assert not dataclasses.replace(ctx, h=Iet.rotation(q(F(1, 2)))).invariants_hold()
+    # a T_sixth context with k and T dropped: h moves points that r^L fixes
+    pair = next(p for p in demo_suite() if p.name == "d2-two-blocks-fixed")
+    cert, ctx = synthesize_with_context(pair.r, pair.g)
+    assert cert.branch == BRANCH_T_SIXTH and ctx.invariants_hold()
+    assert not dataclasses.replace(ctx, k=None, T=None).invariants_hold()

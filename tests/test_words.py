@@ -601,6 +601,15 @@ def _sorting_on_lattice(steps):
     return den, disc, maps
 
 
+def _quadext_steps(keys, spec, g):
+    """The maps verify_word takes for the keys, in QuadExt: r^k from
+    spec.pieces(k), g and g^-1 from g.pieces()."""
+    g_pieces = list(g.pieces())
+    inverse = [(lo + t, hi + t, -t) for lo, hi, t in g_pieces]
+    return {(gen, exp): spec.pieces(exp) if gen == "a" else g_pieces if exp == 1 else inverse
+            for gen, exp in keys}
+
+
 def _composite_as_step(pieces, den):
     """U's step as it was built from the composite map pieces (image lo,
     translation), in image order over den: the domain order chained from 0,
@@ -653,7 +662,7 @@ def test_every_step_is_the_one_the_sorting_builder_made(monkeypatch):
         at = [event[0] for event in events].index("_on_lattice")
         (steps,), (den, disc, maps) = events[at][1:]
         maps.pop(("u", 1), None)  # added to the dict _on_lattice returned
-        assert (den, disc, maps) == _sorting_on_lattice(steps), name
+        assert (den, disc, maps) == _sorting_on_lattice(_quadext_steps(steps, spec, g)), name
         seen["steps"] += len(steps)
         seen["g^-1"] += ("b", -1) in steps
         seen["rate-0 block"] += any(gen == "a" for gen, _ in steps) and not all(spec.rates)
