@@ -161,18 +161,19 @@ class Iet(_OnLattice):
         return zip(bps, bps[1:] + (ONE,), self.translations)
 
     def lattice_pieces(self) -> Tuple[int, int, List[Tuple[int, ...]]]:
-        """The pieces as DisjointRotationSpec.lattice_pieces gives a power's:
-        (den, disc, pieces in domain order), each piece the pairs of lo, hi
-        and translation laid flat, (la, lb, ha, hb, ta, tb), every value
-        (a + b sqrt(disc)) / den, read from the stored integers."""
+        """The pieces as verify_word takes g and r^k: (den, disc, pieces in
+        domain order), each piece the pairs of lo, hi and translation laid
+        flat, (la, lb, ha, hb, ta, tb), every value (a + b sqrt(disc)) / den,
+        read from the stored integers."""
         return self._den, self._disc, [(*lo, *hi, *t) for lo, hi, t in _pieces(self)]
 
     def apply(self, x) -> QuadExt:
         x = as_scalar(x)
         disc = _merged_disc(self._disc, x.disc)
         xa, xb, xden = x.an, x.bn, x.den
-        if _sign3(xa, xb, disc) < 0 or _sign3(xa - xden, xb, disc) >= 0:
-            raise PreconditionError(f"point {x} outside [0, 1)")
+        below = _sign3(xa, xb, disc) < 0
+        if below or _sign3(xa - xden, xb, disc) >= 0:
+            raise PreconditionError(f"point {_quoted(x, 0 if below else 1)} outside [0, 1)")
         den = self._den
         # compare x * den against each breakpoint * xden
         ta, tb = self._trs[_locate(self._bps, xa * den, xb * den, disc, scale=xden)]

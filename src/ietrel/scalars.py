@@ -179,7 +179,8 @@ _root = itemgetter(1)  # the b of a pair (a, b)
 class _OnLattice:
     """An immutable exact object whose values all lie on one lattice
     (1/N)(Z + Z sqrt(D)): the breakpoints and translations of an Iet, the
-    ends of an IntervalSet.
+    ends of an IntervalSet, the lengths, rates and bounds of a
+    DisjointRotationSpec.
 
     Storage.  The object holds the denominator N in _den, the discriminant D
     in _disc (0 when every value is rational), and in each slot that a

@@ -14,10 +14,10 @@ which chains the pieces' domain and image orders from 0 and so makes no
 comparison.  A word x u^k x^-1 with k >= 2 has its root u pushed once, and
 the map of u then pushed k times as one step.  It shares with the Iet
 algebra of synthesis only what defines the maps, as integers from entry:
-`DisjointRotationSpec.lattice_pieces`, the closed form of r^k, and
-`Iet.lattice_pieces`, g's stored pairs; the scalars helper _merged_disc;
-and the exact sign test stated at scalars._sign3, which `_push` makes
-inline.
+r^k from `DisjointRotationSpec.power`, the closed form that synthesis also
+takes r^M and r^d from, and both r^k and g read by `Iet.lattice_pieces`
+from their stored pairs; the scalars helper _merged_disc; and the exact
+sign test stated at scalars._sign3, which `_push` makes inline.
 `eval_word` (repeated squaring through `Iet.power`) and `eval_word_naive`
 (one letter at a time) return the evaluated `Iet`; tests compare them with
 each other and with `verify_word`.
@@ -214,7 +214,7 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
 
     The syllable maps come as integer pairs (a, b), meaning
     (a + b sqrt(D)) / N: r^k once per distinct k from
-    spec.lattice_pieces(k), and g and g^-1 from g.lattice_pieces().
+    spec.power(k).lattice_pieces(), and g and g^-1 from g.lattice_pieces().
     `_on_lattice` rescales them to one N and D, each ordered by `_as_step`.
     The composite map, kept in image order as pieces (image lo, total
     translation), starts as the one piece (0, 0); `_push` sends it through
@@ -247,7 +247,7 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
         steps["b", -1] = den, disc, [(la + ta, lb + tb, ha + ta, hb + tb, -ta, -tb)
                                      for la, lb, ha, hb, ta, tb in g_pieces]
     for exp in {exp for gen, exp in word.syllables + u + x_inv if gen == "a"}:
-        steps["a", exp] = spec.lattice_pieces(exp)
+        steps["a", exp] = spec.power(exp).lattice_pieces()
     counts = {key: len(step[2]) for key, step in steps.items()}
     pushes = _pushes(word.syllables)
     walked, _ = _walk(pushes, counts)

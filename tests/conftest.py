@@ -64,6 +64,23 @@ def grid_points(grid=64):
     return st.integers(0, grid - 1).map(lambda k: q(Fraction(k, grid)))
 
 
+def quadext_pieces(spec, k):
+    """The pieces of r^k computed in QuadExt, one for each block that r^k
+    fixes and two for each it moves: each block's rate k * alpha mod 1, its
+    shift lambda * rate, and the cut right - shift."""
+    beta = [ZERO]
+    for lam in spec.lengths:
+        beta.append(beta[-1] + lam)
+    out = []
+    for left, right, lam, alpha in zip(beta, beta[1:], spec.lengths, spec.rates):
+        shift = lam * (alpha * k).mod_one()
+        cut = right - shift
+        out.append((left, cut, shift))
+        if shift:
+            out.append((cut, right, shift - lam))
+    return out
+
+
 def assert_tiles_unit_interval(f: Iet) -> None:
     """The image intervals of f, sorted, must partition [0, 1)."""
     images = sorted((lo + t, hi + t) for lo, hi, t in f.pieces())

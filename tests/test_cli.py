@@ -969,6 +969,31 @@ def test_lengths_that_do_not_sum_to_1_exit_3_with_a_short_message(files, capsys,
     assert len(err.encode()) < 400, err
 
 
+# 1 and 4000 zeros: a value whose text alone would fill 4 kB of stderr
+LONG_ONE = "1" + "0" * 4000
+
+
+@pytest.mark.parametrize("argv, rates, got", [
+    (("eval", "--x", LONG_ONE), None, "point a value above 1 too long to show outside"),
+    (("eval", "--x", "-" + LONG_ONE), None, "point a value below 0 too long to show outside"),
+    (("eval", "--x", "3/2"), None, "point 3/2 outside"),
+    (("l1",), LONG_ONE, "got a value above 1 too long to show"),
+    (("l1",), "-" + LONG_ONE, "got a value below 0 too long to show"),
+    (("l1",), "-1/4", "got -1/4"),
+], ids=["point-above", "point-below", "point-short", "rate-above", "rate-below",
+        "rate-short"])
+def test_values_outside_0_1_exit_3_with_a_short_message(files, capsys, argv, rates, got):
+    if rates is None:
+        path = files("f.iet", Iet.identity())
+    else:
+        path = files("r.rot", None, text=_doc("rotation", "lengths = 1", f"rates = {rates}"))
+    code, out, err = run(capsys, *argv[:1], "--map", path, *argv[1:])
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert got in err
+    assert len(err.encode()) < 400, err
+
+
 def test_console_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

@@ -19,9 +19,9 @@ from ietrel.rotation import (
     DisjointRotationSpec,
 )
 from ietrel.sampling import random_partition
-from ietrel.scalars import ONE, ZERO, QuadExt, _lattice
+from ietrel.scalars import QuadExt
 
-from conftest import q, seeded_specs
+from conftest import q, quadext_pieces, seeded_specs
 
 F = Fraction
 
@@ -141,37 +141,38 @@ def test_block_rates_anchor():
 def test_power_spec_matches_iet_power(spec, m):
     power = spec.to_iet().power(m)
     assert spec.power_spec(m).to_iet() == power
-    # spec.pieces(m) is r^m itself, its pieces in domain order tiling [0, 1)
-    pieces = spec.pieces(m)
+    # spec.power(m) is r^m itself, its pieces in domain order tiling [0, 1)
+    pieces = list(spec.power(m).pieces())
     assert [lo for lo, _, _ in pieces[1:]] + [q(1)] == [hi for _, hi, _ in pieces]
     assert Iet([lo for lo, _, _ in pieces], [t for _, _, t in pieces]) == power
 
 
-@given(seeded_specs())
-@settings(max_examples=30, deadline=None)
-def test_power_spec_keeps_the_blocks(spec):
-    sq = spec.power_spec(2)
-    assert sq.lengths == spec.lengths
+@given(seeded_specs(), st.integers(-20, 20) | st.just(10**6))
+@settings(max_examples=60, deadline=None)
+def test_power_spec_keeps_the_blocks(spec, m):
+    powered = spec.power_spec(m)
+    assert powered.lengths == spec.lengths
     assert spec.power_spec(0).to_iet().is_identity()
+    # stored unchecked, yet canonical: the spec the constructor builds
+    rebuilt = DisjointRotationSpec(spec.lengths, spec.block_rates(m))
+    assert powered == rebuilt and hash(powered) == hash(rebuilt)
+
+
+def test_the_spec_is_a_lattice_object():
+    spec = DisjointRotationSpec((q(F(1, 2)), q(F(1, 2))), (SQRT2M1, q(0)))
+    for same in (DisjointRotationSpec((QuadExt.parse("2/4"), F(1, 2)), (SQRT2M1, 0)),
+                 DisjointRotationSpec((F(1, 2), F(2, 4)), (QuadExt(-1, 1, 2), F(0)))):
+        assert same == spec and hash(same) == hash(spec)
+    assert DisjointRotationSpec((1,), (0,)) == DisjointRotationSpec((q(1),), (q(0),))
+    assert spec != DisjointRotationSpec((q(F(1, 2)), q(F(1, 2))), (q(0), SQRT2M1))
+    for name in ("lengths", "rates", "_lams", "_den", "order"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, ())
+    assert repr(spec) == ("DisjointRotationSpec(lengths=(QuadExt('1/2'), QuadExt('1/2')), "
+                          "rates=(QuadExt('-1+1*sqrt(2)'), QuadExt('0')))")
 
 
 # -- the closed form against repeated squaring -----------------------------------
-
-
-def _quadext_pieces(spec, k):
-    """spec.pieces(k) as it was computed in QuadExt: each block's rate
-    k * alpha mod 1, its shift lambda * rate, and the cut right - shift."""
-    beta = [ZERO]
-    for lam in spec.lengths:
-        beta.append(beta[-1] + lam)
-    out = []
-    for left, right, lam, alpha in zip(beta, beta[1:], spec.lengths, spec.rates):
-        shift = lam * (alpha * k).mod_one()
-        cut = right - shift
-        out.append((left, cut, shift))
-        if shift:
-            out.append((cut, right, shift - lam))
-    return out
 
 
 def _closed_form_specs(rng, count):
@@ -202,19 +203,16 @@ def _closed_form_specs(rng, count):
 
 def test_closed_form_powers_match_quadext_pieces_and_repeated_squaring():
     rng = random.Random(20261022)
-    seen = {"all rational": 0, "root lengths": 0, "pieces": 0}
+    seen = {"all rational": 0, "root lengths": 0, "merged": 0}
     for spec in _closed_form_specs(rng, 60):
         r = spec.to_iet()
         seen["all rational"] += all(a.is_rational for a in spec.rates)
         seen["root lengths"] += not all(v.is_rational for v in spec.lengths)
         big = [rng.randrange(2, 10**e) for e in (2, 4, 6)] + [10**6]
         for k in [0, 1, -1] + big + [-m for m in big]:
-            den, disc, flat = spec.lattice_pieces(k)
-            old = _quadext_pieces(spec, k)
-            assert spec.pieces(k) == old, (spec, k)
-            # the integers are the old pieces' own lattice, in lowest terms
-            assert (den, disc) == _lattice(v for piece in old for v in piece), (spec, k)
-            assert len(flat) == len(old)
+            old = quadext_pieces(spec, k)
+            # == compares the lattice (N, D) too, so r^k is in lowest terms
+            assert spec.power(k) == Iet([lo for lo, _, _ in old], [s for _, _, s in old]), (spec, k)
             assert spec.power(k) == r.power(k), (spec, k)
-            seen["pieces"] += len(flat)
-    assert seen["all rational"] >= 20 and seen["root lengths"] >= 10, seen
+            seen["merged"] += spec.power(k).num_intervals < len(old)
+    assert seen["all rational"] >= 20 and seen["root lengths"] >= 10 and seen["merged"], seen

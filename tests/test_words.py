@@ -33,7 +33,7 @@ from ietrel.words import (
     verify_word,
 )
 
-from conftest import q, seeded_iets
+from conftest import q, quadext_pieces, seeded_iets
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -390,7 +390,7 @@ def _walk_bound(word, spec, g):
     may walk: each push adds at most its step's pieces less one."""
     most, walked = 1, 0
     for gen, exp in reversed(word.syllables):
-        sizes = [len(spec.pieces(exp))] if gen == "a" else [g.num_intervals] * abs(exp)
+        sizes = [spec.power(exp).num_intervals] if gen == "a" else [g.num_intervals] * abs(exp)
         for size in sizes:
             most += size - 1
             walked += most
@@ -491,7 +491,8 @@ def _oracle(word, spec, g):
         if gen == "a":
             step = maps.get(("a", exp))
             if step is None:
-                step = maps[("a", exp)] = sorted(spec.pieces(exp), key=lambda p: p[0] + p[2])
+                step = maps[("a", exp)] = sorted(spec.power(exp).pieces(),
+                                                 key=lambda p: p[0] + p[2])
             pieces = _oracle_push(pieces, step)
         else:
             step = maps[("b", 1 if exp > 0 else -1)]
@@ -586,6 +587,67 @@ def test_verify_word_matches_the_quadext_verifier_on_rational_maps(monkeypatch, 
     assert {disc for _, disc in lattices} == {0}
 
 
+# -- a^k steps with adjacent fixed blocks merged ---------------------------------
+
+
+class _Unmerged:
+    """r^k as verify_word took it before DisjointRotationSpec.power merged
+    adjacent fixed blocks: one piece for each block r^k fixes, two for each
+    it moves, from conftest's quadext_pieces."""
+
+    def __init__(self, spec, k):
+        self.pieces = quadext_pieces(spec, k)
+
+    def lattice_pieces(self):
+        den, disc = _lattice(v for piece in self.pieces for v in piece)
+        return den, disc, [tuple(x for v in piece for x in _pair(v, den))
+                           for piece in self.pieces]
+
+
+def _merge_cases():
+    """(name, word, spec, g), with perturbations: d5-four-blocks-mixed's
+    word, whose even powers of r fix its adjacent blocks of rates 1/2 and 0,
+    and seeded specs of rates (1/2, 0, alpha) with synthesized and random
+    words against seeded g."""
+    cases = [case for case in _golden_cases() if case[0] == "d5-four-blocks-mixed"]
+    rng = random.Random(20261026)
+    for i in range(8):
+        disc = rng.choice((2, 3, 5))
+        lengths = tuple(q(Fraction(u, 24)) for u in random_partition(rng, 24, 3))
+        alpha = q(0, Fraction(rng.randrange(1, 7), rng.randrange(1, 5)), disc).mod_one()
+        spec = DisjointRotationSpec(lengths, (q(Fraction(1, 2)), q(0), alpha))
+        g = random_iet(rng, 6, 8)
+        w = synthesize(spec, g).word if i % 2 else _random_word(rng)
+        cases.append((f"rates 1/2, 0, alpha {i}", w, spec, g))
+    return list(_perturbed(cases))
+
+
+def test_merged_rotation_steps_change_nothing_the_verifier_reports(monkeypatch, pushed):
+    walks = []
+    walk = words_module._walk
+    monkeypatch.setattr(words_module, "_walk", lambda *args: walks.append(walk(*args)) or walks[-1])
+
+    def report(w, spec, g):
+        """The verdict, the final composite map and the word plan's walk bound."""
+        pushed.clear()
+        walks.clear()
+        return verify_word(w, spec, g), (pushed or [[(ZERO, ZERO)]])[-1], walks[0][0]
+
+    seen = Counter()
+    for name, w, spec, g in _merge_cases():
+        composite = _image_form(eval_word(w, spec.to_iet(), g))
+        verdict, pieces, walked = report(w, spec, g)
+        with monkeypatch.context() as unmerged:
+            unmerged.setattr(DisjointRotationSpec, "power", lambda spec, k: _Unmerged(spec, k))
+            oracle = report(w, spec, g)
+        assert (verdict, pieces) == oracle[:2], name
+        assert pieces == composite and verdict == (composite == [(ZERO, ZERO)]), name
+        assert walked <= oracle[2], name
+        seen[verdict] += 1
+        seen["smaller walk bound"] += walked < oracle[2]
+    assert seen[True] >= 5 and seen[False] and seen["smaller walk bound"] >= 10, seen
+
+
 # -- one step builder --------------------------------------------------------------
 
 
@@ -603,11 +665,11 @@ def _sorting_on_lattice(steps):
 
 def _quadext_steps(keys, spec, g):
     """The maps verify_word takes for the keys, in QuadExt: r^k from
-    spec.pieces(k), g and g^-1 from g.pieces()."""
+    spec.power(k).pieces(), g and g^-1 from g.pieces()."""
     g_pieces = list(g.pieces())
     inverse = [(lo + t, hi + t, -t) for lo, hi, t in g_pieces]
-    return {(gen, exp): spec.pieces(exp) if gen == "a" else g_pieces if exp == 1 else inverse
-            for gen, exp in keys}
+    return {(gen, exp): list(spec.power(exp).pieces()) if gen == "a"
+            else g_pieces if exp == 1 else inverse for gen, exp in keys}
 
 
 def _composite_as_step(pieces, den):
