@@ -28,7 +28,7 @@ from .errors import SHOWN_CHARS, InvariantError, PreconditionError, shown
 from .intervals import IntervalSet, _from_ends
 from .scalars import (
     ONE, ZERO, Pair, QuadExt, _lattice, _locate, _make, _merged_disc, _OnLattice, _pair,
-    _sign3, as_scalar,
+    _ranks, _sign3, as_scalar,
 )
 
 __all__ = ["Iet", "PermLambdaSpec"]
@@ -317,43 +317,14 @@ class Iet(_OnLattice):
         return out
 
     def image_of(self, s: IntervalSet) -> IntervalSet:
-        """Exact image of an interval set under this map.
-
-        One walk cuts s's spans at this map's breakpoints, and each fragment
-        moves with its piece.  A piece's fragments keep their order, and the
-        pieces' images tile [0, 1) in _image_order, so taking the fragments
-        piece by piece in that order gives the image ascending, with no
-        comparison; fragments that touch are joined."""
+        """Exact image of an interval set under this map, by _image_ends over
+        the lcm of their N."""
         den = math.lcm(self._den, s._den)
         disc = _merged_disc(self._disc, s._disc)
         bps, trs = self._over(den)
         (ends,) = s._over(den)
-        m = len(bps)
-        moved: List[List[Pair]] = [[] for _ in range(m)]
-        j = 0  # the spans ascend, so each search starts where the last one ended
-        for i in range(0, len(ends), 2):
-            la, lb = ends[i]
-            ha, hb = ends[i + 1]
-            j = _locate(bps, la, lb, disc, lo=j)
-            while True:
-                ta, tb = trs[j]
-                ca, cb = bps[j + 1] if j + 1 < m else (den, 0)
-                if _sign3(ca - ha, cb - hb, disc) >= 0:
-                    ca, cb = ha, hb
-                moved[j] += ((la + ta, lb + tb), (ca + ta, cb + tb))
-                if ca == ha and cb == hb:
-                    break
-                la, lb = ca, cb
-                j += 1
-        out: List[Pair] = []
-        for p in _image_order(bps, trs, den)[0]:
-            piece = moved[p]
-            if piece and out and out[-1] == piece[0]:
-                out.pop()
-                out += piece[1:]
-            else:
-                out += piece
-        return _from_ends(den, disc, out)
+        order = _image_order(bps, trs, den)[0]
+        return _from_ends(den, disc, _image_ends(bps, trs, order, ends, den, disc))
 
     # -- validation -----------------------------------------------------------
 
@@ -408,6 +379,66 @@ def _image_order(
         order.append(p)
         p = piece_at.get(his[p])
     return order, his
+
+
+def _image_ends(
+    bps: Sequence[Pair], trs: Sequence[Pair], order: Sequence[int], ends: Sequence[Pair],
+    den: int, disc: int,
+) -> List[Pair]:
+    """The ends of the image of the set with ends ends under the pieces
+    (bps, trs), whose _image_order is order, all over den.
+
+    One walk cuts the set's spans at the breakpoints, and each fragment moves
+    with its piece.  A piece's fragments keep their order, and the pieces'
+    images tile [0, 1) in image order, so taking the fragments piece by piece
+    in that order gives the image ascending, with no comparison; fragments
+    that touch are joined."""
+    m = len(bps)
+    moved: List[List[Pair]] = [[] for _ in range(m)]
+    j = 0  # the spans ascend, so each search starts where the last one ended
+    for i in range(0, len(ends), 2):
+        la, lb = ends[i]
+        ha, hb = ends[i + 1]
+        j = _locate(bps, la, lb, disc, lo=j)
+        while True:
+            ta, tb = trs[j]
+            ca, cb = bps[j + 1] if j + 1 < m else (den, 0)
+            p = ca - ha
+            q = cb - hb
+            # the piece reaches hi: p + q sqrt(disc) < 0, the test of
+            # scalars._sign3's comment negated, fails
+            if not ((q <= 0 or p * p > q * q * disc) if p < 0
+                    else (q < 0 and q * q * disc > p * p)):
+                ca, cb = ha, hb
+            moved[j] += ((la + ta, lb + tb), (ca + ta, cb + tb))
+            if ca == ha and cb == hb:
+                break
+            la, lb = ca, cb
+            j += 1
+    out: List[Pair] = []
+    for p in order:
+        piece = moved[p]
+        if piece and out and out[-1] == piece[0]:
+            out.pop()
+            out += piece[1:]
+        else:
+            out += piece
+    return out
+
+
+def _image_points(
+    bps: Sequence[Pair], trs: Sequence[Pair], order: Sequence[int], pts: Sequence[Pair],
+    disc: int,
+) -> List[Pair]:
+    """The images of the ascending points pts under the pieces (bps, trs),
+    whose _image_order is order, ascending: as in _image_ends, one walk
+    (scalars._ranks) finds each point's piece, and the pieces' images are
+    taken in image order."""
+    moved: List[List[Pair]] = [[] for _ in bps]
+    for rank, (a, b) in zip(_ranks(pts, bps, disc), pts):
+        ta, tb = trs[rank - 1]
+        moved[rank - 1].append((a + ta, b + tb))
+    return [q for p in order for q in moved[p]]
 
 
 # Stores the pieces (bps, trs) over den into a bare Iet: _store(f, den, disc,

@@ -168,25 +168,37 @@ def circular_ball(center, radius) -> IntervalSet:
 
 
 def _merge(s: IntervalSet, t: IntervalSet, both: bool) -> IntervalSet:
-    """s & t when both, else s | t: one walk over the ends of both in
-    ascending order.  After the walk passes a point, it lies in s exactly when
-    an odd number of s's ends were passed; an end of the result is each point
-    where the wanted membership changes."""
+    """s & t when both, else s | t, by _merge_ends over the lcm of their N."""
     den = s._den if s._den == t._den else math.lcm(s._den, t._den)
     disc = _merged_disc(s._disc, t._disc)
     (a,), (b,) = s._over(den), t._over(den)
+    return _from_ends(den, disc, _merge_ends(a, b, disc, both))
+
+
+def _merge_ends(a: Sequence[Pair], b: Sequence[Pair], disc: int, both: bool) -> List[Pair]:
+    """The ends of the intersection of the sets with ends a and b when both,
+    else of their union, all over one N: one walk over the ends of both in
+    ascending order.  After the walk passes a point, it lies in a exactly when
+    an odd number of a's ends were passed; an end of the result is each point
+    where the wanted membership changes."""
     na, nb = len(a), len(b)
     out: List[Pair] = []
     i = j = inside = 0
     while i < na and j < nb:
         x = a[i]
         y = b[j]
-        c = _sign3(x[0] - y[0], x[1] - y[1], disc)
-        if c <= 0:
+        if x == y:
             i += 1
-        if c >= 0:
             j += 1
-            x = y
+        else:
+            p = x[0] - y[0]
+            q = x[1] - y[1]
+            # p + q sqrt(disc) < 0, the test of scalars._sign3's comment negated
+            if (q <= 0 or p * p > q * q * disc) if p < 0 else (q < 0 and q * q * disc > p * p):
+                i += 1
+            else:
+                j += 1
+                x = y
         now = (i & j if both else i | j) & 1
         if now != inside:
             out.append(x)
@@ -194,7 +206,43 @@ def _merge(s: IntervalSet, t: IntervalSet, both: bool) -> IntervalSet:
     if not both:
         # past the end of one set, the other's ends alone decide
         out += a[i:] if i < na else b[j:]
-    return _from_ends(den, disc, out)
+    return out
+
+
+def _ball_ends(pts: Sequence[Pair], radius: Pair, den: int, disc: int) -> List[Pair]:
+    """The ends of the union of the circular balls [p - r, p + r) mod 1
+    around the ascending points pts, all over den, for a radius r at most half
+    the least circular gap of the points: then balls can only touch, and only
+    the first ball can reach below 0 or the last past 1, not both.  So one
+    walk in point order gives the ends, with no sort and no comparison but
+    the two at the ends."""
+    ra, rb = radius
+    ends: List[Pair] = []
+    for a, b in pts:
+        lo = (a - ra, b - rb)
+        hi = (a + ra, b + rb)
+        if ends and ends[-1] == lo:
+            ends[-1] = hi
+        else:
+            ends += (lo, hi)
+    if not ends:
+        return ends
+    (la, lb), (ha, hb) = ends[0], ends[-1]
+    if _sign3(la, lb, disc) < 0:
+        # the first ball's part below 0 wraps to end at 1
+        ends[0] = (0, 0)
+        if ends[-1] == (la + den, lb):
+            ends[-1] = (den, 0)
+        else:
+            ends += ((la + den, lb), (den, 0))
+    elif _sign3(ha - den, hb, disc) > 0:
+        # the last ball's part past 1 wraps to start at 0
+        ends[-1] = (den, 0)
+        if ends[0] == (ha - den, hb):
+            ends[0] = (0, 0)
+        else:
+            ends[:0] = ((0, 0), (ha - den, hb))
+    return ends
 
 
 def _union_ends(disc: int, spans: List[Tuple[Pair, Pair]]) -> List[Pair]:

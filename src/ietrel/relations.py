@@ -20,6 +20,18 @@ it.  The construction:
 s = r^M and r^d are taken in closed form (`DisjointRotationSpec.power`),
 not by repeated squaring.
 
+The searches for P, d and epsilon run on integers (`_search`): P is held
+from the start as ascending, distinct integer pairs over one lattice
+(1/N)(Z + Z sqrt(D)), that of g and of every power of r, and every order
+decision is the exact sign of an integer difference, with no QuadExt
+comparison.  g^-1 moves the block bounds in one walk, one sort of pairs
+joins them with the bounds and disc(g), and P' is read by one walk beside
+supp r's ends.  find_d moves the pairs by r, and each separation check of
+find_epsilon walks end lists over N * 2^k, where the radius is the least
+gap of P itself; the search hands synthesis X and X' at the epsilon it
+found.  The public compute_P, find_d and find_epsilon take and return
+QuadExt values around the same cores.
+
 The emitted word is, by branch: a^q, the word of h when h is trivial, the
 word of T when T is trivial, and the word of T concatenated six times
 otherwise.  T is known trivial without building k or T when supp h lies in
@@ -33,14 +45,21 @@ algebra that built h, k and T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from functools import cmp_to_key
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvariantError, PreconditionError, SearchCapError
-from .iet import Iet
-from .intervals import IntervalSet, circular_ball, neighborhood_union
+from .iet import Iet, _image_ends, _image_order, _image_points
+from .intervals import (
+    IntervalSet, _ball_ends, _from_ends, _merge_ends, circular_ball, neighborhood_union,
+)
 from .rotation import FINITE_ORDER, DisjointRotationSpec
-from .scalars import ONE, QuadExt, as_scalar
+from .scalars import (
+    ONE, Pair, QuadExt, _floor, _lattice, _make, _merged_disc, _pair, _ranks, _sign3,
+    as_scalar,
+)
 from .words import MAX_EXPONENT_DIGITS, Word, verify_word
 from .words import eval_word  # noqa: F401 -- perfbench/tracing.py wraps the name here
 
@@ -134,6 +153,10 @@ class SynthesisContext:
             for j in range(i + 1, len(balls)):
                 if not balls[i].is_disjoint(balls[j]):
                     return False
+        # X and X' as the QuadExt route builds them, not as the search did
+        X = neighborhood_union(self.P, self.epsilon)
+        if self.X != X or self.X_prime != X.intersect(supp):
+            return False
         if not self.X_prime.is_disjoint(rd.image_of(self.X_prime)):
             return False
         if self.T is None and not self.h.is_identity():
@@ -152,12 +175,9 @@ class SynthesisContext:
 
 def compute_P(r_spec: DisjointRotationSpec, g: Iet) -> Tuple[QuadExt, ...]:
     """Block endpoints of r, their preimages under g, and disc(g), sorted."""
-    bounds = r_spec.block_bounds()[:-1]
-    points = set(bounds)
-    g_inv = g.inverse()
-    points.update(g_inv.apply(b) for b in bounds)
-    points.update(g.discontinuities())
-    return tuple(sorted(points))
+    den = math.lcm(r_spec._den, g._den)
+    pts, disc = _points(r_spec, g, den)
+    return _values(pts, den, disc)
 
 
 def find_d(r: Iet, points: Sequence[QuadExt]) -> int:
@@ -171,16 +191,7 @@ def find_d(r: Iet, points: Sequence[QuadExt]) -> int:
     for p in pts:
         if not supp.contains_point(p):
             raise PreconditionError(f"point {p} is not in the support of r")
-    if not pts:
-        return 1
-    base = set(pts)
-    images = pts
-    cap = len(pts) ** 2 + 1
-    for d in range(1, cap + 1):
-        images = [r.apply(q) for q in images]
-        if base.isdisjoint(images):
-            return d
-    raise InvariantError(f"no admissible d up to {cap}; orbit structure violated")
+    return _find_d(r, *_ascending(pts, r._den, r._disc))
 
 
 def find_epsilon(
@@ -191,37 +202,160 @@ def find_epsilon(
 ) -> QuadExt:
     """Largest eps = eps0 / 2^t (t minimal) passing every separation check.
 
-    eps0 is half the minimum circular gap of the point set, which already
-    makes the balls pairwise disjoint.  Halving continues until additionally
-    10*eps < 1, eps is below a quarter of the smallest block when a block
-    length is supplied, and the supported part X' of the ball union is moved
-    off itself by r^d.  Each check that holds for eps holds for every smaller
-    eps, since X' shrinks with eps, so the least t is found by galloping:
-    the first two checks step t up to t0, and the third is tried at t0,
-    t0 + 1, t0 + 2, t0 + 4, ... and then bisected.  t stays below
-    MAX_HALVINGS.
+    eps0 is half the minimum circular gap of the point set (1/4 for a single
+    point), which already makes the balls pairwise disjoint.  Halving
+    continues until additionally 10*eps < 1, eps is below a quarter of the
+    smallest block when a block length is supplied, and the supported part
+    X' of the ball union X is moved off itself by r^d.  Each check that holds
+    for eps holds for every smaller eps, since X' shrinks with eps, so the
+    least t is found by galloping: the first two checks give t0 in closed
+    form, and the third is tried at t0, t0 + 1, t0 + 2, t0 + 4, ... and then
+    bisected.  t stays below MAX_HALVINGS.
+
+    The search runs on integer pairs over one lattice, in `_separate`.
     """
-    pts = sorted(set(as_scalar(p) for p in points))
-    if len(pts) >= 2:
-        gaps = [b - a for a, b in zip(pts, pts[1:])]
-        gaps.append(pts[0] + ONE - pts[-1])
-        eps0 = min(gaps) / 2
-    else:
-        eps0 = as_scalar(1) / 4
     supp = r.support()
     rd = r.power(d)
+    pts, den, disc = _ascending(
+        points, math.lcm(supp._den, rd._den), _merged_disc(supp._disc, rd._disc)
+    )
+    block = None if min_block is None else as_scalar(min_block)
+    gap, eps_den, disc, _, _ = _separate(pts, supp, rd, block, den, disc)
+    return _make(*gap, eps_den, disc)
 
-    def moved_off(t: int) -> bool:
-        x_prime = neighborhood_union(pts, eps0 / 2**t).intersect(supp)
-        return x_prime.is_disjoint(rd.image_of(x_prime))
 
+# -- the searches on integer pairs (see the module docstring) ----------------------
+
+
+def _search(
+    spec: DisjointRotationSpec, g: Iet, min_block: QuadExt
+) -> Tuple[Tuple[QuadExt, ...], Tuple[QuadExt, ...], int, QuadExt, IntervalSet, IntervalSet]:
+    """P, P', d, epsilon, X and X' for synthesis on the pair (spec, g), spec
+    at its fixing power: compute_P, find_d and find_epsilon on one lattice,
+    that of g and of every power of spec (whose pieces lie over spec's N^2).
+    P' is the part of P in supp r, by one walk beside supp's ends, and r^d
+    comes from spec's closed form."""
+    r = spec.to_iet()
+    supp = r.support()
+    den = math.lcm(spec._den ** 2, g._den)
+    pts, disc = _points(spec, g, den)
+    (ends,) = supp._over(den)
+    pts_prime = [p for p, rank in zip(pts, _ranks(pts, ends, disc)) if rank & 1]
+    d = _find_d(r, pts_prime, den, disc)
+    gap, eps_den, eps_disc, x, x_prime = _separate(pts, supp, spec.power(d), min_block, den, disc)
+    return (
+        _values(pts, den, disc),
+        _values(pts_prime, den, disc),
+        d,
+        _make(*gap, eps_den, eps_disc),
+        _from_ends(eps_den, eps_disc, x),
+        _from_ends(eps_den, eps_disc, x_prime),
+    )
+
+
+def _ascending(values: Sequence, den: int, disc: int) -> Tuple[List[Pair], int, int]:
+    """The values as ascending, distinct pairs over the lattice of den, disc
+    and the values, with that lattice's N and D."""
+    values = [as_scalar(v) for v in values]
+    den, disc = _lattice(values, den, disc)
+    return _sorted_pairs([_pair(v, den) for v in values], disc), den, disc
+
+
+def _sorted_pairs(pairs: Sequence[Pair], disc: int) -> List[Pair]:
+    # the distinct pairs, ascending by the exact sign of their differences
+    key = cmp_to_key(lambda u, v: _sign3(u[0] - v[0], u[1] - v[1], disc))
+    return sorted(set(pairs), key=key)
+
+
+def _points(r_spec: DisjointRotationSpec, g: Iet, den: int) -> Tuple[List[Pair], int]:
+    """compute_P's points over den, a multiple of the N of r_spec and of g,
+    ascending and distinct, and their D.  g^-1 moves the ascending block
+    bounds in one walk (iet._image_points)."""
+    disc = _merged_disc(r_spec._disc, g._disc)
+    bounds = r_spec._over(den)[2][:-1]
+    bps, trs = g.inverse()._over(den)
+    preimages = _image_points(bps, trs, _image_order(bps, trs, den)[0], bounds, disc)
+    return _sorted_pairs([*bounds, *preimages, *g._over(den)[0][1:]], disc), disc
+
+
+def _find_d(r: Iet, pts: Sequence[Pair], den: int, disc: int) -> int:
+    """find_d on ascending points over den, a multiple of r's N: r moves them
+    by one walk (iet._image_points), which keeps them ascending, and the
+    images are checked against the points as a set of pairs."""
+    bps, trs = r._over(den)
+    order = _image_order(bps, trs, den)[0]
+    base = set(pts)
+    images = pts
+    cap = len(pts) ** 2 + 1
+    for d in range(1, cap + 1):
+        images = _image_points(bps, trs, order, images, disc)
+        if base.isdisjoint(images):
+            return d
+    raise InvariantError(f"no admissible d up to {cap}; orbit structure violated")
+
+
+def _separate(
+    pts: Sequence[Pair],
+    supp: IntervalSet,
+    rd: Iet,
+    min_block: QuadExt | None,
+    den: int,
+    disc: int,
+) -> Tuple[Pair, int, int, List[Pair], List[Pair]]:
+    """find_epsilon on the ascending, distinct points pts over den, a
+    multiple of the N of supp = supp r and of rd = r^d.  Returns the gap pair
+    (ga, gb) and the N' = den * 2^k with epsilon = (ga + gb sqrt(D)) / N', D,
+    and the ends over N' of X and of X' = X & supp at that epsilon.
+
+    eps0 is half the least circular gap of the points, so the t-th halving
+    has radius gap / 2^(t + 1): at the lattice den * 2^(t + 1) the radius is
+    the gap pair itself.  A lone point has gap 1 and eps0 = 1/4, one halving
+    later.  Each separation check scales the points, supp's ends and rd's
+    pieces to that lattice and walks end lists: X's ends (`_ball_ends`), X'
+    (`_merge_ends`), X''s image under rd cut at its pieces in an image order
+    found once (`_image_ends`), and the disjointness of the two."""
+    (ends,) = supp._over(den)
+    bps, trs = rd._over(den)
+    order = _image_order(bps, trs, den)[0]
+    if len(pts) >= 2:
+        ga, gb = pts[0][0] + den - pts[-1][0], pts[0][1] - pts[-1][1]
+        for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
+            if _sign3(a1 - a0 - ga, b1 - b0 - gb, disc) < 0:
+                ga, gb = a1 - a0, b1 - b0
+        shift = 1
+    else:
+        ga, gb, shift = den, 0, 2
+    # the least t with x < 2^t, for x > 0, is floor(x).bit_length(): for
+    # x = 10 eps0 and, with a block length m, for x = 4 eps0 / m, whose
+    # denominator is rationalised by m's conjugate
+    t0 = _floor(10 * ga, 10 * gb, den << shift, disc).bit_length()
+    if min_block is not None:
+        ma, mb, md = min_block.an, min_block.bn, min_block.den
+        disc = _merged_disc(disc, min_block.disc)
+        norm = ma * ma - mb * mb * disc
+        xa = 4 * md * (ga * ma - gb * mb * disc)
+        xb = 4 * md * (gb * ma - ga * mb)
+        if norm < 0:
+            xa, xb, norm = -xa, -xb, -norm
+        t0 = max(t0, _floor(xa, xb, (den << shift) * norm, disc).bit_length())
     last = MAX_HALVINGS - 1
     cap = f"no admissible epsilon after MAX_HALVINGS = {MAX_HALVINGS}"
-    t0 = 0
-    while not (eps0 * 10 < 2**t0 and (min_block is None or eps0 * 4 < min_block * 2**t0)):
-        if t0 == last:
-            raise SearchCapError(cap)
-        t0 += 1
+    if t0 > last:
+        raise SearchCapError(cap)
+    passed = {}  # t -> the ends of X and X' at each t that passed
+
+    def moved_off(t: int) -> bool:
+        k = t + shift
+        n = den << k
+        x = _ball_ends([(a << k, b << k) for a, b in pts], (ga, gb), n, disc)
+        x_prime = _merge_ends(x, [(a << k, b << k) for a, b in ends], disc, True)
+        image = _image_ends([(a << k, b << k) for a, b in bps],
+                            [(a << k, b << k) for a, b in trs], order, x_prime, n, disc)
+        if _merge_ends(x_prime, image, disc, True):
+            return False
+        passed[t] = x, x_prime
+        return True
+
     failed, t = t0 - 1, t0  # failed: the largest t known to fail
     while not moved_off(t):
         if t == last:
@@ -233,7 +367,12 @@ def find_epsilon(
             t = mid
         else:
             failed = mid
-    return eps0 / 2**t
+    return (ga, gb), den << (t + shift), disc, *passed[t]
+
+
+def _values(pts: Sequence[Pair], den: int, disc: int) -> Tuple[QuadExt, ...]:
+    # the QuadExt values of pairs over den, as the public searches return them
+    return tuple([_make(a, b, den, disc) for a, b in pts])
 
 
 def find_M(
@@ -455,16 +594,11 @@ def synthesize_with_context(
 
     L = r_spec.fixing_power()
     spec_fixed = r_spec.power_spec(L)
-    r_fixed = spec_fixed.to_iet()
-    supp = r_fixed.support()
-    P = compute_P(spec_fixed, g_work)
-    P_prime = tuple(p for p in P if supp.contains_point(p))
-    d = find_d(r_fixed, P_prime)
-    epsilon = find_epsilon(r_fixed, P, d, min_block=r_spec.min_block_length())
+    P, P_prime, d, epsilon, X, X_prime = _search(
+        spec_fixed, g_work, r_spec.min_block_length()
+    )
     M = find_M(spec_fixed, epsilon, m_cap=m_cap)
     h, word_h = build_h(spec_fixed, g_work, M, fixing_power=L)
-    X = neighborhood_union(P, epsilon)
-    X_prime = X.intersect(supp)
     # X' lies in X: supp h inside X' settles the bound and, below, T = 1;
     # only otherwise is supp h tested against X itself
     in_X_prime = check_small_support(h, X_prime)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import ContextMismatchError, ParseError, SearchCapError, shown
 
@@ -123,7 +123,8 @@ def _sign3(an: int, bn: int, disc: int) -> int:
     # an*|an| + bn*|bn|*disc.  When the two terms share a sign, that is their
     # sign; otherwise an^2 against bn^2*disc decides, and equality there would
     # force sqrt(disc) rational, impossible for square-free disc >= 2.  The
-    # hot loops (Iet.l1_distance_to_identity, _locate, words._push) test this
+    # hot loops (Iet.l1_distance_to_identity, _locate, _ranks, the walks of
+    # intervals._merge_ends and iet._image_ends, words._push) test this
     # inline in its branch form, which measures faster than a call:
     # an + bn*sqrt(disc) > 0 exactly when
     #   (bn >= 0 or an*an > bn*bn*disc) if an > 0 else (bn > 0 and bn*bn*disc > an*an).
@@ -173,6 +174,26 @@ def _locate(
     return lo
 
 
+def _ranks(pts: Sequence[Pair], bps: Sequence[Pair], disc: int) -> List[int]:
+    """For the ascending pairs pts, how many of the ascending pairs bps lie at
+    or below each: the walk counterpart of _locate, one pass beside bps, so
+    about len(pts) + len(bps) exact comparisons in all.  Against the ends of
+    an interval set, an odd rank means the point lies in the set."""
+    out = []
+    i, n = 0, len(bps)
+    for xa, xb in pts:
+        while i < n:
+            a, b = bps[i]
+            p = xa - a
+            q = xb - b
+            # p + q sqrt(disc) < 0, as in _locate
+            if (q <= 0 or p * p > q * q * disc) if p < 0 else (q < 0 and q * q * disc > p * p):
+                break
+            i += 1
+        out.append(i)
+    return out
+
+
 _root = itemgetter(1)  # the b of a pair (a, b)
 
 
@@ -217,6 +238,11 @@ class _OnLattice:
     def __hash__(self):
         return hash(self._key(self))
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _store, since __setattr__ refuses
+        # the default restore
+        return _rebuilt, (type(self), *self._key(self))
+
     def _store(self, den: int, disc: int, *tuples: Sequence[Pair]):
         """Store pair sequences over den into self's pair slots, in the order
         of __slots__, and return self: den reduced as far as the integers
@@ -249,6 +275,11 @@ class _OnLattice:
         return tuple([_make(a, b, den, disc) for a, b in pairs])
 
 
+def _rebuilt(cls, den: int, disc: int, *tuples: Sequence[Pair]) -> _OnLattice:
+    # the object of class cls that _OnLattice.__reduce__ took apart
+    return object.__new__(cls)._store(den, disc, *tuples)
+
+
 class QuadExt:
     """Immutable exact scalar (an + bn*sqrt(disc)) / den.
 
@@ -262,6 +293,10 @@ class QuadExt:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _raw: the triple is already normal
+        return _raw, (self.an, self.bn, self.den, self.disc)
 
     def __new__(cls, rat=0, coef=0, disc: int = 0):
         if isinstance(rat, float) or isinstance(coef, float):

@@ -133,7 +133,7 @@ class Word:
         return free_reduce(self.syllables + other.syllables)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return _reduced(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -167,18 +167,33 @@ _TOKEN = re.compile(r"(([ab])(?:\^(-?[0-9]+))?)(?!\S)|(\S+)")
 
 
 def free_reduce(syllables: Iterable[Syllable]) -> Word:
-    """Merge adjacent same-generator syllables and drop vanished ones."""
-    stack: list[list] = []
+    """Merge adjacent same-generator syllables and drop vanished ones.
+
+    One pass checks each syllable as Word does, and the reduced syllables
+    become the Word as they are, with no second check."""
+    stack: List[Syllable] = []
     for gen, exp in syllables:
         if exp == 0:
             continue
+        if gen not in GENERATORS:
+            raise PreconditionError(f"unknown generator {gen!r}")
+        if not isinstance(exp, int):
+            raise PreconditionError(f"exponents must be nonzero integers, got {exp!r}")
         if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
+            exp += stack.pop()[1]
+            if exp:
+                stack.append((gen, exp))
         else:
-            stack.append([gen, exp])
-    return Word(tuple((g, e) for g, e in stack))
+            stack.append((gen, exp))
+    return _reduced(tuple(stack))
+
+
+def _reduced(syllables: Tuple[Syllable, ...]) -> Word:
+    # the Word of syllables already checked and reduced, built without
+    # __post_init__'s second walk
+    word = object.__new__(Word)
+    object.__setattr__(word, "syllables", syllables)
+    return word
 
 
 def eval_word(word: Word, r: Iet, g: Iet) -> Iet:
@@ -341,7 +356,8 @@ def _on_lattice(steps: Dict[Tuple[str, int], LatticeMap]) -> Tuple[int, int, dic
     for key, (step_den, _, pieces) in steps.items():
         c = den // step_den
         if c > 1:
-            pieces = [tuple(v * c for v in piece) for piece in pieces]
+            pieces = [(la * c, lb * c, ha * c, hb * c, sa * c, sb * c)
+                      for la, lb, ha, hb, sa, sb in pieces]
         maps[key] = _as_step(pieces)
     return den, disc, maps
 

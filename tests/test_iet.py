@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from ietrel.errors import ContextMismatchError, InvariantError, PreconditionError
 from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.intervals import IntervalSet
+from ietrel.rotation import DisjointRotationSpec
 from ietrel.sampling import random_iet, random_partition
 from ietrel.scalars import ZERO, QuadExt
 
@@ -584,3 +587,22 @@ def test_maps_from_two_quadratic_fields_do_not_compose():
     # a rational map composes with either
     g = Iet.rotation(q(F(1, 3)))
     assert r2.compose(g).compose(g.inverse()) == r2
+
+
+_ROOT = QuadExt(0, F(1, 2), 2)  # sqrt(2) / 2
+
+
+@pytest.mark.parametrize("value", [
+    QuadExt(F(1, 3), F(2, 7), 5),
+    Iet.from_perm_lambda(PermLambdaSpec((3, 1, 2), (_ROOT / 2, F(1, 4), F(3, 4) - _ROOT / 2))),
+    IntervalSet([(F(1, 8), _ROOT), (F(3, 4), F(7, 8))]),
+    DisjointRotationSpec((_ROOT, 1 - _ROOT), (_ROOT - F(1, 2), F(1, 3))),
+], ids=["QuadExt", "Iet", "IntervalSet", "DisjointRotationSpec"])
+def test_pickle_and_copy_rebuild_an_equal_immutable_value(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+        with pytest.raises(AttributeError, match="is immutable"):
+            twin.den = 1
+        with pytest.raises(AttributeError, match="is immutable"):
+            twin._den = 1

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ietrel.errors import ContextMismatchError
-from ietrel.intervals import IntervalSet, circular_ball
-from ietrel.scalars import ONE, ZERO, QuadExt
+from ietrel.intervals import IntervalSet, _ball_ends, _from_ends, circular_ball, neighborhood_union
+from ietrel.scalars import ONE, ZERO, QuadExt, _lattice, _pair
 
 from conftest import interval_sets, q
 
@@ -198,3 +199,26 @@ def test_circular_ball_rejects_bad_arguments():
         circular_ball(q(0), ZERO)
     with pytest.raises(ValueError):
         circular_ball(ONE, q(F(1, 8)))
+
+
+def _ball_set(points, radius):
+    """intervals._ball_ends on QuadExt points and radius, as an IntervalSet."""
+    den, disc = _lattice(points, radius.den, radius.disc)
+    pts = [_pair(p, den) for p in points]
+    return _from_ends(den, disc, _ball_ends(pts, _pair(radius, den), den, disc))
+
+
+@given(st.sets(st.integers(0, 63), min_size=1, max_size=8), st.integers(0, 3))
+@example({0, 32}, 0)  # two balls of radius 1/4 cover the circle, touching twice
+@example({5}, 0)  # a lone point's ball of radius 1/2 is the whole circle
+@example({63}, 2)  # the last ball wraps past 1
+def test_separated_balls_match_neighborhood_union(ks, t):
+    points = [q(F(k, 64)) for k in sorted(ks)]
+    gaps = [b - a for a, b in zip(points, points[1:] + [points[0] + ONE])]
+    radius = min(gaps) / 2**(t + 1)
+    assert _ball_set(points, radius) == neighborhood_union(points, radius)
+    # each point moved up by k sqrt(2) / 2^14, less than a 64th: still ascending, below 1
+    moved = [p + q(0, F(k, 2**14), 2) for p, k in zip(points, sorted(ks))]
+    gaps = [b - a for a, b in zip(moved, moved[1:] + [moved[0] + ONE])]
+    radius = min(gaps) / 2**(t + 1)
+    assert _ball_set(moved, radius) == neighborhood_union(moved, radius)

@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ietrel import relations, words
@@ -165,6 +165,120 @@ def near_orbit_g(k, grid):
     lengths = [b - a for a, b in zip(cuts, cuts[1:] + [F(1)])]
     return Iet.from_perm_lambda(PermLambdaSpec(
         tuple(range(len(lengths), 0, -1)), tuple(q(v) for v in lengths)))
+
+
+def quadext_compute_P(r_spec, g):
+    """The oracle: compute_P on QuadExt values, g^-1 by Iet.apply and the
+    points sorted by QuadExt comparison."""
+    bounds = r_spec.block_bounds()[:-1]
+    points = set(bounds)
+    g_inv = g.inverse()
+    points.update(g_inv.apply(b) for b in bounds)
+    points.update(g.discontinuities())
+    return tuple(sorted(points))
+
+
+def quadext_find_d(r, points):
+    """The oracle: find_d's loop, r applied to QuadExt values by Iet.apply."""
+    base = set(points)
+    images = list(points)
+    for d in range(1, len(points) ** 2 + 2):
+        images = [r.apply(p) for p in images]
+        if base.isdisjoint(images):
+            return d
+    raise AssertionError("no admissible d")
+
+
+def orbit_aligned_g(n):
+    """The reversing exchange whose breakpoints are 0 and frac(k (sqrt(2) - 1))
+    for k = 1 .. n: all on one orbit of the rotation by sqrt(2) - 1, so d is
+    n + 1 against ONE_BLOCK."""
+    cuts = sorted({(SQRT2M1 * k).mod_one() for k in range(1, n + 1)} | {q(0)})
+    lengths = [b - a for a, b in zip(cuts, cuts[1:] + [ONE])]
+    return Iet.from_perm_lambda(PermLambdaSpec(
+        tuple(range(len(lengths), 0, -1)), tuple(lengths)))
+
+
+def _search_cases():
+    """(name, spec, g): |P| = 1, the near-orbit g, the orbit-aligned g at
+    n = 400, a spec with irrational block lengths and 60 seeded random specs
+    of one to four blocks with zero, rational and irrational rates."""
+    yield "one block against the identity: |P| = 1", ONE_BLOCK, Iet.identity()
+    for k in (4, 12, 30):
+        yield f"near-orbit {k}", ONE_BLOCK, near_orbit_g(k, 16)
+    yield "orbit-aligned n = 400", ONE_BLOCK, orbit_aligned_g(400)
+    root = q(0, F(1, 2), 2)  # sqrt(2) / 2
+    yield ("irrational lengths", DisjointRotationSpec((root, ONE - root), (SQRT2M1, q(F(1, 3)))),
+           random_iet(random.Random(5), 6, 8))
+    rng = random.Random(27)
+    count = 0
+    while count < 60:
+        spec = random_rotation_spec(rng)
+        if spec.classify().kind != FINITE_ORDER:
+            yield f"random {count}", spec, random_iet(rng, 8, 64)
+            count += 1
+
+
+def test_the_searches_match_their_quadext_oracles():
+    seen = Counter()
+    for name, spec, g in _search_cases():
+        L = spec.fixing_power()
+        fixed = spec.power_spec(L)
+        r = fixed.to_iet()
+        supp = r.support()
+        P = quadext_compute_P(fixed, g)
+        P_prime = tuple(p for p in P if supp.contains_point(p))
+        d = quadext_find_d(r, P_prime)
+        assert compute_P(fixed, g) == P, name
+        assert find_d(r, P_prime) == d, name
+        # the public find_d and find_epsilon take points in any order
+        assert find_d(r, P_prime[::-1] + P_prime[:1]) == d, name
+        for min_block in (None, spec.min_block_length()):
+            eps = halving_find_epsilon(r, P, d, min_block)
+            assert find_epsilon(r, P[::-1], d, min_block) == eps, name
+        # synthesis's search on one lattice, with X and X' at its epsilon
+        X = neighborhood_union(P, eps)
+        assert relations._search(fixed, g, spec.min_block_length()) == (
+            P, P_prime, d, eps, X, X.intersect(supp)), name
+        seen["multi-block"] += spec.n > 1
+        seen["a rational rate"] += any(a.is_rational and a for a in spec.rates)
+        seen["fixing power above 1"] += L > 1
+        seen["|P| = 1"] += len(P) == 1
+        seen["d > 1"] += d > 1
+        seen["d = 401"] += d == 401
+    assert min(seen.values()) >= 1 and seen["fixing power above 1"] >= 10, seen
+
+
+def test_the_searches_make_no_quadext_comparison(monkeypatch):
+    cases = []
+    for _, spec, g in _search_cases():
+        fixed = spec.power_spec(spec.fixing_power())
+        # min_block_length compares QuadExt values, so it runs before the guard
+        cases.append((fixed, g, fixed.to_iet(), spec.min_block_length()))
+
+    def forbidden(*args):
+        raise AssertionError("a search compared QuadExt values")
+
+    monkeypatch.setattr(QuadExt, "_cmp", forbidden)
+    for fixed, g, r, min_block in cases:
+        P = compute_P(fixed, g)
+        supp = r.support()
+        d = find_d(r, [p for p in P if supp.contains_point(p)])
+        find_epsilon(r, P, d, min_block)
+        relations._search(fixed, g, min_block)
+
+
+@given(st.sets(st.integers(1, 63), min_size=1, max_size=6), st.integers(0, 2))
+@example({63}, 0)  # the ball wraps past 1
+@example({1, 40}, 1)  # below 0
+@settings(max_examples=40, deadline=None)
+def test_find_epsilon_matches_the_halving_loop_on_balls_that_wrap(ks, rate):
+    # without 0 among the points, the last ball can reach past 1
+    pts = [q(F(k, 64)) for k in ks]
+    r = DisjointRotationSpec((q(F(1, 2)), q(F(1, 2))), (SQRT2M1, q(F(rate, 3)))).to_iet()
+    supp = r.support()
+    d = find_d(r, [p for p in pts if supp.contains_point(p)])
+    assert find_epsilon(r, pts, d) == halving_find_epsilon(r, pts, d)
 
 
 def test_find_epsilon_matches_the_halving_loop():
@@ -528,7 +642,8 @@ def test_a_word_the_checker_rejects_is_not_certified(monkeypatch):
 
 
 def test_escaped_support_raises_without_a_retry(monkeypatch):
-    calls = {"compute_P": 0, "find_M": 0}
+    # synthesis searches P on integer pairs through relations._points
+    calls = {"_points": 0, "find_M": 0}
 
     def counted(name):
         original = getattr(relations, name)
@@ -544,7 +659,7 @@ def test_escaped_support_raises_without_a_retry(monkeypatch):
     monkeypatch.setattr(relations, "check_small_support", lambda h, x: False)
     with pytest.raises(InvariantError, match="support of h escaped"):
         synthesize(ONE_BLOCK, _quarter_rotation_g())
-    assert calls == {"compute_P": 1, "find_M": 1}
+    assert calls == {"_points": 1, "find_M": 1}
 
 
 def test_input_type_guards():
@@ -653,6 +768,10 @@ def test_invariants_hold_rederives_the_disjoint_support_premise():
     cert, ctx = synthesize_with_context(*README_PAIR)
     assert cert.branch == BRANCH_T_TRIVIAL and ctx.T is None
     assert ctx.invariants_hold()
+    # X and X' are re-derived, not taken from the search: an empty X' is
+    # moved off itself by any map
+    assert not dataclasses.replace(ctx, X_prime=IntervalSet()).invariants_hold()
+    assert not dataclasses.replace(ctx, X=IntervalSet.full()).invariants_hold()
     # an h that moves half of [0, 1) onto the other half: its support meets
     # its image under r^d
     assert not dataclasses.replace(ctx, h=Iet.rotation(q(F(1, 2)))).invariants_hold()

@@ -67,6 +67,23 @@ def test_reduction_is_idempotent(raw):
     assert free_reduce(w.syllables) == w
 
 
+def test_free_reduce_checks_each_syllable_as_the_constructor_does():
+    with pytest.raises(PreconditionError, match="unknown generator 'c'"):
+        free_reduce([("a", 1), ("c", 2)])
+    with pytest.raises(PreconditionError, match=r"nonzero integers, got 1\.5"):
+        free_reduce([("b", 1), ("a", 1.5)])
+    with pytest.raises(PreconditionError, match="nonzero integers, got '2'"):
+        free_reduce([("a", "2")])
+    # a zero exponent vanishes in reduction, and only the constructor refuses it
+    assert free_reduce([("a", 2), ("b", 0), ("a", -1)]).syllables == (("a", 1),)
+    with pytest.raises(PreconditionError, match="nonzero integers, got 0"):
+        Word((("a", 0),))
+    # the Word free_reduce builds without a second check is the checked one
+    w = free_reduce([("b", 2), ("a", 1), ("a", 2), ("b", -1)])
+    checked = Word((("b", 2), ("a", 3), ("b", -1)))
+    assert w == checked and hash(w) == hash(checked) and type(w.syllables) is tuple
+
+
 def test_word_constructor_enforces_reduced_form():
     with pytest.raises(PreconditionError):
         Word((("a", 0),))
