@@ -22,7 +22,6 @@ inference all read that one table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ContextMismatchError, ParseError, shown
@@ -59,8 +58,7 @@ KIND_WORD = "word"
 KIND_CERTIFICATE = "certificate"
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     disc: int
     kind: str
     payload: object

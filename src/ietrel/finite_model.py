@@ -15,11 +15,11 @@ prediction against the direct product k h^-1 k^-1 h.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterator, Tuple
 
 from .errors import InvariantError, PreconditionError, SearchCapError
+from .scalars import _Frozen
 
 __all__ = [
     "compose_maps",
@@ -61,26 +61,21 @@ def support_of(p: Map) -> frozenset:
     return frozenset(i for i, j in enumerate(p) if i != j)
 
 
-@dataclass(frozen=True)
-class CommutatorInstance:
+class CommutatorInstance(_Frozen):
     """A pair (h, phi) on m points with phi(supp h cap supp phi) off supp h.
 
     The inverses of h and phi are computed once, here, for compute_T and
     classify_point.
     """
 
-    h: Map
-    phi: Map
-    A: frozenset
-    B: frozenset
-    C: frozenset
-    k: Map
-    h_inv: Map = field(init=False, repr=False, compare=False)
-    phi_inv: Map = field(init=False, repr=False, compare=False)
+    __slots__ = ("h", "phi", "A", "B", "C", "k", "h_inv", "phi_inv")
 
-    def __post_init__(self):
-        object.__setattr__(self, "h_inv", invert_map(self.h))
-        object.__setattr__(self, "phi_inv", invert_map(self.phi))
+    def __init__(self, h: Map, phi: Map, A: frozenset, B: frozenset, C: frozenset, k: Map):
+        self._set(h, phi, A, B, C, k, invert_map(h), invert_map(phi))
+
+    def __repr__(self):
+        return (f"CommutatorInstance(h={self.h!r}, phi={self.phi!r}, A={self.A!r}, "
+                f"B={self.B!r}, C={self.C!r}, k={self.k!r})")
 
     @classmethod
     def build(cls, h: Map, phi: Map) -> "CommutatorInstance":

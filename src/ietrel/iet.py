@@ -21,14 +21,13 @@ IntervalSets, which keep their ends on a lattice in the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import SHOWN_CHARS, InvariantError, PreconditionError, shown
 from .intervals import IntervalSet, _from_ends
 from .scalars import (
-    ONE, ZERO, Pair, QuadExt, _lattice, _locate, _make, _merged_disc, _OnLattice, _pair,
-    _ranks, _sign3, as_scalar,
+    ONE, ZERO, Pair, QuadExt, _Frozen, _lattice, _locate, _make, _merged_disc, _OnLattice,
+    _pair, _ranks, _sign3, as_scalar,
 )
 
 __all__ = ["Iet", "PermLambdaSpec"]
@@ -56,23 +55,26 @@ def _quoted(v: QuadExt, ref: int) -> str:
     return f"a value {'above' if v > ref else 'below'} {ref} too long to show"
 
 
-@dataclass(frozen=True)
-class PermLambdaSpec:
+class PermLambdaSpec(_Frozen):
     """Combinatorial IET data: a permutation pi of {1..n} and lengths summing to 1."""
 
-    pi: Tuple[int, ...]
-    lengths: Tuple[QuadExt, ...]
-    _bounds: Tuple[QuadExt, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("pi", "lengths", "_bounds")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pi", tuple(int(p) for p in self.pi))
-        object.__setattr__(self, "lengths", tuple(as_scalar(v) for v in self.lengths))
-        n = len(self.pi)
-        if n == 0 or len(self.lengths) != n:
+    def __init__(self, pi: Sequence[int], lengths: Sequence):
+        pi = tuple(pi)
+        lengths = tuple(as_scalar(v) for v in lengths)
+        n = len(pi)
+        if n == 0 or len(lengths) != n:
             raise PreconditionError("pi and lengths must be nonempty and parallel")
-        if sorted(self.pi) != list(range(1, n + 1)):
-            raise PreconditionError(f"pi must permute 1..{n}, got {shown(self.pi)}")
-        object.__setattr__(self, "_bounds", check_lengths(self.lengths))
+        for p in pi:
+            if type(p) is not int:
+                raise PreconditionError(f"pi entries must be integers, got {shown(p)}")
+        if sorted(pi) != list(range(1, n + 1)):
+            raise PreconditionError(f"pi must permute 1..{n}, got {shown(pi)}")
+        self._set(pi, lengths, check_lengths(lengths))
+
+    def __repr__(self):
+        return f"PermLambdaSpec(pi={self.pi!r}, lengths={self.lengths!r})"
 
     @property
     def n(self) -> int:

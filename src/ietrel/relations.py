@@ -46,9 +46,8 @@ algebra that built h, k and T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantError, PreconditionError, SearchCapError
 from .iet import Iet, _image_ends, _image_order, _image_points
@@ -100,8 +99,7 @@ DEFAULT_M_CAP = 100_000_000
 MAX_HALVINGS = 200
 
 
-@dataclass(frozen=True)
-class RelationCertificate:
+class RelationCertificate(NamedTuple):
     """A verified relation: word evaluates to the identity on (r, g)."""
 
     word: Word
@@ -113,8 +111,7 @@ class RelationCertificate:
     verified: bool = False
 
 
-@dataclass
-class SynthesisContext:
+class SynthesisContext(NamedTuple):
     """Every intermediate object of one synthesis run, for inspection.
 
     k and T are None on the h_trivial branch, and on the T_trivial branch

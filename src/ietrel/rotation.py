@@ -17,8 +17,7 @@ from `power(k).lattice_pieces()`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import PreconditionError
 from .iet import Iet, _quoted, check_lengths
@@ -37,8 +36,7 @@ INFINITE_NO_FIXED = "infinite_no_fixed"
 INFINITE_WITH_FIXED = "infinite_with_fixed"
 
 
-@dataclass(frozen=True)
-class OrderClass:
+class OrderClass(NamedTuple):
     kind: str
     order: int | None = None
 

@@ -18,9 +18,8 @@ that commutes with r so the certificate stays short.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .iet import Iet, PermLambdaSpec
 from .rotation import DisjointRotationSpec
@@ -140,8 +139,7 @@ def random_rotation_spec(
     return DisjointRotationSpec(lengths=lengths, rates=tuple(rates))
 
 
-@dataclass(frozen=True)
-class SuitePair:
+class SuitePair(NamedTuple):
     name: str
     r: DisjointRotationSpec
     g: Iet

@@ -197,7 +197,58 @@ def _ranks(pts: Sequence[Pair], bps: Sequence[Pair], disc: int) -> List[int]:
 _root = itemgetter(1)  # the b of a pair (a, b)
 
 
-class _OnLattice:
+class _Frozen:
+    """The immutable-value base: a subclass names its state in __slots__, and
+    the state of an object is the values of the slots of its whole class
+    chain, in order.  __init__ checks its arguments and ends with _set; an
+    internal constructor that trusts its values calls _set on
+    object.__new__(cls).  Every other write or delete is refused, and ==,
+    hash, pickle and copy go through that one state tuple, _key."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = tuple(chain.from_iterable(
+            vars(c).get("__slots__", ()) for c in reversed(cls.__mro__)))
+        get = attrgetter(*names)
+        # the state as a tuple, a 1-tuple too: attrgetter of one name returns
+        # the bare value
+        cls._key = get if len(names) > 1 else staticmethod(lambda obj: (get(obj),))
+        # the slot setters, called directly: __setattr__ refuses every write
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _set, since __setattr__ refuses
+        # the default restore
+        return _rebuilt, (type(self), *self._key(self))
+
+    def _set(self, *values):
+        """Store values into the slots, in the order of _key, and return self."""
+        for put, value in zip(self._setters, values):
+            put(self, value)
+        return self
+
+
+def _rebuilt(cls, *values) -> _Frozen:
+    # the object of class cls that _Frozen.__reduce__ took apart
+    return object.__new__(cls)._set(*values)
+
+
+class _OnLattice(_Frozen):
     """An immutable exact object whose values all lie on one lattice
     (1/N)(Z + Z sqrt(D)): the breakpoints and translations of an Iet, the
     ends of an IntervalSet, the lengths, rates and bounds of a
@@ -214,34 +265,12 @@ class _OnLattice:
 
     Canonical form: _store keeps the smallest N (gcd(N, all the integers) =
     1) and D = 0 when no pair has a root term, and each subclass keeps its
-    own order and merging rules, so == and hash compare (N, D, the pair
-    tuples).  QuadExt values are built from the pairs, by _scalars, only when
-    they are read.
+    own order and merging rules, so _Frozen's == and hash compare (N, D, the
+    pair tuples).  QuadExt values are built from the pairs, by _scalars,
+    only when they are read.
     """
 
     __slots__ = ("_den", "_disc")
-
-    def __init_subclass__(cls):
-        names = ("_den", "_disc", *cls.__slots__)
-        cls._key = attrgetter(*names)  # (N, D, the pair tuples) of an object
-        # the slot setters, called directly: __setattr__ refuses every write
-        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key(self) == self._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __reduce__(self):
-        # pickle and copy rebuild through _store, since __setattr__ refuses
-        # the default restore
-        return _rebuilt, (type(self), *self._key(self))
 
     def _store(self, den: int, disc: int, *tuples: Sequence[Pair]):
         """Store pair sequences over den into self's pair slots, in the order
@@ -257,9 +286,7 @@ class _OnLattice:
             tuples = [[(a // g, b // g) for a, b in pairs] for pairs in tuples]
         if disc and not any(map(_root, chain(*tuples))):
             disc = 0
-        for put, value in zip(self._setters, (den, disc, *map(tuple, tuples))):
-            put(self, value)
-        return self
+        return self._set(den, disc, *map(tuple, tuples))
 
     def _over(self, den: int) -> Sequence[Sequence[Pair]]:
         """self's pair tuples over den, a multiple of self's N."""
@@ -275,12 +302,7 @@ class _OnLattice:
         return tuple([_make(a, b, den, disc) for a, b in pairs])
 
 
-def _rebuilt(cls, den: int, disc: int, *tuples: Sequence[Pair]) -> _OnLattice:
-    # the object of class cls that _OnLattice.__reduce__ took apart
-    return object.__new__(cls)._store(den, disc, *tuples)
-
-
-class QuadExt:
+class QuadExt(_Frozen):
     """Immutable exact scalar (an + bn*sqrt(disc)) / den.
 
     The triple is kept with den >= 1, gcd(an, bn, den) = 1, and disc = 0
@@ -290,13 +312,6 @@ class QuadExt:
     """
 
     __slots__ = ("an", "bn", "den", "disc")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through _raw: the triple is already normal
-        return _raw, (self.an, self.bn, self.den, self.disc)
 
     def __new__(cls, rat=0, coef=0, disc: int = 0):
         if isinstance(rat, float) or isinstance(coef, float):
@@ -556,11 +571,8 @@ class QuadExt:
         return f"QuadExt({str(self)!r})"
 
 
-# The slot setters, called directly: half the cost of object.__setattr__.
-_SET_AN = QuadExt.an.__set__
-_SET_BN = QuadExt.bn.__set__
-_SET_DEN = QuadExt.den.__set__
-_SET_DISC = QuadExt.disc.__set__
+# The slot setters, called directly by _raw, the hottest constructor.
+_SET_AN, _SET_BN, _SET_DEN, _SET_DISC = QuadExt._setters
 
 
 def _raw(an: int, bn: int, den: int, disc: int) -> QuadExt:

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import ParseError, PreconditionError, SearchCapError, shown
 from .iet import Iet
 from .rotation import DisjointRotationSpec
-from .scalars import _merged_disc, _read_int
+from .scalars import _Frozen, _merged_disc, _read_int
 
 __all__ = [
     "Word",
@@ -81,23 +80,20 @@ LatticeStep = Tuple[List[Tuple[int, ...]], List[int]]
 Piece = Tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """A freely reduced word; the empty tuple is the trivial word."""
 
-    syllables: Tuple[Syllable, ...] = ()
+    __slots__ = ("syllables",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "syllables", tuple(self.syllables))
+    def __init__(self, syllables: Iterable[Syllable] = ()):
+        syllables = tuple(syllables)
         prev = None
-        for gen, exp in self.syllables:
-            if gen not in GENERATORS:
-                raise PreconditionError(f"unknown generator {gen!r}")
-            if not isinstance(exp, int) or exp == 0:
-                raise PreconditionError(f"exponents must be nonzero integers, got {exp!r}")
+        for gen, exp in syllables:
+            _check_syllable(gen, exp)
             if gen == prev:
                 raise PreconditionError("word is not freely reduced")
             prev = gen
+        self._set(syllables)
 
     # -- construction ---------------------------------------------------
 
@@ -166,6 +162,14 @@ class Word:
 _TOKEN = re.compile(r"(([ab])(?:\^(-?[0-9]+))?)(?!\S)|(\S+)")
 
 
+def _check_syllable(gen: str, exp: int) -> None:
+    # the check of one syllable, for Word and free_reduce alike
+    if gen not in GENERATORS:
+        raise PreconditionError(f"unknown generator {gen!r}")
+    if not isinstance(exp, int) or exp == 0:
+        raise PreconditionError(f"exponents must be nonzero integers, got {exp!r}")
+
+
 def free_reduce(syllables: Iterable[Syllable]) -> Word:
     """Merge adjacent same-generator syllables and drop vanished ones.
 
@@ -175,10 +179,7 @@ def free_reduce(syllables: Iterable[Syllable]) -> Word:
     for gen, exp in syllables:
         if exp == 0:
             continue
-        if gen not in GENERATORS:
-            raise PreconditionError(f"unknown generator {gen!r}")
-        if not isinstance(exp, int):
-            raise PreconditionError(f"exponents must be nonzero integers, got {exp!r}")
+        _check_syllable(gen, exp)
         if stack and stack[-1][0] == gen:
             exp += stack.pop()[1]
             if exp:
@@ -190,10 +191,8 @@ def free_reduce(syllables: Iterable[Syllable]) -> Word:
 
 def _reduced(syllables: Tuple[Syllable, ...]) -> Word:
     # the Word of syllables already checked and reduced, built without
-    # __post_init__'s second walk
-    word = object.__new__(Word)
-    object.__setattr__(word, "syllables", syllables)
-    return word
+    # __init__'s second walk
+    return object.__new__(Word)._set(syllables)
 
 
 def eval_word(word: Word, r: Iet, g: Iet) -> Iet:

@@ -1006,3 +1006,18 @@ def test_console_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert "6 instances" in proc.stdout
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # every value is a _Frozen class or a NamedTuple: dataclasses, and the
+    # inspect it pulls in, would add milliseconds to each command's start
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ietrel.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

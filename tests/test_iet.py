@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ietrel.errors import ContextMismatchError, InvariantError, PreconditionError
+from ietrel.finite_model import CommutatorInstance
 from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.intervals import IntervalSet
 from ietrel.rotation import DisjointRotationSpec
 from ietrel.sampling import random_iet, random_partition
 from ietrel.scalars import ZERO, QuadExt
+from ietrel.words import Word
 
 from conftest import (
     assert_tiles_unit_interval,
@@ -78,6 +80,17 @@ def test_rejected_constructions():
     with pytest.raises(PreconditionError):
         Iet.from_perm_lambda(PermLambdaSpec(pi=(1,), lengths=(q(F(1, 2)),)))
 
+
+
+def test_perm_lambda_spec_refuses_entries_of_pi_that_are_not_integers():
+    halves = (q(F(1, 2)),) * 2
+    for pi, got in (((2.9, 1.2), "2.9"), (("2", "1"), "'2'"), ((2, True), "True")):
+        with pytest.raises(PreconditionError, match=f"pi entries must be integers, got {got}"):
+            PermLambdaSpec(pi, halves)
+    # the value is quoted through errors.shown, so a long one is cut short
+    with pytest.raises(PreconditionError, match=r"got '11111.*\.\.\. \(length 100\)"):
+        PermLambdaSpec(("1" * 100, 2), halves)
+    assert PermLambdaSpec([2, 1], halves).pi == (2, 1)
 
 def test_apply_rejects_points_outside_domain():
     r = Iet.rotation(q(F(1, 4)))
@@ -597,8 +610,13 @@ _ROOT = QuadExt(0, F(1, 2), 2)  # sqrt(2) / 2
     Iet.from_perm_lambda(PermLambdaSpec((3, 1, 2), (_ROOT / 2, F(1, 4), F(3, 4) - _ROOT / 2))),
     IntervalSet([(F(1, 8), _ROOT), (F(3, 4), F(7, 8))]),
     DisjointRotationSpec((_ROOT, 1 - _ROOT), (_ROOT - F(1, 2), F(1, 3))),
-], ids=["QuadExt", "Iet", "IntervalSet", "DisjointRotationSpec"])
+    Word.parse("b^-1 a^3 b a^-3"),
+    PermLambdaSpec((3, 1, 2), (_ROOT / 2, F(1, 4), F(3, 4) - _ROOT / 2)),
+    CommutatorInstance.build((1, 2, 0, 3), (0, 3, 2, 1)),
+], ids=["QuadExt", "Iet", "IntervalSet", "DisjointRotationSpec", "Word", "PermLambdaSpec",
+        "CommutatorInstance"])
 def test_pickle_and_copy_rebuild_an_equal_immutable_value(value):
+    slots = [name for cls in type(value).__mro__ for name in vars(cls).get("__slots__", ())]
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value)
@@ -606,3 +624,8 @@ def test_pickle_and_copy_rebuild_an_equal_immutable_value(value):
             twin.den = 1
         with pytest.raises(AttributeError, match="is immutable"):
             twin._den = 1
+        # a delete is refused too, and leaves the value whole
+        for name in slots:
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(twin, name)
+        assert twin == value and repr(twin) == repr(value)

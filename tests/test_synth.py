@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 from collections import Counter
@@ -770,13 +769,13 @@ def test_invariants_hold_rederives_the_disjoint_support_premise():
     assert ctx.invariants_hold()
     # X and X' are re-derived, not taken from the search: an empty X' is
     # moved off itself by any map
-    assert not dataclasses.replace(ctx, X_prime=IntervalSet()).invariants_hold()
-    assert not dataclasses.replace(ctx, X=IntervalSet.full()).invariants_hold()
+    assert not ctx._replace(X_prime=IntervalSet()).invariants_hold()
+    assert not ctx._replace(X=IntervalSet.full()).invariants_hold()
     # an h that moves half of [0, 1) onto the other half: its support meets
     # its image under r^d
-    assert not dataclasses.replace(ctx, h=Iet.rotation(q(F(1, 2)))).invariants_hold()
+    assert not ctx._replace(h=Iet.rotation(q(F(1, 2)))).invariants_hold()
     # a T_sixth context with k and T dropped: h moves points that r^L fixes
     pair = next(p for p in demo_suite() if p.name == "d2-two-blocks-fixed")
     cert, ctx = synthesize_with_context(pair.r, pair.g)
     assert cert.branch == BRANCH_T_SIXTH and ctx.invariants_hold()
-    assert not dataclasses.replace(ctx, k=None, T=None).invariants_hold()
+    assert not ctx._replace(k=None, T=None).invariants_hold()
