@@ -64,32 +64,29 @@ def support_of(p: Map) -> frozenset:
 class CommutatorInstance(_Frozen):
     """A pair (h, phi) on m points with phi(supp h cap supp phi) off supp h.
 
-    The inverses of h and phi are computed once, here, for compute_T and
+    The constructor derives everything else from h and phi: A = supp h cap
+    supp phi, B = supp h - supp phi, C = phi(A), k = phi h phi^-1, and the
+    inverses of h and phi, computed once, here, for compute_T and
     classify_point.
     """
 
     __slots__ = ("h", "phi", "A", "B", "C", "k", "h_inv", "phi_inv")
 
-    def __init__(self, h: Map, phi: Map, A: frozenset, B: frozenset, C: frozenset, k: Map):
-        self._set(h, phi, A, B, C, k, invert_map(h), invert_map(phi))
-
-    def __repr__(self):
-        return (f"CommutatorInstance(h={self.h!r}, phi={self.phi!r}, A={self.A!r}, "
-                f"B={self.B!r}, C={self.C!r}, k={self.k!r})")
-
-    @classmethod
-    def build(cls, h: Map, phi: Map) -> "CommutatorInstance":
+    def __init__(self, h: Map, phi: Map):
         if len(h) != len(phi):
             raise PreconditionError("h and phi must act on the same point set")
         supp_h = support_of(h)
         supp_phi = support_of(phi)
-        a = frozenset(supp_h & supp_phi)
-        b = frozenset(supp_h - supp_phi)
-        c = frozenset(phi[i] for i in a)
+        a = supp_h & supp_phi
         k = [0] * len(h)
         for i, j in enumerate(h):
             k[phi[i]] = phi[j]  # k = phi h phi^-1
-        return cls(h=h, phi=phi, A=a, B=b, C=c, k=tuple(k))
+        self._set(h, phi, a, supp_h - supp_phi, frozenset(phi[i] for i in a), tuple(k),
+                  invert_map(h), invert_map(phi))
+
+    def __repr__(self):
+        return (f"CommutatorInstance(h={self.h!r}, phi={self.phi!r}, A={self.A!r}, "
+                f"B={self.B!r}, C={self.C!r}, k={self.k!r})")
 
     @property
     def m(self) -> int:
@@ -189,7 +186,7 @@ def random_instance(m: int, rng: random.Random) -> CommutatorInstance:
         phi = _random_derangement_on(m, sup_phi, rng)
         a = set(sup_h).intersection(sup_phi)
         if a and a.isdisjoint(phi[i] for i in a):
-            return CommutatorInstance.build(h, phi)
+            return CommutatorInstance(h, phi)
     raise SearchCapError(f"no admissible instance in {MAX_TRIES} tries")
 
 
@@ -219,4 +216,4 @@ def enumerate_instances(m: int) -> Iterator[CommutatorInstance]:
         for phi, sup_phi in zip(perms, supports):
             a = sup_h & sup_phi
             if a and a.isdisjoint(phi[i] for i in a):
-                yield CommutatorInstance.build(h, phi)
+                yield CommutatorInstance(h, phi)

@@ -29,8 +29,11 @@ joins them with the bounds and disc(g), and P' is read by one walk beside
 supp r's ends.  find_d moves the pairs by r, and each separation check of
 find_epsilon walks end lists over N * 2^k, where the radius is the least
 gap of P itself; the search hands synthesis X and X' at the epsilon it
-found.  The public compute_P, find_d and find_epsilon take and return
-QuadExt values around the same cores.
+found.  The two closed-form bounds on epsilon are taken once per search as
+floors of exact QuadExt values, 10 eps0 and 4 eps0 / (least block), and
+P and P' become QuadExt values by scalars._values.  The public compute_P,
+find_d and find_epsilon take and return QuadExt values around the same
+cores.
 
 The emitted word is, by branch: a^q, the word of h when h is trivial, the
 word of T when T is trivial, and the word of T concatenated six times
@@ -56,7 +59,7 @@ from .intervals import (
 )
 from .rotation import FINITE_ORDER, DisjointRotationSpec
 from .scalars import (
-    ONE, Pair, QuadExt, _floor, _lattice, _make, _merged_disc, _pair, _ranks, _sign3,
+    ONE, Pair, QuadExt, _lattice, _make, _merged_disc, _pair, _ranks, _sign3, _values,
     as_scalar,
 )
 from .words import MAX_EXPONENT_DIGITS, Word, verify_word
@@ -134,16 +137,20 @@ class SynthesisContext(NamedTuple):
     fallback_used = False  # a constant: synthesis has no retry; perfbench/tracing.py reads it
 
     def invariants_hold(self) -> bool:
-        """Re-derive the defining conditions of d, epsilon and M."""
+        """Re-derive the defining conditions of d, epsilon and M, and that
+        each is the one synthesis promises: the least d and M, and the
+        largest epsilon = eps0 / 2^t that passes find_epsilon's checks."""
         r_fixed = self.r_spec.to_iet()
         supp = r_fixed.support()
         if tuple(p for p in self.P if supp.contains_point(p)) != self.P_prime:
             return False
         rd = r_fixed.power(self.d)
         images = list(self.P_prime)
+        misses = []  # for each d' <= d: does r^d'(P') miss P'?
         for _ in range(self.d):
             images = [r_fixed.apply(q) for q in images]
-        if not set(images).isdisjoint(self.P_prime):
+            misses.append(set(images).isdisjoint(self.P_prime))
+        if misses != [False] * (self.d - 1) + [True]:
             return False
         balls = [circular_ball(p, self.epsilon) for p in self.P]
         for i in range(len(balls)):
@@ -154,7 +161,25 @@ class SynthesisContext(NamedTuple):
         X = neighborhood_union(self.P, self.epsilon)
         if self.X != X or self.X_prime != X.intersect(supp):
             return False
-        if not self.X_prime.is_disjoint(rd.image_of(self.X_prime)):
+        min_block = self.r_spec.min_block_length()
+
+        def separates(eps: QuadExt) -> bool:
+            # find_epsilon's checks at eps: 10 eps < 1, eps under a quarter
+            # of the least block, and X' moved off itself by r^d
+            if not (10 * eps < 1 and 4 * eps < min_block):
+                return False
+            x_prime = neighborhood_union(self.P, eps).intersect(supp)
+            return x_prime.is_disjoint(rd.image_of(x_prime))
+
+        # eps0: half the least circular gap of P, 1/4 for a lone point
+        P = self.P
+        gaps = [b - a for a, b in zip(P, P[1:])] + [P[0] + 1 - P[-1]]
+        eps0 = min(gaps) / 2 if len(P) > 1 else ONE / 4
+        # epsilon = eps0 / 2^t, and 2 epsilon fails a check unless t = 0
+        t = (eps0 / self.epsilon).floor().bit_length() - 1
+        if t < 0 or self.epsilon * 2**t != eps0:
+            return False
+        if not separates(self.epsilon) or (t > 0 and separates(2 * self.epsilon)):
             return False
         if self.T is None and not self.h.is_identity():
             # T = 1 was decided from supports: the premise synthesis tested,
@@ -164,10 +189,13 @@ class SynthesisContext(NamedTuple):
             if not (supp.contains_set(h_supp) and h_supp.is_disjoint(rd.image_of(h_supp))):
                 return False
         theta = self.epsilon / 10
-        for rate in self.r_spec.block_rates(self.M):
-            if not (rate < theta or rate > ONE - theta):
-                return False
-        return True
+
+        def near_zero(m: int) -> bool:
+            # every block rate of r^m within theta of 0 circularly
+            rates = self.r_spec.block_rates(m)
+            return all(rate < theta or rate > ONE - theta for rate in rates)
+
+        return near_zero(self.M) and not (self.M > 1 and near_zero(self.M - 1))
 
 
 def compute_P(r_spec: DisjointRotationSpec, g: Iet) -> Tuple[QuadExt, ...]:
@@ -323,18 +351,13 @@ def _separate(
     else:
         ga, gb, shift = den, 0, 2
     # the least t with x < 2^t, for x > 0, is floor(x).bit_length(): for
-    # x = 10 eps0 and, with a block length m, for x = 4 eps0 / m, whose
-    # denominator is rationalised by m's conjugate
-    t0 = _floor(10 * ga, 10 * gb, den << shift, disc).bit_length()
+    # x = 10 eps0 and, with a block length m, for x = 4 eps0 / m, exact
+    # QuadExt values whose floors are taken once
+    eps0 = _make(ga, gb, den << shift, disc)
+    t0 = (10 * eps0).floor().bit_length()
     if min_block is not None:
-        ma, mb, md = min_block.an, min_block.bn, min_block.den
         disc = _merged_disc(disc, min_block.disc)
-        norm = ma * ma - mb * mb * disc
-        xa = 4 * md * (ga * ma - gb * mb * disc)
-        xb = 4 * md * (gb * ma - ga * mb)
-        if norm < 0:
-            xa, xb, norm = -xa, -xb, -norm
-        t0 = max(t0, _floor(xa, xb, (den << shift) * norm, disc).bit_length())
+        t0 = max(t0, (4 * eps0 / min_block).floor().bit_length())
     last = MAX_HALVINGS - 1
     cap = f"no admissible epsilon after MAX_HALVINGS = {MAX_HALVINGS}"
     if t0 > last:
@@ -365,11 +388,6 @@ def _separate(
         else:
             failed = mid
     return (ga, gb), den << (t + shift), disc, *passed[t]
-
-
-def _values(pts: Sequence[Pair], den: int, disc: int) -> Tuple[QuadExt, ...]:
-    # the QuadExt values of pairs over den, as the public searches return them
-    return tuple([_make(a, b, den, disc) for a, b in pts])
 
 
 def find_M(

@@ -224,9 +224,8 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key(self) == self._key(other)
+        same = type(other) is type(self)
+        return self._key(self) == self._key(other) if same else NotImplemented
 
     def __hash__(self):
         return hash(self._key(self))
@@ -267,7 +266,8 @@ class _OnLattice(_Frozen):
     1) and D = 0 when no pair has a root term, and each subclass keeps its
     own order and merging rules, so _Frozen's == and hash compare (N, D, the
     pair tuples).  QuadExt values are built from the pairs, by _scalars,
-    only when they are read.
+    only when they are read: _values, the one pairs-to-values step, which
+    the integer searches of relations also call.
     """
 
     __slots__ = ("_den", "_disc")
@@ -298,8 +298,23 @@ class _OnLattice(_Frozen):
 
     def _scalars(self, pairs: Iterable[Pair]) -> Tuple[QuadExt, ...]:
         """The QuadExt values of pairs over self's N and D."""
-        den, disc = self._den, self._disc
-        return tuple([_make(a, b, den, disc) for a, b in pairs])
+        return _values(pairs, self._den, self._disc)
+
+
+def _binary(body, reflected=False):
+    """A QuadExt operator from body(x, y) on two QuadExt values, after the
+    fractions.Fraction pattern: the other operand goes through _coerce, and
+    an operand it refuses (a float, a str, None) gets NotImplemented, so
+    Python tries the other side and then raises TypeError, or for == gives
+    False.  reflected makes the operator for other OP self."""
+
+    def op(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return body(other, self) if reflected else body(self, other)
+
+    return op
 
 
 class QuadExt(_Frozen):
@@ -395,10 +410,7 @@ class QuadExt(_Frozen):
 
     # -- arithmetic -----------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+    def _add(self, other):
         d = _merged_disc(self.disc, other.disc)
         return _make(
             self.an * other.den + other.an * self.den,
@@ -407,12 +419,7 @@ class QuadExt(_Frozen):
             d,
         )
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+    def _sub(self, other):
         d = _merged_disc(self.disc, other.disc)
         return _make(
             self.an * other.den - other.an * self.den,
@@ -421,16 +428,7 @@ class QuadExt(_Frozen):
             d,
         )
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__sub__(self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+    def _mul(self, other):
         d = _merged_disc(self.disc, other.disc)
         return _make(
             self.an * other.an + self.bn * other.bn * d,
@@ -439,25 +437,20 @@ class QuadExt(_Frozen):
             d,
         )
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+    def _div(self, other):
         if not other:
             raise ZeroDivisionError("division by zero scalar")
         d = _merged_disc(self.disc, other.disc)
         # 1/x = den*(an - bn*sqrt(d)) / (an^2 - bn^2*d)
         norm = other.an * other.an - other.bn * other.bn * d
-        inv = _make(other.den * other.an, -other.den * other.bn, norm, d)
-        return self * inv
+        return self._mul(_make(other.den * other.an, -other.den * other.bn, norm, d))
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__truediv__(self)
+    __add__ = __radd__ = _binary(_add)
+    __sub__ = _binary(_sub)
+    __rsub__ = _binary(_sub, reflected=True)
+    __mul__ = __rmul__ = _binary(_mul)
+    __truediv__ = _binary(_div)
+    __rtruediv__ = _binary(_div, reflected=True)
 
     def __neg__(self):
         return _raw(-self.an, -self.bn, self.den, self.disc)
@@ -481,10 +474,7 @@ class QuadExt(_Frozen):
             d,
         )
 
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+    def _eq(self, other):
         return (
             self.an == other.an
             and self.bn == other.bn
@@ -492,29 +482,11 @@ class QuadExt(_Frozen):
             and self.disc == other.disc
         )
 
-    def __lt__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._cmp(other) >= 0
+    __eq__ = _binary(_eq)
+    __lt__ = _binary(lambda x, y: x._cmp(y) < 0)
+    __le__ = _binary(lambda x, y: x._cmp(y) <= 0)
+    __gt__ = _binary(lambda x, y: x._cmp(y) > 0)
+    __ge__ = _binary(lambda x, y: x._cmp(y) >= 0)
 
     def __hash__(self):
         if self.bn == 0:
@@ -595,6 +567,11 @@ def _make(an: int, bn: int, den: int, disc: int) -> QuadExt:
         disc = 0
     g = math.gcd(an, bn, den)
     return _raw(an // g, bn // g, den // g, disc)
+
+
+def _values(pairs: Iterable[Pair], den: int, disc: int) -> Tuple[QuadExt, ...]:
+    """The QuadExt values of integer pairs (a, b) over den and disc."""
+    return tuple([_make(a, b, den, disc) for a, b in pairs])
 
 
 def _coerce(x) -> QuadExt | None:

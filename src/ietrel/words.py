@@ -174,12 +174,14 @@ def free_reduce(syllables: Iterable[Syllable]) -> Word:
     """Merge adjacent same-generator syllables and drop vanished ones.
 
     One pass checks each syllable as Word does, and the reduced syllables
-    become the Word as they are, with no second check."""
+    become the Word as they are, with no second check.  The check is inline,
+    and _check_syllable runs only to raise its message."""
     stack: List[Syllable] = []
     for gen, exp in syllables:
         if exp == 0:
             continue
-        _check_syllable(gen, exp)
+        if gen not in GENERATORS or not isinstance(exp, int):
+            _check_syllable(gen, exp)
         if stack and stack[-1][0] == gen:
             exp += stack.pop()[1]
             if exp:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ietrel import finite_model
+from ietrel import finite_model, scalars
 from ietrel.errors import InvariantError, PreconditionError
 from ietrel.finite_model import (
     CASE_LABELS,
@@ -64,7 +64,7 @@ def test_orbit_sizes():
 
 
 def test_three_point_example():
-    inst = CommutatorInstance.build(h=(1, 0, 2), phi=(2, 1, 0))
+    inst = CommutatorInstance(h=(1, 0, 2), phi=(2, 1, 0))
     assert inst.A == {0}
     assert inst.B == {1}
     assert inst.C == {2}
@@ -81,7 +81,7 @@ def test_three_point_example():
 
 def test_build_rejects_mismatched_sizes():
     with pytest.raises(PreconditionError):
-        CommutatorInstance.build(h=(1, 0), phi=(2, 1, 0))
+        CommutatorInstance(h=(1, 0), phi=(2, 1, 0))
 
 
 # -- degenerate overlaps --------------------------------------------------------
@@ -89,7 +89,7 @@ def test_build_rejects_mismatched_sizes():
 
 def test_empty_B_makes_T_trivial():
     # h swaps {0, 1}; phi moves exactly that pair away, so supp h = A
-    inst = CommutatorInstance.build(h=(1, 0, 2, 3), phi=(2, 3, 0, 1))
+    inst = CommutatorInstance(h=(1, 0, 2, 3), phi=(2, 3, 0, 1))
     assert check_hypotheses(inst)
     assert inst.B == frozenset()
     assert compute_T(inst) == identity_map(4)
@@ -98,7 +98,7 @@ def test_empty_B_makes_T_trivial():
 
 def test_empty_A_makes_k_equal_h():
     # disjoint supports: phi never touches supp h
-    inst = CommutatorInstance.build(h=(1, 0, 2, 3), phi=(0, 1, 3, 2))
+    inst = CommutatorInstance(h=(1, 0, 2, 3), phi=(0, 1, 3, 2))
     assert inst.A == frozenset()
     assert inst.k == inst.h
     assert compute_T(inst) == identity_map(4)
@@ -106,29 +106,29 @@ def test_empty_A_makes_k_equal_h():
 
 def test_hypothesis_violation_is_detected():
     # phi maps 0 back into supp h, so A and C overlap
-    inst = CommutatorInstance.build(h=(1, 2, 0), phi=(1, 0, 2))
+    inst = CommutatorInstance(h=(1, 2, 0), phi=(1, 0, 2))
     assert not check_hypotheses(inst)
 
 
 def test_classify_rejects_doctored_sets():
     # a genuine instance never sends A into C; force it by lying about C
-    good = CommutatorInstance.build(h=(1, 0, 2), phi=(2, 1, 0))
-    bad = CommutatorInstance(h=good.h, phi=good.phi, A=frozenset({0}),
-                             B=frozenset(), C=frozenset({1}), k=good.k)
+    good = CommutatorInstance(h=(1, 0, 2), phi=(2, 1, 0))
+    bad = scalars._rebuilt(CommutatorInstance, good.h, good.phi, frozenset({0}), frozenset(),
+                           frozenset({1}), good.k, good.h_inv, good.phi_inv)
     with pytest.raises(InvariantError):
         classify_point(0, bad)
 
 
 def test_each_map_is_inverted_a_fixed_number_of_times_per_instance(monkeypatch):
-    # build inverts h and phi once each and compute_T inverts k, whatever
-    # the size m; classify_point inverts nothing
+    # the constructor inverts h and phi once each and compute_T inverts k,
+    # whatever the size m; classify_point inverts nothing
     calls = []
     real = finite_model.invert_map
     monkeypatch.setattr(finite_model, "invert_map", lambda p: calls.append(p) or real(p))
     for m in (3, 12, 30):
         sample = random_instance(m, random.Random(m))
         calls.clear()
-        inst = CommutatorInstance.build(sample.h, sample.phi)
+        inst = CommutatorInstance(sample.h, sample.phi)
         t = compute_T(inst)
         for p in range(m):
             assert classify_point(p, inst)[1] == t[p]
@@ -203,7 +203,7 @@ def _build_every_candidate(m: int, rng: random.Random) -> CommutatorInstance:
         sup_phi = rng.sample(points, size_phi)
         h = finite_model._random_derangement_on(m, sup_h, rng)
         phi = finite_model._random_derangement_on(m, sup_phi, rng)
-        inst = CommutatorInstance.build(h, phi)
+        inst = CommutatorInstance(h, phi)
         if check_hypotheses(inst) and inst.A:
             return inst
 
@@ -216,9 +216,9 @@ def test_random_instance_builds_only_the_instances_it_returns(monkeypatch):
         rng = random.Random(m)
         want[m] = [_build_every_candidate(m, rng) for _ in range(trials)]
     builds = []
-    real = CommutatorInstance.build
-    monkeypatch.setattr(CommutatorInstance, "build",
-                        lambda h, phi: builds.append(h) or real(h, phi))
+    real = CommutatorInstance.__init__
+    monkeypatch.setattr(CommutatorInstance, "__init__",
+                        lambda self, h, phi: builds.append(h) or real(self, h, phi))
     for m in sizes:
         rng = random.Random(m)
         assert [random_instance(m, rng) for _ in range(trials)] == want[m]

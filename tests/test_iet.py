@@ -612,7 +612,7 @@ _ROOT = QuadExt(0, F(1, 2), 2)  # sqrt(2) / 2
     DisjointRotationSpec((_ROOT, 1 - _ROOT), (_ROOT - F(1, 2), F(1, 3))),
     Word.parse("b^-1 a^3 b a^-3"),
     PermLambdaSpec((3, 1, 2), (_ROOT / 2, F(1, 4), F(3, 4) - _ROOT / 2)),
-    CommutatorInstance.build((1, 2, 0, 3), (0, 3, 2, 1)),
+    CommutatorInstance((1, 2, 0, 3), (0, 3, 2, 1)),
 ], ids=["QuadExt", "Iet", "IntervalSet", "DisjointRotationSpec", "Word", "PermLambdaSpec",
         "CommutatorInstance"])
 def test_pickle_and_copy_rebuild_an_equal_immutable_value(value):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -50,6 +51,37 @@ def test_floats_are_rejected():
         QuadExt(0.5)
     with pytest.raises(TypeError):
         as_scalar(0.5)
+
+
+_BINARY = ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__",
+           "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+@pytest.mark.parametrize("name", _BINARY)
+def test_binary_operators_take_exact_operands_on_either_side_and_refuse_the_rest(name):
+    # the operator of name, as a function of (left, right): __rsub__ is -
+    op = getattr(operator, name.strip("_").removeprefix("r"))
+    reflected = name != f"__{op.__name__}__"
+    arithmetic = op in (operator.add, operator.sub, operator.mul, operator.truediv)
+    for x in (Fraction(3, 4), Fraction(2)):
+        qx = q(x)
+        for y in (2, -3, Fraction(3, 4), Fraction(-5, 7), q(Fraction(3, 4)), q(-1)):
+            fy = Fraction(y.an, y.den) if isinstance(y, QuadExt) else Fraction(y)
+            got = getattr(qx, name)(y)
+            assert got == (op(fy, x) if reflected else op(x, fy))
+            assert type(got) is (QuadExt if arithmetic else bool)
+            # through Python's dispatch, the plain number on either side:
+            # 2 - x runs x.__rsub__, and 2 < x runs x.__gt__
+            assert op(qx, y) == op(x, fy) and op(y, qx) == op(fy, x)
+        for bad in (0.5, "1", None):
+            assert getattr(qx, name)(bad) is NotImplemented
+            if name == "__eq__":
+                assert not qx == bad and not bad == qx and qx != bad
+                continue
+            with pytest.raises(TypeError):
+                op(qx, bad)
+            with pytest.raises(TypeError):
+                op(bad, qx)
 
 
 def test_division():

@@ -779,3 +779,23 @@ def test_invariants_hold_rederives_the_disjoint_support_premise():
     cert, ctx = synthesize_with_context(pair.r, pair.g)
     assert cert.branch == BRANCH_T_SIXTH and ctx.invariants_hold()
     assert not ctx._replace(k=None, T=None).invariants_hold()
+
+
+def test_invariants_hold_checks_that_d_epsilon_and_m_are_the_ones_promised():
+    # one block at rate sqrt(2) - 1 against the rotation by 4/5: P = {0, 1/5}
+    # has eps0 = 1/10, and 10 eps < 1 takes one halving more
+    cert, ctx = synthesize_with_context(ONE_BLOCK, Iet.rotation(q(F(4, 5))))
+    assert ctx.P == (q(0), q(F(1, 5)))
+    assert (ctx.d, ctx.epsilon, ctx.M) == (1, q(F(1, 20)), 169)
+    assert ctx.invariants_hold()
+    # a context with every set re-derived at eps0 and its own least M still
+    # breaks 10 eps < 1
+    eps = q(F(1, 10))
+    X = neighborhood_union(ctx.P, eps)
+    M = find_M(ctx.r_spec, eps)
+    assert M == 70
+    supp = ctx.r_spec.to_iet().support()
+    wide = ctx._replace(epsilon=eps, M=M, X=X, X_prime=X.intersect(supp))
+    assert not wide.invariants_hold()
+    # a d past the least one
+    assert not ctx._replace(d=2).invariants_hold()
