@@ -11,7 +11,7 @@ from .errors import (
     SearchCapError,
 )
 from .iet import Iet, PermLambdaSpec
-from .intervals import IntervalSet, circular_ball
+from .intervals import IntervalSet
 from .relations import (
     RelationCertificate,
     SynthesisContext,
@@ -20,7 +20,7 @@ from .relations import (
 )
 from .rotation import DisjointRotationSpec, OrderClass
 from .scalars import ONE, ZERO, QuadExt, as_scalar
-from .words import Word, eval_word, eval_word_naive
+from .words import Word
 
 __all__ = [
     "QuadExt",
@@ -28,14 +28,11 @@ __all__ = [
     "ZERO",
     "ONE",
     "IntervalSet",
-    "circular_ball",
     "Iet",
     "PermLambdaSpec",
     "DisjointRotationSpec",
     "OrderClass",
     "Word",
-    "eval_word",
-    "eval_word_naive",
     "synthesize",
     "synthesize_with_context",
     "SynthesisContext",

@@ -13,8 +13,8 @@ from functools import cmp_to_key
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .scalars import (
-    Pair, QuadExt, _lattice, _locate, _make, _merged_disc, _OnLattice, _pair, _sign3,
-    as_scalar,
+    ONE, ZERO, Pair, QuadExt, _lattice, _locate, _make, _merged_disc, _OnLattice, _pair,
+    _sign3, as_scalar,
 )
 
 __all__ = ["IntervalSet", "circular_ball", "neighborhood_union"]
@@ -128,39 +128,32 @@ def neighborhood_union(points: Sequence[QuadExt], epsilon) -> IntervalSet:
 
     Each ball is [p - epsilon, p + epsilon) taken mod 1: at most two spans,
     and all of [0, 1) once 2 * epsilon >= 1.  Points must lie in [0, 1) and
-    epsilon must be positive."""
+    epsilon must be positive.  The spans go to the checked constructor, which
+    joins them."""
     points = [as_scalar(p) for p in points]
     radius = as_scalar(epsilon)
-    den, disc = _lattice(points, radius.den, radius.disc)
-    ra, rb = _pair(radius, den)
-    if _sign3(ra, rb, disc) <= 0:
+    _lattice(points, radius.den, radius.disc)  # two fields: ContextMismatchError first
+    if radius.sign() <= 0:
         raise ValueError("radius must be positive")
-    whole = _sign3(2 * ra - den, 2 * rb, disc) >= 0
     spans = []
     for p in points:
-        pa, pb = _pair(p, den)
-        if _sign3(pa, pb, disc) < 0 or _sign3(pa - den, pb, disc) >= 0:
+        if p.sign() < 0 or p >= 1:
             raise ValueError(f"center {p} outside [0, 1)")
-        if whole:
-            continue
-        lo = (pa - ra, pb - rb)
-        hi = (pa + ra, pb + rb)
-        if _sign3(*lo, disc) < 0:
-            spans += [((0, 0), hi), ((lo[0] + den, lo[1]), (den, 0))]
-        elif _sign3(hi[0] - den, hi[1], disc) > 0:
-            spans += [(lo, (den, 0)), ((0, 0), (hi[0] - den, hi[1]))]
+        lo, hi = p - radius, p + radius
+        if 2 * radius >= 1:
+            spans.append((ZERO, ONE))
+        elif lo.sign() < 0:
+            spans += [(ZERO, hi), (lo + 1, ONE)]
+        elif hi > 1:
+            spans += [(lo, ONE), (ZERO, hi - 1)]
         else:
             spans.append((lo, hi))
-    if whole and points:
-        return IntervalSet.full()
-    return _from_ends(den, disc, _union_ends(disc, spans))
+    return IntervalSet(spans)
 
 
 def circular_ball(center, radius) -> IntervalSet:
-    """The radius-ball around center on the circle R/Z, as at most two spans.
-
-    The ball is represented left-closed: [center - r, center + r) taken mod 1.
-    """
+    """The radius-ball [center - r, center + r) mod 1 on the circle R/Z, as at
+    most two left-closed spans."""
     return neighborhood_union((center,), radius)
 
 

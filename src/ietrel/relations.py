@@ -54,9 +54,8 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantError, PreconditionError, SearchCapError
 from .iet import Iet, _image_ends, _image_order, _image_points
-from .intervals import (
-    IntervalSet, _ball_ends, _from_ends, _merge_ends, circular_ball, neighborhood_union,
-)
+from .intervals import IntervalSet, _ball_ends, _from_ends, _merge_ends, neighborhood_union
+from .intervals import circular_ball  # noqa: F401 -- perfbench/tracing.py wraps the name here
 from .rotation import FINITE_ORDER, DisjointRotationSpec
 from .scalars import (
     ONE, Pair, QuadExt, _lattice, _make, _merged_disc, _pair, _ranks, _sign3, _values,
@@ -135,67 +134,6 @@ class SynthesisContext(NamedTuple):
     X: IntervalSet
     X_prime: IntervalSet
     fallback_used = False  # a constant: synthesis has no retry; perfbench/tracing.py reads it
-
-    def invariants_hold(self) -> bool:
-        """Re-derive the defining conditions of d, epsilon and M, and that
-        each is the one synthesis promises: the least d and M, and the
-        largest epsilon = eps0 / 2^t that passes find_epsilon's checks."""
-        r_fixed = self.r_spec.to_iet()
-        supp = r_fixed.support()
-        if tuple(p for p in self.P if supp.contains_point(p)) != self.P_prime:
-            return False
-        rd = r_fixed.power(self.d)
-        images = list(self.P_prime)
-        misses = []  # for each d' <= d: does r^d'(P') miss P'?
-        for _ in range(self.d):
-            images = [r_fixed.apply(q) for q in images]
-            misses.append(set(images).isdisjoint(self.P_prime))
-        if misses != [False] * (self.d - 1) + [True]:
-            return False
-        balls = [circular_ball(p, self.epsilon) for p in self.P]
-        for i in range(len(balls)):
-            for j in range(i + 1, len(balls)):
-                if not balls[i].is_disjoint(balls[j]):
-                    return False
-        # X and X' as the QuadExt route builds them, not as the search did
-        X = neighborhood_union(self.P, self.epsilon)
-        if self.X != X or self.X_prime != X.intersect(supp):
-            return False
-        min_block = self.r_spec.min_block_length()
-
-        def separates(eps: QuadExt) -> bool:
-            # find_epsilon's checks at eps: 10 eps < 1, eps under a quarter
-            # of the least block, and X' moved off itself by r^d
-            if not (10 * eps < 1 and 4 * eps < min_block):
-                return False
-            x_prime = neighborhood_union(self.P, eps).intersect(supp)
-            return x_prime.is_disjoint(rd.image_of(x_prime))
-
-        # eps0: half the least circular gap of P, 1/4 for a lone point
-        P = self.P
-        gaps = [b - a for a, b in zip(P, P[1:])] + [P[0] + 1 - P[-1]]
-        eps0 = min(gaps) / 2 if len(P) > 1 else ONE / 4
-        # epsilon = eps0 / 2^t, and 2 epsilon fails a check unless t = 0
-        t = (eps0 / self.epsilon).floor().bit_length() - 1
-        if t < 0 or self.epsilon * 2**t != eps0:
-            return False
-        if not separates(self.epsilon) or (t > 0 and separates(2 * self.epsilon)):
-            return False
-        if self.T is None and not self.h.is_identity():
-            # T = 1 was decided from supports: the premise synthesis tested,
-            # supp h inside supp r^L, and what it stands for, supp k =
-            # r^d(supp h) off supp h (which r^d could not give a point r^L fixes)
-            h_supp = self.h.support()
-            if not (supp.contains_set(h_supp) and h_supp.is_disjoint(rd.image_of(h_supp))):
-                return False
-        theta = self.epsilon / 10
-
-        def near_zero(m: int) -> bool:
-            # every block rate of r^m within theta of 0 circularly
-            rates = self.r_spec.block_rates(m)
-            return all(rate < theta or rate > ONE - theta for rate in rates)
-
-        return near_zero(self.M) and not (self.M > 1 and near_zero(self.M - 1))
 
 
 def compute_P(r_spec: DisjointRotationSpec, g: Iet) -> Tuple[QuadExt, ...]:

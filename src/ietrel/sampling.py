@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .iet import Iet, PermLambdaSpec
 from .rotation import DisjointRotationSpec
@@ -29,8 +29,6 @@ __all__ = [
     "random_partition",
     "random_perm_lambda",
     "random_iet",
-    "random_rotation_spec",
-    "random_conjugator",
     "demo_suite",
     "SuitePair",
     "IRRATIONAL_RATES",
@@ -107,36 +105,6 @@ def random_iet(
 ) -> Iet:
     """Random rational IET in canonical form."""
     return Iet.from_perm_lambda(random_perm_lambda(rng, max_intervals, denominator))
-
-
-def random_conjugator(rng: random.Random) -> Iet:
-    return random_iet(rng, max_intervals=4, denominator=8)
-
-
-def random_rotation_spec(
-    rng: random.Random,
-    discs: Tuple[int, ...] = (2, 3, 5),
-    max_blocks: int = 4,
-    units: int = 24,
-) -> DisjointRotationSpec:
-    """Random disjoint rotation spec with rational block lengths and a mix
-    of zero, rational and irrational rates over a single discriminant."""
-    disc = rng.choice(discs)
-    n = rng.randrange(1, max_blocks + 1)
-    lengths = tuple(
-        _q(Fraction(u, units)) for u in random_partition(rng, units, n)
-    )
-    rates = []
-    for _ in range(n):
-        kind = rng.randrange(4)
-        if kind == 0:
-            rates.append(_q(0))
-        elif kind == 1:
-            den = rng.randrange(2, 7)
-            rates.append(_q(Fraction(rng.randrange(1, den), den)))
-        else:
-            rates.append(rng.choice(IRRATIONAL_RATES[disc]))
-    return DisjointRotationSpec(lengths=lengths, rates=tuple(rates))
 
 
 class SuitePair(NamedTuple):

@@ -309,9 +309,10 @@ def _binary(body, reflected=False):
     False.  reflected makes the operator for other OP self."""
 
     def op(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not QuadExt:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         return body(other, self) if reflected else body(self, other)
 
     return op

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ietrel.iet import Iet
 from ietrel.intervals import IntervalSet
 from ietrel.rotation import DisjointRotationSpec
-from ietrel.sampling import random_iet, random_rotation_spec
+from ietrel.sampling import IRRATIONAL_RATES, random_iet, random_partition
 from ietrel.scalars import ONE, ZERO, QuadExt
 
 DISCS = (2, 3, 5)
@@ -33,6 +33,30 @@ def quads(draw, disc=None) -> QuadExt:
     rat = draw(rationals())
     coef = draw(rationals(max_num=12, max_den=8))
     return QuadExt(rat, coef if coef else 0, d if coef else 0)
+
+
+def random_rotation_spec(
+    rng: random.Random,
+    discs=DISCS,
+    max_blocks: int = 4,
+    units: int = 24,
+) -> DisjointRotationSpec:
+    """Random disjoint rotation spec with rational block lengths and a mix
+    of zero, rational and irrational rates over a single discriminant."""
+    disc = rng.choice(discs)
+    n = rng.randrange(1, max_blocks + 1)
+    lengths = tuple(q(Fraction(u, units)) for u in random_partition(rng, units, n))
+    rates = []
+    for _ in range(n):
+        kind = rng.randrange(4)
+        if kind == 0:
+            rates.append(q(0))
+        elif kind == 1:
+            den = rng.randrange(2, 7)
+            rates.append(q(Fraction(rng.randrange(1, den), den)))
+        else:
+            rates.append(rng.choice(IRRATIONAL_RATES[disc]))
+    return DisjointRotationSpec(lengths=lengths, rates=tuple(rates))
 
 
 def seeded_iets(max_intervals=6, denominator=8):

@@ -106,9 +106,11 @@ def test_eval(files, capsys):
 
 def test_eval_point_outside_domain(files, capsys):
     f = files("f.iet", Iet.identity())
-    code, _, err = run(capsys, "eval", "--map", f, "--x", "3/2")
-    assert code == EXIT_PRECONDITION
-    assert "precondition" in err
+    # a one-point orbit applies no map, and checks its point all the same
+    for name, *rest in (("eval",), ("orbit", "--n", "1")):
+        code, out, err = run(capsys, name, "--map", f, "--x", "3/2", *rest)
+        assert (code, out) == (EXIT_PRECONDITION, ""), name
+        assert "precondition error: point 3/2 outside [0, 1)" in err, name
 
 
 @pytest.mark.parametrize("command", [("eval",), ("orbit", "--n", "3")], ids=["eval", "orbit"])

@@ -28,6 +28,7 @@ from conftest import (
     q,
     seeded_iets,
 )
+from oracles import validate
 
 F = Fraction
 
@@ -176,7 +177,7 @@ def test_group_operations_do_not_rerun_the_constructor(monkeypatch):
     monkeypatch.undo()
     assert got == want
     for g in got:
-        g.validate()
+        validate(g)
 
 
 def test_validate_rechecks_what_the_algebra_stores():
@@ -192,16 +193,16 @@ def test_validate_rechecks_what_the_algebra_stores():
     overlapping = _store(object.__new__(Iet), 4, 0, [(0, 0), (1, 0), (2, 0)],
                          [(2, 0), (1, 0), (-2, 0)])
     with pytest.raises(InvariantError, match="do not tile"):
-        overlapping.validate()
+        validate(overlapping)
     # the rotation by 1/4, stored with its first piece split in two
     unmerged = stored(4, 0, ((0, 0), (1, 0), (3, 0)), ((1, 0), (1, 0), (-3, 0)))
     with pytest.raises(InvariantError, match="equal neighbours"):
-        unmerged.validate()
+        validate(unmerged)
     # the same rotation over the denominator 8, which gcd(8, 6, 2, -6) reduces
     unreduced = stored(8, 0, ((0, 0), (6, 0)), ((2, 0), (-6, 0)))
     assert unreduced.breakpoints == Iet.rotation(q(F(1, 4))).breakpoints
     with pytest.raises(InvariantError, match="reducible denominator"):
-        unreduced.validate()
+        validate(unreduced)
 
 
 def test_power_anchors():
@@ -228,6 +229,9 @@ def test_orbit():
     assert r.orbit(q(0), 1) == [q(0)]
     with pytest.raises(PreconditionError):
         r.orbit(q(0), 0)
+    # a one-point orbit checks its point as apply does
+    with pytest.raises(PreconditionError, match=r"point 3/2 outside \[0, 1\)"):
+        Iet.identity().orbit(q(F(3, 2)), 1)
 
 
 def test_irrational_rotation_orbit_has_no_repeats():
@@ -270,7 +274,7 @@ def test_iets_and_interval_sets_are_immutable_and_never_equal():
 
 def test_validate_returns_self():
     r = Iet.rotation(q(F(1, 4)))
-    assert r.validate() is r
+    assert validate(r) is r
 
 
 # -- properties ----------------------------------------------------------------
@@ -325,7 +329,7 @@ def test_apply_stays_in_domain_and_inverts(f, x):
 @settings(max_examples=50, deadline=None)
 def test_images_tile_the_unit_interval(f):
     assert_tiles_unit_interval(f)
-    f.validate()
+    validate(f)
 
 
 # -- compose against the cut-and-apply oracle --------------------------------------
@@ -434,7 +438,7 @@ def test_compose_matches_the_cut_and_apply_oracle():
     for f, g in PAIRS + GRID_PAIRS:
         h = f.compose(g)
         assert h == compose_by_cuts(f, g)
-        h.validate()
+        validate(h)
         for x in h.breakpoints:
             assert h.apply(x) == f.apply(g.apply(x))
 

@@ -21,7 +21,6 @@ from ietrel.relations import (
     BRANCH_T_SIXTH,
     BRANCH_T_TRIVIAL,
     DEFAULT_M_CAP,
-    MAX_HALVINGS,
     build_h,
     build_k,
     build_T,
@@ -37,11 +36,18 @@ from ietrel.relations import (
     _first_hit,
 )
 from ietrel.rotation import FINITE_ORDER, DisjointRotationSpec
-from ietrel.sampling import demo_suite, random_iet, random_partition, random_rotation_spec
+from ietrel.sampling import demo_suite, random_iet, random_partition
 from ietrel.scalars import ONE, QuadExt
 from ietrel.words import Word, eval_word, eval_word_naive
 
-from conftest import q, seeded_iets
+from conftest import q, random_rotation_spec, seeded_iets
+from oracles import (
+    halving_find_epsilon,
+    invariants_hold,
+    linear_find_M,
+    quadext_compute_P,
+    quadext_find_d,
+)
 from test_words import _deep_m_like_cases
 
 F = Fraction
@@ -124,28 +130,6 @@ def test_epsilon_separates_the_balls(ks):
     assert x.measure() == eps * 2 * len(pts)
 
 
-def halving_find_epsilon(r, points, d, min_block=None):
-    """The oracle: the halving loop, one full check per halving."""
-    pts = sorted(set(points))
-    if len(pts) >= 2:
-        gaps = [b - a for a, b in zip(pts, pts[1:])]
-        gaps.append(pts[0] + ONE - pts[-1])
-        eps = min(gaps) / 2
-    else:
-        eps = q(F(1, 4))
-    supp = r.support()
-    rd = r.power(d)
-    for _ in range(MAX_HALVINGS):
-        ok = eps * 10 < ONE and (min_block is None or eps * 4 < min_block)
-        if ok:
-            x_prime = neighborhood_union(pts, eps).intersect(supp)
-            ok = x_prime.is_disjoint(rd.image_of(x_prime))
-        if ok:
-            return eps
-        eps = eps / 2
-    raise SearchCapError("no admissible epsilon")
-
-
 def _convergent(k):
     """The k-th continued-fraction convergent of sqrt(2) - 1 = [0; 2, 2, ...]."""
     p0, q0, p1, q1 = 0, 1, 1, 2
@@ -164,28 +148,6 @@ def near_orbit_g(k, grid):
     lengths = [b - a for a, b in zip(cuts, cuts[1:] + [F(1)])]
     return Iet.from_perm_lambda(PermLambdaSpec(
         tuple(range(len(lengths), 0, -1)), tuple(q(v) for v in lengths)))
-
-
-def quadext_compute_P(r_spec, g):
-    """The oracle: compute_P on QuadExt values, g^-1 by Iet.apply and the
-    points sorted by QuadExt comparison."""
-    bounds = r_spec.block_bounds()[:-1]
-    points = set(bounds)
-    g_inv = g.inverse()
-    points.update(g_inv.apply(b) for b in bounds)
-    points.update(g.discontinuities())
-    return tuple(sorted(points))
-
-
-def quadext_find_d(r, points):
-    """The oracle: find_d's loop, r applied to QuadExt values by Iet.apply."""
-    base = set(points)
-    images = list(points)
-    for d in range(1, len(points) ** 2 + 2):
-        images = [r.apply(p) for p in images]
-        if base.isdisjoint(images):
-            return d
-    raise AssertionError("no admissible d")
 
 
 def orbit_aligned_g(n):
@@ -332,23 +294,6 @@ def test_find_M_is_minimal():
     for m in range(1, M):
         rate = ONE_BLOCK.block_rates(m)[0]
         assert not (rate < theta or rate > ONE - theta)
-
-
-def linear_find_M(r_spec, epsilon, m_cap=DEFAULT_M_CAP):
-    """The oracle: step every rate as a QuadExt, one M at a time."""
-    theta = epsilon / 10
-    upper = ONE - theta
-    rates = r_spec.rates
-    current = list(rates)
-    for m in range(1, m_cap + 1):
-        if all(c < theta or c > upper for c in current):
-            return m
-        for j, a in enumerate(rates):
-            c = current[j] + a
-            if c >= ONE:
-                c = c - ONE
-            current[j] = c
-    raise SearchCapError(f"no admissible M up to cap {m_cap}")
 
 
 def _outcome(search, spec, eps, m_cap):
@@ -550,7 +495,7 @@ def test_h_trivial_branch_anchor():
     assert ctx.P == (q(0),)
     assert ctx.h.is_identity()
     assert not ctx.fallback_used
-    assert ctx.invariants_hold()
+    assert invariants_hold(ctx)
 
 
 def test_T_trivial_branch():
@@ -560,7 +505,7 @@ def test_T_trivial_branch():
     cert, ctx = synthesize_with_context(ONE_BLOCK, g)
     assert cert.branch in (BRANCH_T_TRIVIAL, BRANCH_T_SIXTH)
     assert cert.verified
-    assert ctx.invariants_hold()
+    assert invariants_hold(ctx)
     assert eval_word_naive(cert.word, ONE_BLOCK.to_iet(), g).is_identity()
 
 
@@ -718,7 +663,7 @@ def test_a_T_that_synthesis_skips_is_the_identity_the_iet_algebra_builds():
             continue
         if ctx is None or ctx.h.is_identity():
             continue
-        assert ctx.invariants_hold(), name
+        assert invariants_hold(ctx), name
         if ctx.T is not None:
             seen["T built"] += 1
             continue
@@ -766,19 +711,19 @@ def test_the_readme_and_deep_m_like_pairs_synthesize_without_k_or_T(monkeypatch)
 def test_invariants_hold_rederives_the_disjoint_support_premise():
     cert, ctx = synthesize_with_context(*README_PAIR)
     assert cert.branch == BRANCH_T_TRIVIAL and ctx.T is None
-    assert ctx.invariants_hold()
+    assert invariants_hold(ctx)
     # X and X' are re-derived, not taken from the search: an empty X' is
     # moved off itself by any map
-    assert not ctx._replace(X_prime=IntervalSet()).invariants_hold()
-    assert not ctx._replace(X=IntervalSet.full()).invariants_hold()
+    assert not invariants_hold(ctx._replace(X_prime=IntervalSet()))
+    assert not invariants_hold(ctx._replace(X=IntervalSet.full()))
     # an h that moves half of [0, 1) onto the other half: its support meets
     # its image under r^d
-    assert not ctx._replace(h=Iet.rotation(q(F(1, 2)))).invariants_hold()
+    assert not invariants_hold(ctx._replace(h=Iet.rotation(q(F(1, 2)))))
     # a T_sixth context with k and T dropped: h moves points that r^L fixes
     pair = next(p for p in demo_suite() if p.name == "d2-two-blocks-fixed")
     cert, ctx = synthesize_with_context(pair.r, pair.g)
-    assert cert.branch == BRANCH_T_SIXTH and ctx.invariants_hold()
-    assert not ctx._replace(k=None, T=None).invariants_hold()
+    assert cert.branch == BRANCH_T_SIXTH and invariants_hold(ctx)
+    assert not invariants_hold(ctx._replace(k=None, T=None))
 
 
 def test_invariants_hold_checks_that_d_epsilon_and_m_are_the_ones_promised():
@@ -787,7 +732,7 @@ def test_invariants_hold_checks_that_d_epsilon_and_m_are_the_ones_promised():
     cert, ctx = synthesize_with_context(ONE_BLOCK, Iet.rotation(q(F(4, 5))))
     assert ctx.P == (q(0), q(F(1, 5)))
     assert (ctx.d, ctx.epsilon, ctx.M) == (1, q(F(1, 20)), 169)
-    assert ctx.invariants_hold()
+    assert invariants_hold(ctx)
     # a context with every set re-derived at eps0 and its own least M still
     # breaks 10 eps < 1
     eps = q(F(1, 10))
@@ -796,6 +741,6 @@ def test_invariants_hold_checks_that_d_epsilon_and_m_are_the_ones_promised():
     assert M == 70
     supp = ctx.r_spec.to_iet().support()
     wide = ctx._replace(epsilon=eps, M=M, X=X, X_prime=X.intersect(supp))
-    assert not wide.invariants_hold()
+    assert not invariants_hold(wide)
     # a d past the least one
-    assert not ctx._replace(d=2).invariants_hold()
+    assert not invariants_hold(ctx._replace(d=2))

@@ -21,7 +21,7 @@ from ietrel.errors import ParseError, PreconditionError, SearchCapError
 from ietrel.iet import Iet, PermLambdaSpec
 from ietrel.relations import synthesize
 from ietrel.rotation import DisjointRotationSpec
-from ietrel.sampling import demo_suite, random_iet, random_partition, random_rotation_spec
+from ietrel.sampling import demo_suite, random_iet, random_partition
 from ietrel.scalars import ONE, ZERO, QuadExt, _lattice, _pair
 from ietrel.words import (
     MAX_B_LETTERS,
@@ -33,7 +33,7 @@ from ietrel.words import (
     verify_word,
 )
 
-from conftest import q, quadext_pieces, seeded_iets
+from conftest import q, quadext_pieces, random_rotation_spec, seeded_iets
 
 
 GOLDEN = Path(__file__).parent / "golden"
