@@ -332,7 +332,7 @@ class Iet(_OnLattice):
         bps, trs = self._over(den)
         (ends,) = s._over(den)
         order = _image_order(bps, trs, den)[0]
-        return _from_ends(den, disc, _image_ends(bps, trs, order, ends, den, disc))
+        return _from_ends(den, disc, _image_ends(bps, trs, order, ends, disc))
 
     def __repr__(self):
         body = ", ".join(
@@ -373,38 +373,28 @@ def _image_order(
 
 def _image_ends(
     bps: Sequence[Pair], trs: Sequence[Pair], order: Sequence[int], ends: Sequence[Pair],
-    den: int, disc: int,
+    disc: int,
 ) -> List[Pair]:
     """The ends of the image of the set with ends ends under the pieces
-    (bps, trs), whose _image_order is order, all over den.
+    (bps, trs), whose _image_order is order, all over one N.
 
-    One walk cuts the set's spans at the breakpoints, and each fragment moves
-    with its piece.  A piece's fragments keep their order, and the pieces'
-    images tile [0, 1) in image order, so taking the fragments piece by piece
-    in that order gives the image ascending, with no comparison; fragments
-    that touch are joined."""
-    m = len(bps)
-    moved: List[List[Pair]] = [[] for _ in range(m)]
-    j = 0  # the spans ascend, so each search starts where the last one ended
+    One walk (scalars._ranks) finds the piece of every end, each span is cut
+    at the breakpoints between its ends' pieces, and each fragment moves with
+    its piece.  A piece's fragments keep their order, and the pieces' images
+    tile [0, 1) in image order, so taking the fragments piece by piece in that
+    order gives the image ascending, with no comparison; fragments that touch
+    are joined."""
+    moved: List[List[Pair]] = [[] for _ in bps]
+    ranks = _ranks(ends, bps, disc)
     for i in range(0, len(ends), 2):
-        la, lb = ends[i]
-        ha, hb = ends[i + 1]
-        j = _locate(bps, la, lb, disc, lo=j)
-        while True:
+        lo, hi = ends[i], ends[i + 1]
+        last = ranks[i + 1] - 1
+        last -= bps[last] == hi  # the span stops short of a piece starting at hi
+        for j in range(ranks[i] - 1, last + 1):
+            cut = hi if j == last else bps[j + 1]
             ta, tb = trs[j]
-            ca, cb = bps[j + 1] if j + 1 < m else (den, 0)
-            p = ca - ha
-            q = cb - hb
-            # the piece reaches hi: p + q sqrt(disc) < 0, the test of
-            # scalars._sign3's comment negated, fails
-            if not ((q <= 0 or p * p > q * q * disc) if p < 0
-                    else (q < 0 and q * q * disc > p * p)):
-                ca, cb = ha, hb
-            moved[j] += ((la + ta, lb + tb), (ca + ta, cb + tb))
-            if ca == ha and cb == hb:
-                break
-            la, lb = ca, cb
-            j += 1
+            moved[j] += ((lo[0] + ta, lo[1] + tb), (cut[0] + ta, cut[1] + tb))
+            lo = cut
     out: List[Pair] = []
     for p in order:
         piece = moved[p]

@@ -167,13 +167,14 @@ def find_epsilon(
 
     eps0 is half the minimum circular gap of the point set (1/4 for a single
     point), which already makes the balls pairwise disjoint.  Halving
-    continues until additionally 10*eps < 1, eps is below a quarter of the
-    smallest block when a block length is supplied, and the supported part
-    X' of the ball union X is moved off itself by r^d.  Each check that holds
-    for eps holds for every smaller eps, since X' shrinks with eps, so the
-    least t is found by galloping: the first two checks give t0 in closed
-    form, and the third is tried at t0, t0 + 1, t0 + 2, t0 + 4, ... and then
-    bisected.  t stays below MAX_HALVINGS.
+    continues until additionally 10*eps < 1, eps is below a quarter of
+    min_block (the least block length; None stands for 1, a bound that
+    10*eps < 1 already implies), and the supported part X' of the ball
+    union X is moved off itself by r^d.  Each check that holds for eps holds
+    for every smaller eps, since X' shrinks with eps, so the least t is
+    found by galloping: the first two checks give t0 in closed form, and the
+    third is tried at t0, t0 + 1, t0 + 2, t0 + 4, ... and then bisected.
+    t stays below MAX_HALVINGS.
 
     The search runs on integer pairs over one lattice, in `_separate`.
     """
@@ -182,9 +183,8 @@ def find_epsilon(
     pts, den, disc = _ascending(
         points, math.lcm(supp._den, rd._den), _merged_disc(supp._disc, rd._disc)
     )
-    block = None if min_block is None else as_scalar(min_block)
-    gap, eps_den, disc, _, _ = _separate(pts, supp, rd, block, den, disc)
-    return _make(*gap, eps_den, disc)
+    block = ONE if min_block is None else as_scalar(min_block)
+    return _separate(pts, supp, rd, block, den, disc)[0]
 
 
 # -- the searches on integer pairs (see the module docstring) ----------------------
@@ -205,15 +205,8 @@ def _search(
     (ends,) = supp._over(den)
     pts_prime = [p for p, rank in zip(pts, _ranks(pts, ends, disc)) if rank & 1]
     d = _find_d(r, pts_prime, den, disc)
-    gap, eps_den, eps_disc, x, x_prime = _separate(pts, supp, spec.power(d), min_block, den, disc)
-    return (
-        _values(pts, den, disc),
-        _values(pts_prime, den, disc),
-        d,
-        _make(*gap, eps_den, eps_disc),
-        _from_ends(eps_den, eps_disc, x),
-        _from_ends(eps_den, eps_disc, x_prime),
-    )
+    return (_values(pts, den, disc), _values(pts_prime, den, disc), d,
+            *_separate(pts, supp, spec.power(d), min_block, den, disc))
 
 
 def _ascending(values: Sequence, den: int, disc: int) -> Tuple[List[Pair], int, int]:
@@ -261,14 +254,13 @@ def _separate(
     pts: Sequence[Pair],
     supp: IntervalSet,
     rd: Iet,
-    min_block: QuadExt | None,
+    min_block: QuadExt,
     den: int,
     disc: int,
-) -> Tuple[Pair, int, int, List[Pair], List[Pair]]:
+) -> Tuple[QuadExt, IntervalSet, IntervalSet]:
     """find_epsilon on the ascending, distinct points pts over den, a
-    multiple of the N of supp = supp r and of rd = r^d.  Returns the gap pair
-    (ga, gb) and the N' = den * 2^k with epsilon = (ga + gb sqrt(D)) / N', D,
-    and the ends over N' of X and of X' = X & supp at that epsilon.
+    multiple of the N of supp = supp r and of rd = r^d: epsilon, and X and
+    X' = X & supp at that epsilon.
 
     eps0 is half the least circular gap of the points, so the t-th halving
     has radius gap / 2^(t + 1): at the lattice den * 2^(t + 1) the radius is
@@ -289,43 +281,39 @@ def _separate(
     else:
         ga, gb, shift = den, 0, 2
     # the least t with x < 2^t, for x > 0, is floor(x).bit_length(): for
-    # x = 10 eps0 and, with a block length m, for x = 4 eps0 / m, exact
-    # QuadExt values whose floors are taken once
+    # x = 10 eps0 and x = 4 eps0 / (least block), exact QuadExt values whose
+    # floors are taken once
     eps0 = _make(ga, gb, den << shift, disc)
-    t0 = (10 * eps0).floor().bit_length()
-    if min_block is not None:
-        disc = _merged_disc(disc, min_block.disc)
-        t0 = max(t0, (4 * eps0 / min_block).floor().bit_length())
+    disc = _merged_disc(disc, min_block.disc)
+    t0 = max((10 * eps0).floor(), (4 * eps0 / min_block).floor()).bit_length()
     last = MAX_HALVINGS - 1
     cap = f"no admissible epsilon after MAX_HALVINGS = {MAX_HALVINGS}"
     if t0 > last:
         raise SearchCapError(cap)
-    passed = {}  # t -> the ends of X and X' at each t that passed
 
-    def moved_off(t: int) -> bool:
+    def moved_off(t: int) -> Optional[Tuple[List[Pair], List[Pair]]]:
+        # the ends of X and X' at the t-th halving, or None if r^d does not
+        # move X' off itself
         k = t + shift
-        n = den << k
-        x = _ball_ends([(a << k, b << k) for a, b in pts], (ga, gb), n, disc)
+        x = _ball_ends([(a << k, b << k) for a, b in pts], (ga, gb), den << k, disc)
         x_prime = _merge_ends(x, [(a << k, b << k) for a, b in ends], disc, True)
         image = _image_ends([(a << k, b << k) for a, b in bps],
-                            [(a << k, b << k) for a, b in trs], order, x_prime, n, disc)
-        if _merge_ends(x_prime, image, disc, True):
-            return False
-        passed[t] = x, x_prime
-        return True
+                            [(a << k, b << k) for a, b in trs], order, x_prime, disc)
+        return None if _merge_ends(x_prime, image, disc, True) else (x, x_prime)
 
     failed, t = t0 - 1, t0  # failed: the largest t known to fail
-    while not moved_off(t):
+    while not (kept := moved_off(t)):
         if t == last:
             raise SearchCapError(cap)
         failed, t = t, min(last, t0 + max(1, 2 * (t - t0)))
     while t - failed > 1:
         mid = (failed + t) // 2
-        if moved_off(mid):
-            t = mid
+        if found := moved_off(mid):
+            t, kept = mid, found
         else:
             failed = mid
-    return (ga, gb), den << (t + shift), disc, *passed[t]
+    n = den << (t + shift)
+    return _make(ga, gb, n, disc), _from_ends(n, disc, kept[0]), _from_ends(n, disc, kept[1])
 
 
 def find_M(

@@ -123,9 +123,9 @@ def _sign3(an: int, bn: int, disc: int) -> int:
     # an*|an| + bn*|bn|*disc.  When the two terms share a sign, that is their
     # sign; otherwise an^2 against bn^2*disc decides, and equality there would
     # force sqrt(disc) rational, impossible for square-free disc >= 2.  The
-    # hot loops (Iet.l1_distance_to_identity, _locate, _ranks, the walks of
-    # intervals._merge_ends and iet._image_ends, words._push) test this
-    # inline in its branch form, which measures faster than a call:
+    # hot loops (Iet.l1_distance_to_identity, _locate, _ranks, the walk of
+    # intervals._merge_ends, words._push) test this inline in its branch
+    # form, which measures faster than a call:
     # an + bn*sqrt(disc) > 0 exactly when
     #   (bn >= 0 or an*an > bn*bn*disc) if an > 0 else (bn > 0 and bn*bn*disc > an*an).
     if bn == 0:

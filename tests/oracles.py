@@ -21,6 +21,9 @@ from ietrel.scalars import ONE, _lattice, _pair, _sign3
 from conftest import q
 
 F = Fraction
+# invariants_hold scans for M one step at a time up to here: the contexts the
+# tests check have a median M near 1300 and a largest near 9 * 10^7
+LINEAR_M_LIMIT = 2000
 
 
 def quadext_compute_P(r_spec, g):
@@ -95,9 +98,11 @@ def invariants_hold(ctx) -> bool:
     """Does a synthesis context hold what synthesis promises?  P, P', d,
     epsilon, X and X' must be the ones the oracles derive, which makes d the
     least d and epsilon the largest eps0 / 2^t passing the separation
-    checks, with the balls pairwise disjoint; M must bring every block rate
-    within epsilon/10 of 0 and M - 1 must not; and a T that was not built
-    must rest on its premise, supp h inside supp r^L."""
+    checks, with the balls pairwise disjoint; M must be the least M that
+    brings every block rate within epsilon/10 of 0 (by linear_find_M up to
+    LINEAR_M_LIMIT; above it, M passes and M - 1 does not); h must be the h
+    of g and r^M; and a T that was not built must rest on its premise, supp
+    h inside supp r^L."""
     spec = ctx.r_spec
     r = spec.to_iet()
     supp = r.support()
@@ -118,6 +123,16 @@ def invariants_hold(ctx) -> bool:
         h_supp = ctx.h.support()
         rd = r.power(ctx.d)
         if not (supp.contains_set(h_supp) and h_supp.is_disjoint(rd.image_of(h_supp))):
+            return False
+    # h at M, with s = r^M by repeated squaring rather than the closed form
+    s = r.power(ctx.M)
+    g, gi, si = ctx.g, ctx.g.inverse(), s.inverse()
+    if ctx.h != gi.compose(si).compose(g).compose(s).compose(gi).compose(s).compose(g).compose(si):
+        return False
+    if ctx.M <= LINEAR_M_LIMIT:
+        try:
+            return linear_find_M(spec, ctx.epsilon, ctx.M) == ctx.M
+        except SearchCapError:
             return False
     theta = ctx.epsilon / 10
 

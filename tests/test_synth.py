@@ -194,6 +194,8 @@ def test_the_searches_match_their_quadext_oracles():
         assert find_d(r, P_prime) == d, name
         # the public find_d and find_epsilon take points in any order
         assert find_d(r, P_prime[::-1] + P_prime[:1]) == d, name
+        # no block bound is the bound 1, which 10 eps < 1 already implies
+        assert find_epsilon(r, P, d) == find_epsilon(r, P, d, min_block=ONE), name
         for min_block in (None, spec.min_block_length()):
             eps = halving_find_epsilon(r, P, d, min_block)
             assert find_epsilon(r, P[::-1], d, min_block) == eps, name
@@ -744,3 +746,14 @@ def test_invariants_hold_checks_that_d_epsilon_and_m_are_the_ones_promised():
     assert not invariants_hold(wide)
     # a d past the least one
     assert not invariants_hold(ctx._replace(d=2))
+    # an M past the least one: rate * 169 is within 1/160 of 0 and rate * 168
+    # is not, but M = 70 came first
+    cert, ctx = synthesize_with_context(ONE_BLOCK, Iet.identity())
+    assert (ctx.epsilon, ctx.M) == (q(F(1, 16)), 70) and invariants_hold(ctx)
+    assert not invariants_hold(ctx._replace(M=169))
+    # an h built at another M, on a context whose k and T were built
+    pair = next(p for p in demo_suite() if p.name == "d2-two-blocks-fixed")
+    cert, ctx = synthesize_with_context(pair.r, pair.g)
+    assert cert.branch == BRANCH_T_SIXTH and invariants_hold(ctx)
+    h = build_h(ctx.r_spec, ctx.g, ctx.M + 1)[0]
+    assert not invariants_hold(ctx._replace(h=h))
