@@ -37,13 +37,13 @@ cores.
 
 The emitted word is, by branch: a^q, the word of h when h is trivial, the
 word of T when T is trivial, and the word of T concatenated six times
-otherwise.  T is known trivial without building k or T when supp h lies in
-supp r^L: then supp h lies in X', which r^d moves off itself, so h and k
-have disjoint supports and commute.  Otherwise k and T are built and T is
-tested.  Every branch re-checks that the word evaluates to the identity
-exactly before it is certified, with `verify_word`: the syllable-by-syllable
-checker behind `ietrel verify`, which shares no map arithmetic with the Iet
-algebra that built h, k and T.
+otherwise.  T is decided without building k or T, by the case table of
+finite_model.classify_point: with A = supp h & X', which r^d moves off
+itself, T = 1 exactly when h maps A onto itself, and always when supp h
+lies in X' (then A = supp h).  Every branch re-checks that the word
+evaluates to the identity exactly before it is certified, with
+`verify_word`: the syllable-by-syllable checker behind `ietrel verify`,
+which shares no map arithmetic with the Iet algebra that built h.
 """
 
 from __future__ import annotations
@@ -114,11 +114,8 @@ class RelationCertificate(NamedTuple):
 
 
 class SynthesisContext(NamedTuple):
-    """Every intermediate object of one synthesis run, for inspection.
-
-    k and T are None on the h_trivial branch, and on the T_trivial branch
-    when supp h lies in supp r^L, which proves T = 1 without building them.
-    """
+    """Every intermediate object of one synthesis run, for inspection; no k
+    or T, which synthesis does not build (build_k and build_T do)."""
 
     r_spec: DisjointRotationSpec  # post-fixing-power spec
     g: Iet  # the working copy of g (conjugator already absorbed)
@@ -129,8 +126,6 @@ class SynthesisContext(NamedTuple):
     epsilon: QuadExt
     M: int
     h: Iet
-    k: Optional[Iet]
-    T: Optional[Iet]
     X: IntervalSet
     X_prime: IntervalSet
     fallback_used = False  # a constant: synthesis has no retry; perfbench/tracing.py reads it
@@ -478,14 +473,15 @@ def check_small_support(h: Iet, x: IntervalSet) -> bool:
 def build_k(
     r_fixed: Iet | DisjointRotationSpec, h: Iet, word_h: Word, d: int, fixing_power: int = 1
 ) -> Tuple[Iet, Word]:
-    """k = r_fixed^d h r_fixed^-d and its word; r_fixed^d as in build_h."""
+    """k = r_fixed^d h r_fixed^-d and its word, r_fixed^d as in build_h; the
+    benchmark's synthesis_plan and the tests' oracle call it, synthesis not."""
     rd = r_fixed.power(d)
     k = rd.compose(h).compose(rd.inverse())
     return k, _word_k(word_h, d * fixing_power)
 
 
 def build_T(h: Iet, k: Iet, word_h: Word, word_k: Word) -> Tuple[Iet, Word]:
-    """T = k h^-1 k^-1 h and its word."""
+    """T = k h^-1 k^-1 h and its word; like build_k, not called by synthesis."""
     t = k.compose(h.inverse()).compose(k.inverse()).compose(h)
     return t, _word_T(word_h, word_k)
 
@@ -546,25 +542,20 @@ def synthesize_with_context(
     if not (in_X_prime or check_small_support(h, X)):
         raise InvariantError("support of h escaped its neighborhood bound X")
 
-    k = None
-    T = None
     if h.is_identity():
         word = word_h
         branch = BRANCH_H_TRIVIAL
-    elif in_X_prime:
-        # find_epsilon moved X' off itself by r^d, and supp k = r^d(supp h),
-        # so h and k have disjoint supports and commute: T = 1
-        word = _word_T(word_h, _word_k(word_h, d * L))
-        branch = BRANCH_T_TRIVIAL
     else:
-        k, word_k = build_k(spec_fixed, h, word_h, d, fixing_power=L)
-        T, word_T = build_T(h, k, word_h, word_k)
-        if T.is_identity():
+        # T = 1 exactly when h maps A = supp h & X' onto itself: the case
+        # table of finite_model.classify_point, whose hypothesis is that r^d
+        # moves A off itself.  It holds here, since supp h in X puts A inside
+        # X', which find_epsilon moved off itself by r^d.  With supp h inside
+        # X', A is supp h, which h maps onto itself
+        word_T = _word_T(word_h, _word_k(word_h, d * L))
+        if in_X_prime or h.image_of(A := X_prime.intersect(h.support())) == A:
             word = word_T
             branch = BRANCH_T_TRIVIAL
         else:
-            if not T.power(6).is_identity():
-                raise InvariantError("T^6 is not the identity; construction violated")
             word = word_T**6
             branch = BRANCH_T_SIXTH
 
@@ -579,8 +570,6 @@ def synthesize_with_context(
         epsilon=epsilon,
         M=M,
         h=h,
-        k=k,
-        T=T,
         X=X,
         X_prime=X_prime,
     )

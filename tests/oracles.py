@@ -2,10 +2,10 @@
 
 Each search of synthesis has one oracle here, written the plain way: P from
 Iet.apply and a sort by QuadExt comparison, d by applying r to QuadExt
-points, epsilon by the halving loop with one full check per halving, and M
-by stepping every rate one M at a time.  invariants_hold re-derives a
-synthesis context from them, and validate re-runs Iet's constructor checks
-on a map the group operations built.
+points, epsilon by the halving loop with one full check per halving, M by
+stepping every rate one M at a time, and T by the Iet algebra.
+invariants_hold re-derives a synthesis context from them, and validate
+re-runs Iet's constructor checks on a map the group operations built.
 """
 
 from __future__ import annotations
@@ -94,6 +94,15 @@ def linear_find_M(r_spec, epsilon, m_cap=DEFAULT_M_CAP):
     raise SearchCapError(f"no admissible M up to cap {m_cap}")
 
 
+def iet_T(ctx) -> Iet:
+    """The oracle: T = k h^-1 k^-1 h of a synthesis context, with k = r^d h
+    r^-d, r^d by repeated squaring, and k and T by compose and inverse."""
+    rd = ctx.r_spec.to_iet().power(ctx.d)
+    h = ctx.h
+    k = rd.compose(h).compose(rd.inverse())
+    return k.compose(h.inverse()).compose(k.inverse()).compose(h)
+
+
 def invariants_hold(ctx) -> bool:
     """Does a synthesis context hold what synthesis promises?  P, P', d,
     epsilon, X and X' must be the ones the oracles derive, which makes d the
@@ -101,8 +110,8 @@ def invariants_hold(ctx) -> bool:
     checks, with the balls pairwise disjoint; M must be the least M that
     brings every block rate within epsilon/10 of 0 (by linear_find_M up to
     LINEAR_M_LIMIT; above it, M passes and M - 1 does not); h must be the h
-    of g and r^M; and a T that was not built must rest on its premise, supp
-    h inside supp r^L."""
+    of g and r^M; and iet_T's T must have T^6 = 1, and T = 1 exactly when h
+    maps A = supp h & X' onto itself."""
     spec = ctx.r_spec
     r = spec.to_iet()
     supp = r.support()
@@ -116,14 +125,12 @@ def invariants_hold(ctx) -> bool:
     X = neighborhood_union(P, ctx.epsilon)
     if ctx.X != X or ctx.X_prime != X.intersect(supp):
         return False
-    if ctx.T is None and not ctx.h.is_identity():
-        # T = 1 was decided from supports: the premise synthesis tested,
-        # supp h inside supp r^L, and what it stands for, supp k =
-        # r^d(supp h) off supp h (which r^d could not give a point r^L fixes)
-        h_supp = ctx.h.support()
-        rd = r.power(ctx.d)
-        if not (supp.contains_set(h_supp) and h_supp.is_disjoint(rd.image_of(h_supp))):
-            return False
+    # T by the Iet algebra: T^6 = 1, and T = 1 exactly when h maps A = supp
+    # h & X' onto itself, the rule synthesis decides T by
+    T = iet_T(ctx)
+    A = ctx.X_prime.intersect(ctx.h.support())
+    if not T.power(6).is_identity() or T.is_identity() != (ctx.h.image_of(A) == A):
+        return False
     # h at M, with s = r^M by repeated squaring rather than the closed form
     s = r.power(ctx.M)
     g, gi, si = ctx.g, ctx.g.inverse(), s.inverse()

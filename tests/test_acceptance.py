@@ -138,6 +138,7 @@ def test_criterion_1_exhaustive_small_models(capsys):
         counts = {}
         for m in range(1, 7):
             perms = list(permutations(range(m)))
+            ident = perms[0]
             invs = [_inv_perm(p) for p in perms]
             masks = [sum(1 << i for i, j in enumerate(p) if i != j) for p in perms]
             satisfied = 0
@@ -146,11 +147,12 @@ def test_criterion_1_exhaustive_small_models(capsys):
                 mask_h = masks[hi]
                 for pi, phi in enumerate(perms):
                     mask_a = mask_h & masks[pi]
-                    mask_c = 0
+                    mask_c = mask_ha = 0
                     bits = mask_a
                     while bits:
                         low = bits & -bits
                         mask_c |= 1 << phi[low.bit_length() - 1]
+                        mask_ha |= 1 << h[low.bit_length() - 1]
                         bits ^= low
                     if mask_a & mask_c:
                         continue
@@ -160,7 +162,10 @@ def test_criterion_1_exhaustive_small_models(capsys):
                     kinv = _inv_perm(k)
                     t = tuple(k[hinv[kinv[h[i]]]] for i in range(m))
                     t3 = tuple(t[t[t[i]]] for i in range(m))
-                    assert tuple(t3[t3[i]] for i in range(m)) == tuple(range(m))
+                    assert tuple(t3[t3[i]] for i in range(m)) == ident
+                    # the rule synthesis decides T by: T = 1 exactly when h
+                    # maps A into A
+                    assert (t == ident) == (mask_ha == mask_a)
                     seen = [False] * m
                     for s in range(m):
                         if seen[s]:
@@ -198,6 +203,7 @@ def test_criterion_2_randomized_models(capsys):
             t3 = compose_maps(compose_maps(t, t), t)
             assert compose_maps(t3, t3) == identity_map(m)
             assert all(s in (1, 2, 3) for s in orbit_sizes(t))
+            assert (t == identity_map(m)) == all(inst.h[p] in inst.A for p in inst.A)
             for p in range(m):
                 label, image = classify_point(p, inst)
                 assert t[p] == image

@@ -43,12 +43,13 @@ from ietrel.words import Word, eval_word, eval_word_naive
 from conftest import q, random_rotation_spec, seeded_iets
 from oracles import (
     halving_find_epsilon,
+    iet_T,
     invariants_hold,
     linear_find_M,
     quadext_compute_P,
     quadext_find_d,
 )
-from test_words import _deep_m_like_cases
+from test_words import _deep_m_like_cases, _golden_cases
 
 F = Fraction
 
@@ -516,8 +517,9 @@ def test_T_sixth_branch():
     cert, ctx = synthesize_with_context(pair.r, pair.g)
     assert cert.branch == BRANCH_T_SIXTH
     assert cert.verified
-    assert not ctx.T.is_identity()
-    assert ctx.T.power(6).is_identity()
+    T = iet_T(ctx)
+    assert not T.is_identity()
+    assert T.power(6).is_identity()
     assert eval_word(cert.word, pair.r.to_iet(), pair.g).is_identity()
 
 
@@ -624,23 +626,17 @@ def test_synthesized_words_hold_on_random_g(g):
     assert eval_word(cert.word, ONE_BLOCK.to_iet(), g).is_identity()
 
 
-# -- T_trivial decided by disjoint supports ---------------------------------------
+# -- T decided by h on A = supp h & X' -------------------------------------------
 
 README_PAIR = (ONE_BLOCK, Iet.from_perm_lambda(PermLambdaSpec(
     pi=(3, 2, 1), lengths=(q(F(1, 4)), q(F(1, 4)), q(F(1, 2))))))
 
 
-def _built_k(r_fixed, h, word_h, d, fixing_power):
-    """build_k as synthesis ran it: r^d by repeated squaring, and its word."""
-    rd = r_fixed.power(d)
-    wa = Word.generator("a", d * fixing_power)
-    return rd.compose(h).compose(rd.inverse()), wa * word_h * wa.inverse()
-
-
-def _built_T(h, k, word_h, word_k):
-    """build_T as synthesis ran it."""
-    t = k.compose(h.inverse()).compose(k.inverse()).compose(h)
-    return t, word_k * word_h.inverse() * word_k.inverse() * word_h
+def _word_T(word_h, exponent):
+    """The word of T = k h^-1 k^-1 h, with k = a^e h a^-e."""
+    wa = Word.generator("a", exponent)
+    word_k = wa * word_h * wa.inverse()
+    return word_k * word_h.inverse() * word_k.inverse() * word_h
 
 
 def _shortcut_cases():
@@ -666,30 +662,26 @@ def test_a_T_that_synthesis_skips_is_the_identity_the_iet_algebra_builds():
         if ctx is None or ctx.h.is_identity():
             continue
         assert invariants_hold(ctx), name
-        if ctx.T is not None:
-            seen["T built"] += 1
-            continue
-        assert cert.branch == BRANCH_T_TRIVIAL and ctx.k is None, name
-        r_fixed = ctx.r_spec.to_iet()
-        h, word_h = build_h(r_fixed, ctx.g, ctx.M, ctx.fixing_power)
+        h, word_h = build_h(ctx.r_spec.to_iet(), ctx.g, ctx.M, ctx.fixing_power)
         assert h == ctx.h, name
-        k, word_k = _built_k(r_fixed, h, word_h, ctx.d, ctx.fixing_power)
-        T, word_T = _built_T(h, k, word_h, word_k)
-        assert T.is_identity(), name
-        assert word_T == cert.word, name
-        seen["T skipped"] += 1
-    assert seen["T skipped"] >= 60 and seen["T built"] >= 40, seen
+        word_T = _word_T(word_h, ctx.d * ctx.fixing_power)
+        if iet_T(ctx).is_identity():
+            assert cert.branch == BRANCH_T_TRIVIAL and cert.word == word_T, name
+        else:
+            assert cert.branch == BRANCH_T_SIXTH and cert.word == word_T**6, name
+        seen[cert.branch] += 1
+    assert seen[BRANCH_T_TRIVIAL] >= 60 and seen[BRANCH_T_SIXTH] >= 40, seen
 
 
 def test_T_is_built_on_every_T_sixth_golden():
-    built = 0
+    seen = Counter()
     for pair in demo_suite():
         cert, ctx = synthesize_with_context(pair.r, pair.g)
-        if cert.branch == BRANCH_T_SIXTH:
-            assert ctx.T is not None and ctx.k is not None, pair.name
-            assert not ctx.T.is_identity(), pair.name
-            built += 1
-    assert built == 8
+        if cert.branch in (BRANCH_T_TRIVIAL, BRANCH_T_SIXTH):
+            T = iet_T(ctx)
+            assert T.is_identity() == (cert.branch == BRANCH_T_TRIVIAL), pair.name
+            seen[cert.branch] += 1
+    assert seen == {BRANCH_T_TRIVIAL: 4, BRANCH_T_SIXTH: 8}
 
 
 def test_the_readme_and_deep_m_like_pairs_synthesize_without_k_or_T(monkeypatch):
@@ -710,22 +702,43 @@ def test_the_readme_and_deep_m_like_pairs_synthesize_without_k_or_T(monkeypatch)
     assert set(branches) <= {BRANCH_H_TRIVIAL, BRANCH_T_TRIVIAL}, branches
 
 
+def test_the_suite_synthesizes_its_golden_words_without_k_T_or_iet_power(monkeypatch):
+    cases = _golden_cases()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("k, T or an Iet power was built")
+
+    monkeypatch.setattr(relations, "build_k", forbidden)
+    monkeypatch.setattr(relations, "build_T", forbidden)
+    monkeypatch.setattr(Iet, "power", forbidden)
+    branches = Counter()
+    for name, word, r, g in cases:
+        cert = synthesize(r, g)
+        assert cert.word == word, name
+        branches[cert.branch] += 1
+    assert branches == {BRANCH_FINITE_ORDER: 2, BRANCH_H_TRIVIAL: 8,
+                        BRANCH_T_TRIVIAL: 4, BRANCH_T_SIXTH: 8}
+
+
 def test_invariants_hold_rederives_the_disjoint_support_premise():
     cert, ctx = synthesize_with_context(*README_PAIR)
-    assert cert.branch == BRANCH_T_TRIVIAL and ctx.T is None
+    assert cert.branch == BRANCH_T_TRIVIAL and iet_T(ctx).is_identity()
     assert invariants_hold(ctx)
     # X and X' are re-derived, not taken from the search: an empty X' is
     # moved off itself by any map
     assert not invariants_hold(ctx._replace(X_prime=IntervalSet()))
     assert not invariants_hold(ctx._replace(X=IntervalSet.full()))
-    # an h that moves half of [0, 1) onto the other half: its support meets
-    # its image under r^d
+    # an h that moves half of [0, 1) onto the other half: supp h leaves X,
+    # and its T is 1 although h does not map A = supp h & X' onto itself
     assert not invariants_hold(ctx._replace(h=Iet.rotation(q(F(1, 2)))))
-    # a T_sixth context with k and T dropped: h moves points that r^L fixes
+    # a T_sixth context: h moves part of A = supp h & X' out of A, and T is
+    # not 1
     pair = next(p for p in demo_suite() if p.name == "d2-two-blocks-fixed")
     cert, ctx = synthesize_with_context(pair.r, pair.g)
     assert cert.branch == BRANCH_T_SIXTH and invariants_hold(ctx)
-    assert not invariants_hold(ctx._replace(k=None, T=None))
+    A = ctx.X_prime.intersect(ctx.h.support())
+    assert not A.contains_set(ctx.h.image_of(A))
+    assert not iet_T(ctx).is_identity()
 
 
 def test_invariants_hold_checks_that_d_epsilon_and_m_are_the_ones_promised():
@@ -751,7 +764,7 @@ def test_invariants_hold_checks_that_d_epsilon_and_m_are_the_ones_promised():
     cert, ctx = synthesize_with_context(ONE_BLOCK, Iet.identity())
     assert (ctx.epsilon, ctx.M) == (q(F(1, 16)), 70) and invariants_hold(ctx)
     assert not invariants_hold(ctx._replace(M=169))
-    # an h built at another M, on a context whose k and T were built
+    # an h built at another M, on a T_sixth context
     pair = next(p for p in demo_suite() if p.name == "d2-two-blocks-fixed")
     cert, ctx = synthesize_with_context(pair.r, pair.g)
     assert cert.branch == BRANCH_T_SIXTH and invariants_hold(ctx)
