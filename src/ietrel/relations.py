@@ -13,9 +13,9 @@ it.  The construction:
       eps with the eps-balls around P pairwise disjoint and the supported
           part X' of their union X moved off itself by r^d,
       M   with every block rate of s = r^M within eps/10 of 0 circularly;
-  * h = (g^-1 s^-1 g s)(g^-1 s g s^-1) is then supported inside X, and
-    k = r^d h r^-d has support disjoint from h's inside supp r, which
-    forces T = k h^-1 k^-1 h to have order dividing 6.
+  * h = [g^-1 s^-1 g, s] = (g^-1 s^-1 g s)(g^-1 s g s^-1) is then supported
+    inside X, its conjugate k = r^d h r^-d has support disjoint from h's
+    inside supp r, and that forces T = [k, h^-1] to have order dividing 6.
 
 s = r^M and r^d are taken in closed form (`DisjointRotationSpec.power`),
 not by repeated squaring.
@@ -432,37 +432,26 @@ def _first_hit(a: int, n: int, lo: int, hi: int) -> Optional[int]:
     return x
 
 
-def _commutator_word(exponent: int) -> Word:
-    return Word(
-        (
-            ("b", -1),
-            ("a", -exponent),
-            ("b", 1),
-            ("a", exponent),
-            ("b", -1),
-            ("a", exponent),
-            ("b", 1),
-            ("a", -exponent),
-        )
-    )
+def _commutator(x, y, times):
+    """[x, y] = x y x^-1 y^-1, times the product of x's type: Word.__mul__
+    for words, Iet.compose for maps (looked up by the caller when it runs)."""
+    return times(times(times(x, y), x.inverse()), y.inverse())
 
 
 def build_h(
     r_fixed: Iet | DisjointRotationSpec, g: Iet, M: int, fixing_power: int = 1
 ) -> Tuple[Iet, Word]:
-    """h = (g^-1 s^-1 g s)(g^-1 s g s^-1) with s = r_fixed^M, taken by
-    r_fixed.power: repeated squaring for an Iet, the closed form for a spec.
+    """h = [g^-1 s^-1 g, s] and its word [b^-1 a^-e b, a^e], with s = r_fixed^M
+    taken by r_fixed.power: repeated squaring for an Iet, the closed form for
+    a spec.
 
-    The word's exponents fold in the fixing power, so it evaluates against
-    the original r rather than r_fixed.
+    The word's exponent e = M * fixing_power folds in the fixing power, so it
+    evaluates against the original r rather than r_fixed.
     """
     s = r_fixed.power(M)
-    si = s.inverse()
-    gi = g.inverse()
-    h = (
-        gi.compose(si).compose(g).compose(s).compose(gi).compose(s).compose(g).compose(si)
-    )
-    return h, _commutator_word(M * fixing_power)
+    b, a = Word.generator("b"), Word.generator("a", M * fixing_power)
+    h = _commutator(g.inverse().compose(s.inverse()).compose(g), s, Iet.compose)
+    return h, _commutator(b.inverse() * a.inverse() * b, a, Word.__mul__)
 
 
 def check_small_support(h: Iet, x: IntervalSet) -> bool:
@@ -473,26 +462,22 @@ def check_small_support(h: Iet, x: IntervalSet) -> bool:
 def build_k(
     r_fixed: Iet | DisjointRotationSpec, h: Iet, word_h: Word, d: int, fixing_power: int = 1
 ) -> Tuple[Iet, Word]:
-    """k = r_fixed^d h r_fixed^-d and its word, r_fixed^d as in build_h; the
-    benchmark's synthesis_plan and the tests' oracle call it, synthesis not."""
-    rd = r_fixed.power(d)
-    k = rd.compose(h).compose(rd.inverse())
-    return k, _word_k(word_h, d * fixing_power)
+    """k = r_fixed^d h r_fixed^-d, h conjugated by r_fixed^d (taken as in
+    build_h), and its word; the benchmark's synthesis_plan and the tests'
+    oracle call it, synthesis not."""
+    return h.conjugate(r_fixed.power(d)), _word_k(word_h, d * fixing_power)
 
 
 def build_T(h: Iet, k: Iet, word_h: Word, word_k: Word) -> Tuple[Iet, Word]:
-    """T = k h^-1 k^-1 h and its word; like build_k, not called by synthesis."""
-    t = k.compose(h.inverse()).compose(k.inverse()).compose(h)
-    return t, _word_T(word_h, word_k)
+    """T = [k, h^-1] = k h^-1 k^-1 h and its word [word_k, word_h^-1]; like
+    build_k, not called by synthesis."""
+    T = _commutator(k, h.inverse(), Iet.compose)
+    return T, _commutator(word_k, word_h.inverse(), Word.__mul__)
 
 
 def _word_k(word_h: Word, exponent: int) -> Word:
     wa = Word.generator("a", exponent)
     return wa * word_h * wa.inverse()
-
-
-def _word_T(word_h: Word, word_k: Word) -> Word:
-    return word_k * word_h.inverse() * word_k.inverse() * word_h
 
 
 def synthesize(
@@ -522,7 +507,7 @@ def synthesize_with_context(
         raise PreconditionError("r must be given as a DisjointRotationSpec")
     if not isinstance(g, Iet):
         raise PreconditionError("g must be an Iet")
-    g_work = g if conjugator is None else conjugator.inverse().compose(g).compose(conjugator)
+    g_work = g if conjugator is None else g.conjugate(conjugator.inverse())
 
     order = r_spec.classify()
     if order.kind == FINITE_ORDER:
@@ -551,7 +536,7 @@ def synthesize_with_context(
         # moves A off itself.  It holds here, since supp h in X puts A inside
         # X', which find_epsilon moved off itself by r^d.  With supp h inside
         # X', A is supp h, which h maps onto itself
-        word_T = _word_T(word_h, _word_k(word_h, d * L))
+        word_T = _commutator(_word_k(word_h, d * L), word_h.inverse(), Word.__mul__)
         if in_X_prime or h.image_of(A := X_prime.intersect(h.support())) == A:
             word = word_T
             branch = BRANCH_T_TRIVIAL

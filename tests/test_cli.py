@@ -43,6 +43,7 @@ from ietrel.scalars import MAX_DISC, MAX_PRINT_DIGITS, QuadExt
 from ietrel.words import MAX_B_LETTERS, MAX_EXPONENT_DIGITS, MAX_VERIFY_PIECES, Word
 
 from conftest import q
+from test_synth import gallop_cap_g
 
 F = Fraction
 
@@ -763,6 +764,14 @@ def test_synthesize_search_cap(files, capsys):
     code, _, err = run(capsys, "synthesize", "--r", r, "--g", g, "--m-cap", "1")
     assert code == EXIT_SEARCH_CAP
     assert "search cap" in err
+
+
+def test_synthesize_exits_4_when_epsilon_passes_max_halvings(files, capsys):
+    r = files("r.rot", DisjointRotationSpec((q(1),), (SQRT2M1,)))
+    g = files("g.pl", gallop_cap_g())
+    code, out, err = run(capsys, "synthesize", "--r", r, "--g", g)
+    assert (code, out) == (EXIT_SEARCH_CAP, "")
+    assert "search cap exhausted: no admissible epsilon after MAX_HALVINGS = 200" in err
 
 
 def test_synthesize_past_the_m_cap_exits_4_before_any_document_is_read(capsys,

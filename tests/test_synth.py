@@ -115,6 +115,33 @@ def test_find_epsilon_search_cap(monkeypatch):
         find_epsilon(Iet.identity(), [q(0)], 1)
 
 
+def gallop_cap_g():
+    """The reversing exchange of lengths 1/4, sqrt(2) - 1 + 2^-230 and the
+    rest.  Its breakpoint 1/4 + sqrt(2) - 1 + 2^-230 lies 2^-230 past the
+    image of its breakpoint 1/4 under the rotation by sqrt(2) - 1, so only
+    an epsilon of at most 2^-231 moves X' off itself by r, and from
+    eps0 = 1/8 that takes more than MAX_HALVINGS halvings."""
+    tiny = q(F(1, 2**230))
+    return PermLambdaSpec((3, 2, 1), (q(F(1, 4)), SQRT2M1 + tiny, q(F(3, 4)) - SQRT2M1 - tiny))
+
+
+def test_an_epsilon_past_max_halvings_stops_at_the_gallop_cap(monkeypatch):
+    # t0 passes its own cap check, so the separation checks run up to
+    # t = MAX_HALVINGS - 1, and the gallop, not the t0 check, raises
+    calls = []
+    image_ends = relations._image_ends
+
+    def counted(*args):
+        calls.append(args)
+        return image_ends(*args)
+
+    monkeypatch.setattr(relations, "_image_ends", counted)
+    with pytest.raises(SearchCapError,
+                       match="^no admissible epsilon after MAX_HALVINGS = 200$"):
+        synthesize(ONE_BLOCK, Iet.from_perm_lambda(gallop_cap_g()))
+    assert calls
+
+
 @given(st.sets(st.integers(0, 63), min_size=1, max_size=8))
 @settings(max_examples=30, deadline=None)
 def test_epsilon_separates_the_balls(ks):
@@ -451,6 +478,29 @@ def test_build_h_matches_its_word():
     assert eval_word(word, r, g) == h
 
 
+def test_build_h_takes_five_composes(monkeypatch):
+    # h = [x, s] with x = g^-1 s^-1 g: two composes for x and three for the
+    # commutator, each through Iet.compose as it stands when build_h runs
+    g = Iet.from_perm_lambda(PermLambdaSpec(
+        pi=(3, 2, 1),
+        lengths=(q(F(1, 4)), q(F(1, 4)), q(F(1, 2)))))
+    s = ONE_BLOCK.power(5)
+    si, gi = s.inverse(), g.inverse()
+    expected = gi.compose(si).compose(g).compose(s).compose(gi).compose(s).compose(g).compose(si)
+    calls = []
+    compose = Iet.compose
+
+    def counted(self, other):
+        calls.append(other)
+        return compose(self, other)
+
+    monkeypatch.setattr(Iet, "compose", counted)
+    h, word = build_h(ONE_BLOCK, g, M=5)
+    assert len(calls) == 5
+    assert h == expected and not h.is_identity()
+    assert word == Word.parse("b^-1 a^-5 b a^5 b^-1 a^5 b a^-5")
+
+
 def test_build_k_and_T_match_their_words():
     r = ONE_BLOCK.to_iet()
     g = Iet.from_perm_lambda(PermLambdaSpec(
@@ -552,6 +602,9 @@ def test_conjugator_moves_the_relation():
     # the word is the one synthesized for the normalized pair
     g_norm = c.inverse().compose(g).compose(c)
     assert cert.word == synthesize(ONE_BLOCK, g_norm).word
+    # which is c^-1 g c, not c g c^-1: both give this word
+    _, ctx = synthesize_with_context(ONE_BLOCK, g, conjugator=c)
+    assert ctx.g == g_norm != c.compose(g).compose(c.inverse())
 
 
 # -- certification -----------------------------------------------------------------
@@ -586,6 +639,22 @@ def test_certification_does_not_evaluate_words_as_iets(make_pair, monkeypatch):
 def test_a_word_the_checker_rejects_is_not_certified(monkeypatch):
     monkeypatch.setattr(relations, "verify_word", lambda *args: False)
     with pytest.raises(InvariantError, match="does not evaluate to the identity"):
+        synthesize(ONE_BLOCK, _quarter_rotation_g())
+
+
+def test_a_d_search_that_finds_no_d_raises_at_its_cap(monkeypatch):
+    # r moving no point leaves P' on itself for every d
+    monkeypatch.setattr(relations, "_image_points", lambda bps, trs, order, pts, disc: pts)
+    with pytest.raises(InvariantError, match="no admissible d up to 5; orbit structure"):
+        synthesize(ONE_BLOCK, _quarter_rotation_g())
+
+
+def test_an_empty_word_is_not_certified(monkeypatch):
+    # the quarter rotation commutes with r, so h = 1 and its word is the one
+    # synthesis emits
+    build_h = relations.build_h
+    monkeypatch.setattr(relations, "build_h", lambda *args, **kw: (build_h(*args, **kw)[0], Word()))
+    with pytest.raises(InvariantError, match="reduced to the empty word"):
         synthesize(ONE_BLOCK, _quarter_rotation_g())
 
 
