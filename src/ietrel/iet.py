@@ -20,7 +20,6 @@ IntervalSets, which keep their ends on a lattice in the same way.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import SHOWN_CHARS, PreconditionError, shown
@@ -239,16 +238,7 @@ class Iet(_OnLattice):
         plus a few integer additions per output piece.  Equal
         translations can meet only where the fragments of two pieces of
         other meet, since self has no two equal neighbours."""
-        den = self._den
-        disc = _merged_disc(self._disc, other._disc)
-        sbps = self._bps
-        strs = self._trs
-        obps = other._bps
-        otrs = other._trs
-        if other._den != den:
-            den = math.lcm(den, other._den)
-            sbps, strs = self._over(den)
-            obps, otrs = other._over(den)
+        den, disc, (sbps, strs), (obps, otrs) = self._joint(other)
         k = len(obps)
         # firsts[p], lasts[p]: the first and the last piece of self that the
         # image of other's piece p meets
@@ -325,12 +315,9 @@ class Iet(_OnLattice):
         return out
 
     def image_of(self, s: IntervalSet) -> IntervalSet:
-        """Exact image of an interval set under this map, by _image_ends over
-        the lcm of their N."""
-        den = math.lcm(self._den, s._den)
-        disc = _merged_disc(self._disc, s._disc)
-        bps, trs = self._over(den)
-        (ends,) = s._over(den)
+        """Exact image of an interval set under this map, by _image_ends on
+        their joint lattice."""
+        den, disc, (bps, trs), (ends,) = self._joint(s)
         order = _image_order(bps, trs, den)[0]
         return _from_ends(den, disc, _image_ends(bps, trs, order, ends, disc))
 

@@ -8,7 +8,6 @@ Canonical form adds that touching spans coalesce.
 
 from __future__ import annotations
 
-import math
 from functools import cmp_to_key
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -161,10 +160,8 @@ def circular_ball(center, radius) -> IntervalSet:
 
 
 def _merge(s: IntervalSet, t: IntervalSet, both: bool) -> IntervalSet:
-    """s & t when both, else s | t, by _merge_ends over the lcm of their N."""
-    den = s._den if s._den == t._den else math.lcm(s._den, t._den)
-    disc = _merged_disc(s._disc, t._disc)
-    (a,), (b,) = s._over(den), t._over(den)
+    """s & t when both, else s | t, by _merge_ends on their joint lattice."""
+    den, disc, (a,), (b,) = s._joint(t)
     return _from_ends(den, disc, _merge_ends(a, b, disc, both))
 
 

@@ -175,9 +175,7 @@ def find_epsilon(
     """
     supp = r.support()
     rd = r.power(d)
-    pts, den, disc = _ascending(
-        points, math.lcm(supp._den, rd._den), _merged_disc(supp._disc, rd._disc)
-    )
+    pts, den, disc = _ascending(points, *supp._joint(rd)[:2])
     block = ONE if min_block is None else as_scalar(min_block)
     return _separate(pts, supp, rd, block, den, disc)[0]
 

@@ -258,9 +258,9 @@ class _OnLattice(_Frozen):
     subclass names in its __slots__ a tuple of integer pairs (a, b), each
     meaning (a + b sqrt(D)) / N.  Operations run on these integers, and every
     order decision is exact: the sign of an integer difference, decided by
-    _sign3 or, in the hot loops, by its rule inline.  Two operands with
-    different denominators are rescaled once to their lcm by _over; operands
-    from different discriminants raise ContextMismatchError.
+    _sign3 or, in the hot loops, by its rule inline.  _joint puts two
+    operands on one lattice, N the lcm of theirs with each rescaled by _over;
+    operands from different discriminants raise ContextMismatchError.
 
     Canonical form: _store keeps the smallest N (gcd(N, all the integers) =
     1) and D = 0 when no pair has a root term, and each subclass keeps its
@@ -295,6 +295,14 @@ class _OnLattice(_Frozen):
         if c == 1:
             return tuples
         return [[(a * c, b * c) for a, b in pairs] for pairs in tuples]
+
+    def _joint(self, other: "_OnLattice") -> Tuple[int, int, Sequence, Sequence]:
+        """(N, D, self's pair tuples, other's pair tuples) on the one lattice
+        of self and other: N the lcm of their N, D from _merged_disc."""
+        den = self._den
+        if other._den != den:
+            den = math.lcm(den, other._den)
+        return den, _merged_disc(self._disc, other._disc), self._over(den), other._over(den)
 
     def _scalars(self, pairs: Iterable[Pair]) -> Tuple[QuadExt, ...]:
         """The QuadExt values of pairs over self's N and D."""

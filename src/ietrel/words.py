@@ -14,10 +14,11 @@ which chains the pieces' domain and image orders from 0 and so makes no
 comparison.  A word x u^k x^-1 with k >= 2 has its root u pushed once, and
 the map of u then pushed k times as one step.  It shares with the Iet
 algebra of synthesis only what defines the maps, as integers from entry:
-r^k from `DisjointRotationSpec.power`, the closed form that synthesis also
-takes r^M and r^d from, and both r^k and g read by `Iet.lattice_pieces`
-from their stored pairs; the scalars helper _merged_disc; and the exact
-sign test stated at scalars._sign3, which `_push` makes inline.
+r^k for k >= 1 from `DisjointRotationSpec.power`, the closed form that
+synthesis also takes r^M and r^d from, and both r^k and g read by
+`Iet.lattice_pieces` from their stored pairs (each inverse is flipped from
+them); the scalars helper _merged_disc; and the exact sign test stated at
+scalars._sign3, which `_push` makes inline.
 `eval_word` (repeated squaring through `Iet.power`) and `eval_word_naive`
 (one letter at a time) return the evaluated `Iet`; tests compare them with
 each other and with `verify_word`.
@@ -229,8 +230,9 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
     where r is the disjoint rotation map of spec.
 
     The syllable maps come as integer pairs (a, b), meaning
-    (a + b sqrt(D)) / N: r^k once per distinct k from
-    spec.power(k).lattice_pieces(), and g and g^-1 from g.lattice_pieces().
+    (a + b sqrt(D)) / N: r^k once per distinct k >= 1 from
+    spec.power(k).lattice_pieces(), and g from g.lattice_pieces().  Each
+    inverse is their flip: the piece [lo, hi) + t becomes [lo + t, hi + t) - t.
     `_on_lattice` rescales them to one N and D, each ordered by `_as_step`.
     The composite map, kept in image order as pieces (image lo, total
     translation), starts as the one piece (0, 0); `_push` sends it through
@@ -257,13 +259,16 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
         )
     x, u, k = _root(word)
     x_inv = tuple((gen, -exp) for gen, exp in reversed(x))
+    keys = {(gen, exp if gen == "a" else 1 if exp > 0 else -1)
+            for gen, exp in word.syllables + u + x_inv}
     steps: Dict[Tuple[str, int], LatticeMap] = {}
-    if b_letters:
-        den, disc, g_pieces = steps["b", 1] = g.lattice_pieces()
-        steps["b", -1] = den, disc, [(la + ta, lb + tb, ha + ta, hb + tb, -ta, -tb)
-                                     for la, lb, ha, hb, ta, tb in g_pieces]
-    for exp in {exp for gen, exp in word.syllables + u + x_inv if gen == "a"}:
-        steps["a", exp] = spec.power(exp).lattice_pieces()
+    for gen, size in {(gen, abs(exp)) for gen, exp in keys}:
+        den, disc, pieces = (g if gen == "b" else spec.power(size)).lattice_pieces()
+        if (gen, size) in keys:
+            steps[gen, size] = den, disc, pieces
+        if (gen, -size) in keys:
+            steps[gen, -size] = den, disc, [(la + ta, lb + tb, ha + ta, hb + tb, -ta, -tb)
+                                            for la, lb, ha, hb, ta, tb in pieces]
     counts = {key: len(step[2]) for key, step in steps.items()}
     pushes = _pushes(word.syllables)
     walked, _ = _walk(pushes, counts)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ietrel import cli, relations, words
+from ietrel import cli, finite_model, relations, words
 from ietrel.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -845,6 +845,39 @@ def test_prop_check_past_a_size_cap_exits_4_before_any_instance(capsys, monkeypa
     assert code == EXIT_SEARCH_CAP
     assert out == ""
     assert cap_name in err
+
+
+def test_prop_check_exits_4_when_no_instance_is_drawn(capsys, monkeypatch):
+    monkeypatch.setattr(finite_model, "MAX_TRIES", 0)
+    code, out, err = run(capsys, "prop-check", "--size", "5", "--trials", "1")
+    assert code == EXIT_SEARCH_CAP
+    assert out == ""
+    assert "no admissible instance in 0 tries" in err
+
+
+def _a_into_c(inst):
+    # T with the least point of A and of C swapped: an A to C transition
+    t = list(range(inst.m))
+    a, c = min(inst.A), min(inst.C)
+    t[a], t[c] = c, a
+    return tuple(t)
+
+
+@pytest.mark.parametrize("patches, failure", [
+    ({"check_hypotheses": lambda inst: False}, "hypothesis A disjoint from phi(A) violated"),
+    ({"compute_T": lambda inst: (1, 2, 3, 0) + tuple(range(4, inst.m))},
+     "T has a cycle of length outside {1,2,3}: (4, 1)"),
+    ({"classify_point": lambda p, inst: ("I", -1)}, "case table disagrees at point 0 (case I)"),
+    ({"compute_T": _a_into_c, "classify_point": lambda p, inst: ("I", _a_into_c(inst)[p])},
+     "realizes the impossible A to C transition"),
+], ids=["hypothesis", "cycle", "case-table", "A-to-C"])
+def test_prop_check_reports_the_first_failing_instance(capsys, monkeypatch, patches, failure):
+    for name, fake in patches.items():
+        monkeypatch.setattr(cli, name, fake)
+    code, out, err = run(capsys, "prop-check", "--size", "5", "--trials", "3", "--seed", "1")
+    assert code == EXIT_VERIFICATION
+    assert out == ""
+    assert err.startswith("FAIL after 0 instances: ") and failure in err
 
 
 @pytest.mark.parametrize("args", [

@@ -225,6 +225,14 @@ def test_random_instance_builds_only_the_instances_it_returns(monkeypatch):
     assert len(builds) == trials * len(sizes)
 
 
+# no points first: with the guard gone it returns the identity, while one
+# point would draw forever
+@pytest.mark.parametrize("points", [[], [2]], ids=["no-point", "one-point"])
+def test_a_derangement_needs_two_points(points):
+    with pytest.raises(PreconditionError, match="a derangement needs at least 2 points"):
+        finite_model._random_derangement_on(5, points, random.Random(0))
+
+
 def test_enumeration_counts():
     assert sum(1 for _ in enumerate_instances(3)) == 6
     assert sum(1 for _ in enumerate_instances(4)) == 96

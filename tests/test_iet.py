@@ -356,6 +356,11 @@ def quadratic_perm_lambda(rng, n, disc):
             return Iet.from_perm_lambda(PermLambdaSpec(tuple(pi), tuple(lengths)))
 
 
+def test_random_partition_refuses_more_parts_than_units():
+    with pytest.raises(ValueError, match="cannot split 3 units into 4 positive parts"):
+        random_partition(random.Random(0), 3, 4)
+
+
 def quadratic_rotation(rng, disc):
     return Iet.rotation(QuadExt(F(rng.randrange(1, 16), 16), F(rng.randrange(-8, 9), 16), disc))
 

@@ -237,6 +237,11 @@ def test_the_samples_cover_every_kind():
     assert set(SAMPLES) == set(KINDS)
 
 
+def test_a_payload_of_no_kind_has_no_document():
+    with pytest.raises(TypeError, match="no document kind for object"):
+        document(object())
+
+
 @pytest.mark.parametrize("accepted, argv", ACCEPTED.values(), ids=ACCEPTED.keys())
 @pytest.mark.parametrize("kind", KINDS)
 def test_only_the_accepted_kinds_parse(tmp_path, capsys, accepted, argv, kind):

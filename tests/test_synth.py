@@ -272,6 +272,13 @@ def test_find_epsilon_matches_the_halving_loop_on_balls_that_wrap(ks, rate):
     assert find_epsilon(r, pts, d) == halving_find_epsilon(r, pts, d)
 
 
+def test_find_epsilon_of_no_points_matches_the_halving_loop():
+    # no point, no ball: the one input that reaches _ball_ends' empty return,
+    # since synthesis always passes 0 among its points
+    r = Iet.rotation(SQRT2M1)
+    assert find_epsilon(r, [], 1) == halving_find_epsilon(r, [], 1) == q(F(1, 16))
+
+
 def test_find_epsilon_matches_the_halving_loop():
     cases = [(ONE_BLOCK, near_orbit_g(k, 16)) for k in (4, 12, 30)]
     rng = random.Random(2)

@@ -156,6 +156,11 @@ def test_generator_constructor():
     assert Word.generator("b", 0).is_empty()
 
 
+def test_a_word_times_a_non_word_raises_type_error():
+    with pytest.raises(TypeError, match="unsupported operand"):
+        Word.parse("a b") * 3
+
+
 # -- evaluation --------------------------------------------------------------
 
 
@@ -788,3 +793,22 @@ def test_verify_word_certifies_golden_words_without_iet_arithmetic(monkeypatch):
     monkeypatch.setattr(iet_module, "_store", forbidden)
     for name, w, spec, g in cases:
         assert verify_word(w, spec, g), name
+
+
+def test_verify_word_asks_the_spec_for_each_positive_power_once(monkeypatch):
+    # every inverse step is the flip of a step already built, so a golden
+    # word asks DisjointRotationSpec.power once per distinct |k| and never
+    # for k < 1
+    power = DisjointRotationSpec.power
+    asked = []
+    monkeypatch.setattr(DisjointRotationSpec, "power",
+                        lambda spec, m: asked.append(m) or power(spec, m))
+    calls = Counter()
+    for pair in demo_suite():
+        cert = parse_document((GOLDEN / f"{pair.name}.cert").read_text()).payload
+        asked.clear()
+        assert verify_word(cert.word, pair.r, pair.g), pair.name
+        assert min(asked) >= 1 and len(set(asked)) == len(asked), (pair.name, asked)
+        calls[cert.branch, len(asked)] += 1
+    assert calls == {("finite_order", 1): 2, ("h_trivial", 1): 8,
+                     ("T_trivial", 3): 4, ("T_sixth", 4): 8}
