@@ -4,7 +4,8 @@ Every Iet is a bijection of [0, 1): the constructor rejects pieces whose
 images do not tile [0, 1), and compose, inverse and power build their
 results without re-checking, since the bijections of [0, 1) form a group.
 Composition follows (f.compose(g))(x) = f(g(x)): the right-hand factor acts
-first.
+first.  growth, the kernel of `ietrel disc-growth`, walks f^1, ..., f^n as
+compose would, on flat integer tuples, with no Iet built for each power.
 
 Storage.  The group operations only add and subtract translations, so all
 the breakpoints and translations of a map lie in one lattice; an Iet keeps
@@ -13,9 +14,9 @@ ascending breakpoints starting at 0, one translation per interval, and
 adjacent intervals with equal translations merged.
 
 QuadExt is the only scalar of the API: breakpoints, translations, pieces(),
-apply, discontinuities and l1_distance_to_identity build QuadExt values from
-the integers when they are asked for.  support and image_of hand out
-IntervalSets, which keep their ends on a lattice in the same way.
+apply, discontinuities, l1_distance_to_identity and growth build QuadExt
+values from the integers when they are asked for.  support and image_of
+hand out IntervalSets, which keep their ends on a lattice in the same way.
 """
 
 from __future__ import annotations
@@ -297,6 +298,50 @@ class Iet(_OnLattice):
             if not m:
                 return result
             base = base.compose(base)
+
+    def growth(self, max_n: int) -> Iterator[Tuple[int, int, QuadExt]]:
+        """(n, discontinuities, l1_distance_to_identity) of f^n = f^(n-1) after
+        f for n = 1 .. max_n, f = self, by compose's walk with f's image order
+        found once and no Iet built: f^(n-1) is a list of flat pieces (lo_a,
+        lo_b, t_a, t_b) over f's N in domain order, each piece of f copies the
+        run of them under its image, and the L1 terms of the right-moving
+        fragments are summed as they are emitted."""
+        den, disc, bps, trs = self._den, self._disc, self._bps, self._trs
+        order, ohis = _image_order(bps, trs, den)
+        pieces = list(_pieces(self))
+        firsts, lasts = [0] * len(bps), [0] * len(bps)
+        cur = [(0, 0, 0, 0)]
+        for n in range(1, max_n + 1):
+            j = 0  # firsts and lasts as in compose
+            for p in order:
+                ea, eb = ohis[p]
+                firsts[p] = j
+                j = _locate(cur, ea, eb, disc, j)
+                lasts[p] = j - (cur[j][0] == ea and cur[j][1] == eb)
+            out = []
+            rat = root = 0
+            pa = pb = None
+            for ((la, lb), (ha, hb), (ta, tb)), first, last in zip(pieces, firsts, lasts):
+                ua, ub = cur[first][2] + ta, cur[first][3] + tb
+                if ua != pa or ub != pb:
+                    out.append((la, lb, ua, ub))
+                # a fragment's L1 term once its hi, the next cut, is known;
+                # ua + ub sqrt(disc) > 0 by _sign3's rule
+                for sa, sb, va, vb in cur[first + 1:last + 1]:
+                    sa, sb = sa - ta, sb - tb
+                    if ((ub >= 0 or ua * ua > ub * ub * disc) if ua > 0
+                            else (ub > 0 and ub * ub * disc > ua * ua)):
+                        rat += ua * (sa - la) + ub * (sb - lb) * disc
+                        root += ua * (sb - lb) + ub * (sa - la)
+                    la, lb, ua, ub = sa, sb, va + ta, vb + tb
+                    out.append((sa, sb, ua, ub))
+                if ((ub >= 0 or ua * ua > ub * ub * disc) if ua > 0
+                        else (ub > 0 and ub * ub * disc > ua * ua)):
+                    rat += ua * (ha - la) + ub * (hb - lb) * disc
+                    root += ua * (hb - lb) + ub * (ha - la)
+                pa, pb = ua, ub
+            cur = out
+            yield n, len(out) - 1, _make(2 * rat, 2 * root, den * den, disc)
 
     def conjugate(self, c: "Iet") -> "Iet":
         """c o self o c^{-1}."""

@@ -48,7 +48,6 @@ which shares no map arithmetic with the Iet algebra that built h.
 
 from __future__ import annotations
 
-import math
 from functools import cmp_to_key
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -133,9 +132,7 @@ class SynthesisContext(NamedTuple):
 
 def compute_P(r_spec: DisjointRotationSpec, g: Iet) -> Tuple[QuadExt, ...]:
     """Block endpoints of r, their preimages under g, and disc(g), sorted."""
-    den = math.lcm(r_spec._den, g._den)
-    pts, disc = _points(r_spec, g, den)
-    return _values(pts, den, disc)
+    return _values(*_points(r_spec, g))
 
 
 def find_d(r: Iet, points: Sequence[QuadExt]) -> int:
@@ -187,14 +184,13 @@ def _search(
     spec: DisjointRotationSpec, g: Iet, min_block: QuadExt
 ) -> Tuple[Tuple[QuadExt, ...], Tuple[QuadExt, ...], int, QuadExt, IntervalSet, IntervalSet]:
     """P, P', d, epsilon, X and X' for synthesis on the pair (spec, g), spec
-    at its fixing power: compute_P, find_d and find_epsilon on one lattice,
-    that of g and of every power of spec (whose pieces lie over spec's N^2).
-    P' is the part of P in supp r, by one walk beside supp's ends, and r^d
-    comes from spec's closed form."""
+    at its fixing power: compute_P, find_d and find_epsilon on the one
+    lattice of g and of every power of spec, which _points takes.  P' is the
+    part of P in supp r, by one walk beside supp's ends, and r^d comes from
+    spec's closed form."""
     r = spec.to_iet()
     supp = r.support()
-    den = math.lcm(spec._den ** 2, g._den)
-    pts, disc = _points(spec, g, den)
+    pts, den, disc = _points(spec, g)
     (ends,) = supp._over(den)
     pts_prime = [p for p, rank in zip(pts, _ranks(pts, ends, disc)) if rank & 1]
     d = _find_d(r, pts_prime, den, disc)
@@ -216,15 +212,16 @@ def _sorted_pairs(pairs: Sequence[Pair], disc: int) -> List[Pair]:
     return sorted(set(pairs), key=key)
 
 
-def _points(r_spec: DisjointRotationSpec, g: Iet, den: int) -> Tuple[List[Pair], int]:
-    """compute_P's points over den, a multiple of the N of r_spec and of g,
-    ascending and distinct, and their D.  g^-1 moves the ascending block
-    bounds in one walk (iet._image_points)."""
-    disc = _merged_disc(r_spec._disc, g._disc)
+def _points(r_spec: DisjointRotationSpec, g: Iet) -> Tuple[List[Pair], int, int]:
+    """compute_P's points, ascending and distinct, with the N and D of the
+    lattice of g and of every power of r_spec (r_spec._lattice_with), over
+    which they lie.  g^-1 moves the ascending block bounds in one walk
+    (iet._image_points)."""
+    den, disc = r_spec._lattice_with(g)
     bounds = r_spec._over(den)[2][:-1]
     bps, trs = g.inverse()._over(den)
     preimages = _image_points(bps, trs, _image_order(bps, trs, den)[0], bounds, disc)
-    return _sorted_pairs([*bounds, *preimages, *g._over(den)[0][1:]], disc), disc
+    return _sorted_pairs([*bounds, *preimages, *g._over(den)[0][1:]], disc), den, disc
 
 
 def _find_d(r: Iet, pts: Sequence[Pair], den: int, disc: int) -> int:

@@ -21,7 +21,9 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import PreconditionError
 from .iet import Iet, _quoted, check_lengths
-from .scalars import ONE, ZERO, Pair, QuadExt, _floor, _lattice, _OnLattice, _pair, as_scalar
+from .scalars import (
+    ONE, ZERO, Pair, QuadExt, _floor, _lattice, _merged_disc, _OnLattice, _pair, as_scalar,
+)
 
 __all__ = [
     "DisjointRotationSpec",
@@ -139,6 +141,10 @@ class DisjointRotationSpec(_OnLattice):
         return object.__new__(DisjointRotationSpec)._store(
             self._den, self._disc, self._lams, self._fractions(m), self._betas
         )
+
+    def _lattice_with(self, g: Iet) -> Tuple[int, int]:
+        """N and D of g and of every power of self, which power builds over N^2."""
+        return math.lcm(self._den ** 2, g._den), _merged_disc(self._disc, g._disc)
 
     def min_block_length(self) -> QuadExt:
         return min(self.lengths)

@@ -123,9 +123,9 @@ def _sign3(an: int, bn: int, disc: int) -> int:
     # an*|an| + bn*|bn|*disc.  When the two terms share a sign, that is their
     # sign; otherwise an^2 against bn^2*disc decides, and equality there would
     # force sqrt(disc) rational, impossible for square-free disc >= 2.  The
-    # hot loops (Iet.l1_distance_to_identity, _locate, _ranks, the walk of
-    # intervals._merge_ends, words._push) test this inline in its branch
-    # form, which measures faster than a call:
+    # hot loops (Iet.l1_distance_to_identity, Iet.growth, _locate, _ranks,
+    # the walk of intervals._merge_ends, words._push) test this inline in
+    # its branch form, which measures faster than a call:
     # an + bn*sqrt(disc) > 0 exactly when
     #   (bn >= 0 or an*an > bn*bn*disc) if an > 0 else (bn > 0 and bn*bn*disc > an*an).
     if bn == 0:
@@ -155,17 +155,17 @@ def _floor(an: int, bn: int, den: int, disc: int) -> int:
 
 
 def _locate(
-    bps: Sequence[Pair], xa: int, xb: int, disc: int, lo: int = 0, scale: int = 1
+    bps: Sequence[Tuple[int, ...]], xa: int, xb: int, disc: int, lo: int = 0, scale: int = 1
 ) -> int:
-    """Index of the last pair (a, b) of the ascending bps, from lo on, with
-    (a + b sqrt(disc)) * scale at or below xa + xb sqrt(disc); bps[lo] must
-    qualify.  A plain bisection: about log2(len(bps) - lo) exact comparisons."""
+    """Index of the last entry (a, b, ...) of bps, ascending by its pair (a,
+    b), from lo on, with (a + b sqrt(disc)) * scale at or below xa + xb
+    sqrt(disc); bps[lo] must qualify.  A plain bisection: about
+    log2(len(bps) - lo) exact comparisons."""
     hi = len(bps)
     while hi - lo > 1:
         mid = (lo + hi) >> 1
-        a, b = bps[mid]
-        p = xa - a * scale
-        q = xb - b * scale
+        p = xa - bps[mid][0] * scale
+        q = xb - bps[mid][1] * scale
         # p + q sqrt(disc) < 0, the test of _sign3's comment negated
         if (q <= 0 or p * p > q * q * disc) if p < 0 else (q < 0 and q * q * disc > p * p):
             hi = mid

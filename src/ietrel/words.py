@@ -353,7 +353,8 @@ def _run(pushes: List[Tuple[str, int]], maps: dict, disc: int) -> List[Piece]:
 def _on_lattice(steps: Dict[Tuple[str, int], LatticeMap]) -> Tuple[int, int, dict]:
     """N and D, the one lattice of every map of steps (N the lcm of their
     dens; ContextMismatchError, from scalars._merged_disc, if D is mixed),
-    and each map rescaled to N and made a step by `_as_step`."""
+    and each map rescaled to N and made a step by `_as_step`.  The verifier
+    keeps this loop, not synthesis's DisjointRotationSpec._lattice_with."""
     den, disc = 1, 0
     for step_den, step_disc, _ in steps.values():
         den = math.lcm(den, step_den)

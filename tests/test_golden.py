@@ -7,6 +7,10 @@ contract, so any change to a word, branch or parameter shows up here.
 tests/golden/disc-growth-generic.csv was written by `ietrel disc-growth
 --map generic.pl --max-n 50` on the README's generic.pl: it pins the exact
 and float L1 renderings of f^1 to f^50 and the discontinuity counts.
+tests/golden/disc-growth-4-interval.csv was written by `ietrel disc-growth
+--map disc-growth-4-interval.pl --max-n 64` before Iet.growth replaced the
+compose chain: the shape of the benchmark's growth workload, a generic
+4-interval map with irrational lengths whose f^n has 3n + 1 pieces.
 """
 
 from __future__ import annotations
@@ -52,3 +56,11 @@ def test_disc_growth_matches_the_golden_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / "disc-growth-generic.csv").read_bytes()
+
+
+def test_disc_growth_of_a_4_interval_map_matches_the_golden_csv(capsys):
+    doc = GOLDEN / "disc-growth-4-interval.pl"
+    code = main(["disc-growth", "--map", str(doc), "--max-n", "64"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN / "disc-growth-4-interval.csv").read_bytes()

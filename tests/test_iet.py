@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ietrel.documents import parse_document
 from ietrel.errors import ContextMismatchError, InvariantError, PreconditionError
 from ietrel.finite_model import CommutatorInstance
 from ietrel.iet import Iet, PermLambdaSpec
@@ -473,12 +474,14 @@ def l1_by_every_piece(f):
     return total
 
 
+# a generic 4-interval exchange: f^64 has 3*64 + 1 pieces, as in disc-growth
+GENERIC_4 = Iet.from_perm_lambda(PermLambdaSpec(pi=(4, 3, 2, 1), lengths=(
+    QuadExt(0, F(1, 8), 2), q(F(1, 4)), q(F(1, 4)), QuadExt(F(1, 2), -F(1, 8), 2))))
+
+
 def test_l1_distance_equals_the_sum_over_every_piece():
     rng = random.Random(7)
-    # a generic 4-interval exchange: f^64 has 3*64 + 1 pieces, as in disc-growth
-    growth = Iet.from_perm_lambda(PermLambdaSpec(pi=(4, 3, 2, 1), lengths=(
-        QuadExt(0, F(1, 8), 2), q(F(1, 4)), q(F(1, 4)), QuadExt(F(1, 2), -F(1, 8), 2))))
-    maps = [Iet.identity(), growth.power(64)]
+    maps = [Iet.identity(), GENERIC_4.power(64)]
     maps += [quadratic_rotation(rng, d) for d in (2, 3, 5)]
     maps += [f for pair in PAIRS[:60] for f in pair]
     assert maps[1].num_intervals == 193
@@ -512,6 +515,46 @@ def test_l1_distance_equals_the_sum_over_every_piece_on_large_coefficients():
             for g in (f, f.power(7), f.compose(quadratic_rotation(rng, disc or 2)).power(-3)):
                 assert max(abs(a) for pair in g._bps for a in pair) > 10**40
                 assert g.l1_distance_to_identity() == l1_by_every_piece(g)
+
+
+# -- growth against the compose chain ---------------------------------------------
+
+
+def growth_by_compose(f, max_n):
+    """The rows of f.growth(max_n) by the Iet algebra: f^n = f^(n-1) after f,
+    each power built with compose and measured with l1_distance_to_identity."""
+    cur = Iet.identity()
+    rows = []
+    for n in range(1, max_n + 1):
+        cur = cur.compose(f)
+        rows.append((n, cur.num_intervals - 1, cur.l1_distance_to_identity()))
+    return rows
+
+
+SEVERAL_BLOCKS = """ietrel v1
+D = 3
+kind = rotation
+lengths = 1/6, 1/3, 1/4, 1/4
+rates = 1/2*sqrt(3), 0, 2/3, -1+1*sqrt(3)
+"""
+
+
+def test_growth_matches_the_compose_chain_row_by_row():
+    rng = random.Random(41)
+    maps = [
+        Iet.identity(),
+        Iet.rotation(q(F(1, 4))),  # f^4 = id: images end exactly on breakpoints
+        parse_document(SEVERAL_BLOCKS).payload.to_iet(),
+        GENERIC_4,
+        big_coefficient_map(rng, 5, 4),
+    ]
+    maps += [random_iet(rng, rng.randrange(2, 7), rng.choice((8, 12, 24))) for _ in range(8)]
+    for f in maps:
+        assert list(f.growth(70)) == growth_by_compose(f, 70)
+        assert list(f.growth(1)) == growth_by_compose(f, 1)
+    assert {(k, d) for _, k, d in Iet.identity().growth(64)} == {(0, ZERO)}
+    assert [k for _, k, _ in Iet.rotation(q(F(1, 4))).growth(8)] == [1, 1, 1, 0] * 2
+    assert [k for _, k, _ in GENERIC_4.growth(64)] == [3 * n for n in range(1, 65)]
 
 
 # -- the integer kernel against QuadExt --------------------------------------------
