@@ -24,7 +24,6 @@ from .scalars import _Frozen
 __all__ = [
     "compose_maps",
     "invert_map",
-    "identity_map",
     "support_of",
     "CommutatorInstance",
     "check_hypotheses",
@@ -33,12 +32,9 @@ __all__ = [
     "orbit_sizes",
     "random_instance",
     "enumerate_instances",
-    "CASE_LABELS",
 ]
 
 Map = Tuple[int, ...]
-
-CASE_LABELS = ("outside", "I", "II", "III", "IVa", "IVb", "Va", "Vb", "VI")
 
 
 def compose_maps(p: Map, q: Map) -> Map:
@@ -51,10 +47,6 @@ def invert_map(p: Map) -> Map:
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
-
-
-def identity_map(m: int) -> Map:
-    return tuple(range(m))
 
 
 def support_of(p: Map) -> frozenset:

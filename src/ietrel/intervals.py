@@ -8,7 +8,6 @@ Canonical form adds that touching spans coalesce.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .scalars import (
@@ -28,10 +27,11 @@ class IntervalSet(_OnLattice):
 
     def __init__(self, spans: Iterable[Span] = ()):
         """Check outside spans: raises ValueError for a span with lo > hi or
-        one that leaves [0, 1); empty spans are dropped."""
+        one that leaves [0, 1); empty spans are dropped.  The rest are joined
+        by _merge_ends, two end lists at a time, in O(n log n) steps."""
         spans = [(as_scalar(lo), as_scalar(hi)) for lo, hi in spans]
         den, disc = _lattice(v for span in spans for v in span)
-        pairs = []
+        ends = []
         for lo, hi in spans:
             la, lb = _pair(lo, den)
             ha, hb = _pair(hi, den)
@@ -42,8 +42,11 @@ class IntervalSet(_OnLattice):
                 continue
             if _sign3(la, lb, disc) < 0 or _sign3(ha - den, hb, disc) > 0:
                 raise ValueError(f"span [{lo}, {hi}) leaves [0, 1)")
-            pairs.append(((la, lb), (ha, hb)))
-        self._store(den, disc, _union_ends(disc, pairs))
+            ends.append([(la, lb), (ha, hb)])
+        while len(ends) > 1:
+            # an odd list out is joined with the empty set
+            ends = [_merge_ends(a, b, disc, False) for a, b in zip(ends[::2], ends[1::2] + [[]])]
+        self._store(den, disc, ends[0] if ends else [])
 
     @classmethod
     def full(cls) -> "IntervalSet":
@@ -170,7 +173,8 @@ def _merge_ends(a: Sequence[Pair], b: Sequence[Pair], disc: int, both: bool) -> 
     else of their union, all over one N: one walk over the ends of both in
     ascending order.  After the walk passes a point, it lies in a exactly when
     an odd number of a's ends were passed; an end of the result is each point
-    where the wanted membership changes."""
+    where the wanted membership changes.  It backs union and intersect, the
+    checked constructor's fold, and relations' separation checks."""
     na, nb = len(a), len(b)
     out: List[Pair] = []
     i = j = inside = 0
@@ -232,22 +236,6 @@ def _ball_ends(pts: Sequence[Pair], radius: Pair, den: int, disc: int) -> List[P
             ends[0] = (0, 0)
         else:
             ends[:0] = ((0, 0), (ha - den, hb))
-    return ends
-
-
-def _union_ends(disc: int, spans: List[Tuple[Pair, Pair]]) -> List[Pair]:
-    """The ends of the union of nonempty spans given in any order: sorted by
-    lo, then each span that starts at or below the last hi extends it.
-    Sorting spans that are nearly in order costs about one exact comparison
-    per span."""
-    spans.sort(key=cmp_to_key(lambda s, t: _sign3(s[0][0] - t[0][0], s[0][1] - t[0][1], disc)))
-    ends: List[Pair] = []
-    for lo, hi in spans:
-        if ends and _sign3(lo[0] - ends[-1][0], lo[1] - ends[-1][1], disc) <= 0:
-            if _sign3(hi[0] - ends[-1][0], hi[1] - ends[-1][1], disc) > 0:
-                ends[-1] = hi
-        else:
-            ends += (lo, hi)
     return ends
 
 

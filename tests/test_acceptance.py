@@ -24,7 +24,6 @@ from ietrel.finite_model import (
     compose_maps,
     compute_T,
     enumerate_instances,
-    identity_map,
     orbit_sizes,
     random_instance,
 )
@@ -201,9 +200,9 @@ def test_criterion_2_randomized_models(capsys):
             assert check_hypotheses(inst)
             t = compute_T(inst)
             t3 = compose_maps(compose_maps(t, t), t)
-            assert compose_maps(t3, t3) == identity_map(m)
+            assert compose_maps(t3, t3) == tuple(range(m))
             assert all(s in (1, 2, 3) for s in orbit_sizes(t))
-            assert (t == identity_map(m)) == all(inst.h[p] in inst.A for p in inst.A)
+            assert (t == tuple(range(m))) == all(inst.h[p] in inst.A for p in inst.A)
             for p in range(m):
                 label, image = classify_point(p, inst)
                 assert t[p] == image

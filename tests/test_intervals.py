@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,78 @@ def test_invalid_spans_are_rejected():
         IntervalSet([(q(F(1, 2)), q(F(1, 4)))])
     with pytest.raises(ValueError):
         IntervalSet([(q(F(1, 2)), q(F(3, 2)))])
+
+
+def _sweep_union(spans):
+    """The union's spans by a QuadExt sort and sweep: the reference the
+    constructor's fold of one-span end lists is checked against."""
+    out = []
+    for lo, hi in sorted(span for span in spans if span[0] < span[1]):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def _span_list(rng, pool, count):
+    """count spans over pool's points, unsorted, each overlapping, nested,
+    touching, repeated or empty by chance or by construction."""
+    spans = []
+    for _ in range(count):
+        kind = rng.randrange(5)
+        if spans and kind == 0:
+            spans.append(rng.choice(spans))  # repeated
+        elif spans and kind == 1:
+            hi = rng.choice(spans)[1]  # touching an earlier span from above
+            spans.append((hi, max(hi, rng.choice(pool))))
+        elif spans and kind == 2:
+            lo, hi = rng.choice(spans)  # nested in an earlier span
+            spans.append(tuple(sorted(rng.choices([x for x in pool if lo <= x <= hi], k=2))))
+        elif kind == 3:
+            x = rng.choice(pool)
+            spans.append((x, x))  # empty
+        else:
+            spans.append(tuple(sorted(rng.sample(pool, 2))))
+    return spans
+
+
+RATIONAL_POOL = [q(F(k, 12)) for k in range(13)]
+ROOT_POOL = RATIONAL_POOL + [
+    q(F(k, 12), F(sign, 8), 2) for sign, ks in ((1, range(8)), (-1, range(3, 13))) for k in ks
+]
+
+
+@pytest.mark.parametrize("pool", [RATIONAL_POOL, ROOT_POOL], ids=["D0", "D2"])
+def test_the_constructor_unions_like_a_sort_and_sweep(pool):
+    rng = random.Random(20261022)
+    for count in list(range(10)) * 30:
+        spans = _span_list(rng, pool, count)
+        rng.shuffle(spans)
+        s = IntervalSet(spans)
+        assert s.spans == _sweep_union(spans), spans
+        for lo, hi in spans:
+            for x in (lo, (lo + hi) / 2, hi):
+                assert s.contains_point(x) == any(a <= x < b for a, b in spans), (spans, x)
+
+
+@pytest.mark.parametrize("spans, want", [
+    ([], []),
+    ([(3, 6)], [(3, 6)]),
+    ([(6, 9), (0, 3)], [(0, 3), (6, 9)]),  # unsorted
+    ([(2, 5), (0, 3)], [(0, 5)]),  # overlapping
+    ([(0, 9), (2, 3)], [(0, 9)]),  # nested
+    ([(3, 6), (0, 3)], [(0, 6)]),  # touching
+    ([(3, 6), (3, 6)], [(3, 6)]),  # repeated
+    ([(4, 4), (1, 2), (7, 7)], [(1, 2)]),  # empty
+    ([(10, 12), (6, 7), (0, 1), (3, 4), (8, 9)], [(0, 1), (3, 4), (6, 7), (8, 9), (10, 12)]),
+    ([(10, 12), (6, 7), (0, 1), (3, 4), (1, 3)], [(0, 4), (6, 7), (10, 12)]),
+])
+def test_the_constructor_unions_each_shape(spans, want):
+    def twelfths(pairs):
+        return [(q(F(a, 12)), q(F(b, 12))) for a, b in pairs]
+
+    assert IntervalSet(twelfths(spans)).spans == tuple(twelfths(want))
 
 
 def test_intersection_anchor():
