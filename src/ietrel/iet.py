@@ -212,9 +212,7 @@ class Iet(_OnLattice):
         disc = self._disc
         rat = root = 0
         for (la, lb), (ha, hb), (ta, tb) in _pieces(self):
-            # ta + tb sqrt(disc) > 0, the test of scalars._sign3's comment
-            if ((tb >= 0 or ta * ta > tb * tb * disc) if ta > 0
-                    else (tb > 0 and tb * tb * disc > ta * ta)):
+            if _sign3(ta, tb, disc) > 0:
                 wa = ha - la
                 wb = hb - lb
                 rat += ta * wa + tb * wb * disc
@@ -325,8 +323,8 @@ class Iet(_OnLattice):
                 ua, ub = cur[first][2] + ta, cur[first][3] + tb
                 if ua != pa or ub != pb:
                     out.append((la, lb, ua, ub))
-                # a fragment's L1 term once its hi, the next cut, is known;
-                # ua + ub sqrt(disc) > 0 by _sign3's rule
+                # a fragment's L1 term once its hi, the next cut, is known,
+                # when it moves right: ua + ub sqrt(disc) > 0, as in _sign3
                 for sa, sb, va, vb in cur[first + 1:last + 1]:
                     sa, sb = sa - ta, sb - tb
                     if ((ub >= 0 or ua * ua > ub * ub * disc) if ua > 0

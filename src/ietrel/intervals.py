@@ -185,10 +185,10 @@ def _merge_ends(a: Sequence[Pair], b: Sequence[Pair], disc: int, both: bool) -> 
             i += 1
             j += 1
         else:
-            p = x[0] - y[0]
-            q = x[1] - y[1]
-            # p + q sqrt(disc) < 0, the test of scalars._sign3's comment negated
-            if (q <= 0 or p * p > q * q * disc) if p < 0 else (q < 0 and q * q * disc > p * p):
+            p = y[0] - x[0]
+            q = y[1] - x[1]
+            # y lies above x: p + q sqrt(disc) > 0, as in scalars._sign3
+            if (q >= 0 or p * p > q * q * disc) if p > 0 else (q > 0 and q * q * disc > p * p):
                 i += 1
             else:
                 j += 1

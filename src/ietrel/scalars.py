@@ -119,27 +119,17 @@ def _pair(v: QuadExt, den: int) -> Pair:
 
 
 def _sign3(an: int, bn: int, disc: int) -> int:
-    # Sign of an + bn*sqrt(disc), exactly: it is the sign of
-    # an*|an| + bn*|bn|*disc.  When the two terms share a sign, that is their
-    # sign; otherwise an^2 against bn^2*disc decides, and equality there would
-    # force sqrt(disc) rational, impossible for square-free disc >= 2.  The
-    # hot loops (Iet.l1_distance_to_identity, Iet.growth, _locate, _ranks,
-    # the walk of intervals._merge_ends, words._push) test this inline in
-    # its branch form, which measures faster than a call:
-    # an + bn*sqrt(disc) > 0 exactly when
-    #   (bn >= 0 or an*an > bn*bn*disc) if an > 0 else (bn > 0 and bn*bn*disc > an*an).
-    if bn == 0:
-        return (an > 0) - (an < 0)
-    if an == 0:
-        return (bn > 0) - (bn < 0)
-    sa = 1 if an > 0 else -1
-    sb = 1 if bn > 0 else -1
-    if sa == sb:
-        return sa
-    lhs = an * an
-    rhs = bn * bn * disc
-    s = (lhs > rhs) - (lhs < rhs)
-    return s if sa > 0 else -s
+    # Sign of an + bn*sqrt(disc), exactly, when bn = 0 or disc is square-free
+    # and >= 2.  It is positive when an > 0 and either bn >= 0 or an^2 outweighs
+    # bn^2*disc, or when an <= 0, bn > 0 and bn^2*disc outweighs an^2; equal
+    # squares with bn != 0 would make sqrt(disc) rational.  It is zero only at
+    # (0, 0).  The hot loops (_locate, _ranks, the walk of
+    # intervals._merge_ends, words._push and Iet.growth's two L1 terms) inline
+    # the test below, which measures faster than a call, with only the two
+    # names changed; tests/test_scalars.py holds each copy to it.
+    if (bn >= 0 or an * an > bn * bn * disc) if an > 0 else (bn > 0 and bn * bn * disc > an * an):
+        return 1
+    return -1 if an or bn else 0
 
 
 def _floor(an: int, bn: int, den: int, disc: int) -> int:
@@ -164,10 +154,10 @@ def _locate(
     hi = len(bps)
     while hi - lo > 1:
         mid = (lo + hi) >> 1
-        p = xa - bps[mid][0] * scale
-        q = xb - bps[mid][1] * scale
-        # p + q sqrt(disc) < 0, the test of _sign3's comment negated
-        if (q <= 0 or p * p > q * q * disc) if p < 0 else (q < 0 and q * q * disc > p * p):
+        p = bps[mid][0] * scale - xa
+        q = bps[mid][1] * scale - xb
+        # the entry lies above x: p + q sqrt(disc) > 0, as in _sign3
+        if (q >= 0 or p * p > q * q * disc) if p > 0 else (q > 0 and q * q * disc > p * p):
             hi = mid
         else:
             lo = mid
@@ -184,10 +174,10 @@ def _ranks(pts: Sequence[Pair], bps: Sequence[Pair], disc: int) -> List[int]:
     for xa, xb in pts:
         while i < n:
             a, b = bps[i]
-            p = xa - a
-            q = xb - b
-            # p + q sqrt(disc) < 0, as in _locate
-            if (q <= 0 or p * p > q * q * disc) if p < 0 else (q < 0 and q * q * disc > p * p):
+            p = a - xa
+            q = b - xb
+            # the pair lies above the point: p + q sqrt(disc) > 0, as in _sign3
+            if (q >= 0 or p * p > q * q * disc) if p > 0 else (q > 0 and q * q * disc > p * p):
                 break
             i += 1
         out.append(i)

@@ -257,10 +257,13 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
         raise SearchCapError(
             f"word has {b_letters} b letters, more than MAX_B_LETTERS = {MAX_B_LETTERS}"
         )
+    pushes = _pushes(word.syllables)
     x, u, k = _root(word)
-    x_inv = tuple((gen, -exp) for gen, exp in reversed(x))
-    keys = {(gen, exp if gen == "a" else 1 if exp > 0 else -1)
-            for gen, exp in word.syllables + u + x_inv}
+    u_pushes = power_pushes = []
+    if k > 1:
+        u_pushes = _pushes(u)
+        power_pushes = _pushes(x + (("u", k),) + tuple((gen, -exp) for gen, exp in reversed(x)))
+    keys = set(pushes + u_pushes + power_pushes) - {("u", 1)}
     steps: Dict[Tuple[str, int], LatticeMap] = {}
     for gen, size in {(gen, abs(exp)) for gen, exp in keys}:
         den, disc, pieces = (g if gen == "b" else spec.power(size)).lattice_pieces()
@@ -270,7 +273,6 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
             steps[gen, -size] = den, disc, [(la + ta, lb + tb, ha + ta, hb + tb, -ta, -tb)
                                             for la, lb, ha, hb, ta, tb in pieces]
     counts = {key: len(step[2]) for key, step in steps.items()}
-    pushes = _pushes(word.syllables)
     walked, _ = _walk(pushes, counts)
     if walked > MAX_VERIFY_PIECES:
         raise SearchCapError(
@@ -279,9 +281,7 @@ def verify_word(word: Word, spec: DisjointRotationSpec, g: Iet) -> bool:
         )
     root_pushes: List[Tuple[str, int]] = []
     if k > 1:
-        u_pushes = _pushes(u)
         u_walked, counts["u", 1] = _walk(u_pushes, counts)
-        power_pushes = _pushes(x + (("u", k),) + x_inv)
         if u_walked + _walk(power_pushes, counts)[0] <= walked:
             root_pushes, pushes = u_pushes, power_pushes
     den, disc, maps = _on_lattice(steps)
@@ -389,9 +389,9 @@ def _push(pieces: List[Piece], step: LatticeStep, disc: int) -> List[Piece]:
             pa, pb, qa, qb = pieces[i]
             da = ha - pa
             db = hb - pb
-            # da + db sqrt(disc) <= 0, the test of scalars._sign3's comment negated
-            if ((db <= 0 or da * da > db * db * disc) if da <= 0
-                    else (db < 0 and db * db * disc > da * da)):
+            # hi <= start: not da + db sqrt(disc) > 0, as in scalars._sign3
+            if not ((db >= 0 or da * da > db * db * disc) if da > 0
+                    else (db > 0 and db * db * disc > da * da)):
                 break
             run.append((pa + sa, pb + sb, qa + sa, qb + sb))
             ta, tb = qa, qb

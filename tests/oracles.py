@@ -16,7 +16,7 @@ from ietrel.errors import InvariantError, PreconditionError, SearchCapError
 from ietrel.iet import Iet
 from ietrel.intervals import neighborhood_union
 from ietrel.relations import DEFAULT_M_CAP, MAX_HALVINGS
-from ietrel.scalars import ONE, _lattice, _pair, _sign3
+from ietrel.scalars import ONE, _lattice, _pair
 
 from conftest import q
 
@@ -24,6 +24,15 @@ F = Fraction
 # invariants_hold scans for M one step at a time up to here: the contexts the
 # tests check have a median M near 1300 and a largest near 9 * 10^7
 LINEAR_M_LIMIT = 2000
+
+
+def sign_by_squares(a: int, b: int, disc: int) -> int:
+    """The sign of a + b sqrt(disc), for b = 0 or square-free disc >= 2, as
+    the sign of a|a| + b|b| disc: terms of one sign give that sign, and
+    otherwise a^2 against b^2 disc decides.  The references hold the program's
+    inline branch rule (scalars._sign3) to this one, which shares none of it."""
+    s = a * abs(a) + b * abs(b) * disc
+    return (s > 0) - (s < 0)
 
 
 def quadext_compute_P(r_spec, g):
@@ -84,13 +93,13 @@ def linear_find_M(r_spec, epsilon, m_cap=DEFAULT_M_CAP):
     rates = [_pair(a, den) for a in r_spec.rates]
     current = list(rates)
     for m in range(1, m_cap + 1):
-        if all(_sign3(a - ta, b - tb, disc) < 0 or _sign3(a - den + ta, b + tb, disc) > 0
-               for a, b in current):
+        if all(sign_by_squares(a - ta, b - tb, disc) < 0
+               or sign_by_squares(a - den + ta, b + tb, disc) > 0 for a, b in current):
             return m
         for j, (a, b) in enumerate(rates):
             a += current[j][0]
             b += current[j][1]
-            current[j] = (a - den, b) if _sign3(a - den, b, disc) >= 0 else (a, b)
+            current[j] = (a - den, b) if sign_by_squares(a - den, b, disc) >= 0 else (a, b)
     raise SearchCapError(f"no admissible M up to cap {m_cap}")
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import copy
 import decimal
 import math
 import operator
@@ -9,6 +11,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -19,6 +22,7 @@ from ietrel.errors import ContextMismatchError, ParseError, SearchCapError
 from ietrel.scalars import MAX_PRINT_DIGITS, ONE, ZERO, QuadExt, as_scalar
 
 from conftest import q, quads, rationals
+from oracles import sign_by_squares
 
 
 # -- arithmetic anchors ------------------------------------------------------
@@ -324,10 +328,12 @@ def test_rational_str_matches_fraction(r):
     assert str(q(r)) == str(r)
 
 
-# -- the inline sign tests and the integer rendering against references ----------
+# -- the sign rule and the integer rendering against references --------------
 #
-# _locate decides each comparison inline and __str__ reduces its integers by
-# gcd; the references below use _sign3 and Fraction.  Integers run past 10**40.
+# _sign3 and the hot loops that inline its test decide each comparison by one
+# branch rule, and __str__ reduces its integers by gcd; the references below
+# use the squared-terms sign of oracles.sign_by_squares and Fraction.
+# Integers run past 10**40.
 
 DIFF_DISCS = (0, 2, 3, 5)
 
@@ -347,11 +353,111 @@ def _ascending_pairs(rng, disc, big, count):
             pairs.add((c + rng.randrange(-3, 4), d))
         else:
             pairs.add((rng.randrange(-big, big), rng.randrange(-big, big) if disc else 0))
-    key = cmp_to_key(lambda s, t: scalars._sign3(s[0] - t[0], s[1] - t[1], disc))
+    key = cmp_to_key(lambda s, t: sign_by_squares(s[0] - t[0], s[1] - t[1], disc))
     return sorted(pairs, key=key)
 
 
-def test_locate_matches_a_linear_scan_with_sign3():
+def _pell(disc, count):
+    """The first count powers (a, b) of the fundamental unit a + b sqrt(disc)
+    of disc in 2, 3, 5: a^2 - b^2 disc = +-1, so a - b sqrt(disc) is +-1 over
+    a + b sqrt(disc), a near-tie whose terms grow without bound."""
+    ua, ub = {2: (1, 1), 3: (2, 1), 5: (2, 1)}[disc]
+    a, b, out = 1, 0, []
+    for _ in range(count):
+        a, b = a * ua + b * ub * disc, a * ub + b * ua
+        out.append((a, b))
+    return out
+
+
+def test_sign3_matches_the_squared_terms_rule():
+    rng = random.Random(44)
+    cases = [(577, -408, 2), (-577, 408, 2), (0, 0, 0)]
+    cases += [(rng.randrange(-10**50, 10**50), 0, 0) for _ in range(50)]
+    for disc in (2, 3, 5, scalars.MAX_DISC - 2):  # the last square-free, near the cap
+        for _ in range(400):
+            big = 10 ** rng.choice((1, 3, 41, 60))
+            a, b = rng.randrange(-big, big), rng.randrange(-big, big)
+            c, d = _near_zero(rng, disc, big)
+            cases += [(a, b, disc), (a, 0, disc), (0, b, disc), (0, 0, disc), (c, d, disc)]
+        if disc < 10:
+            for a, b in _pell(disc, 80):
+                assert abs(a * a - b * b * disc) == 1
+                cases += [(a, -b, disc), (-a, b, disc), (a, b, disc), (-a, -b, disc)]
+    shapes = Counter()
+    for a, b, disc in cases:
+        assert scalars._sign3(a, b, disc) == sign_by_squares(a, b, disc), (a, b, disc)
+        shapes["a part zero"] += (a == 0) != (b == 0)
+        shapes["both zero"] += a == b == 0
+        shapes["mixed signs"] += a * b < 0
+        shapes["past 10**40"] += min(abs(a), abs(b)) > 10**40
+        shapes["norm +-1"] += b != 0 and abs(a * a - b * b * disc) == 1
+    assert min(shapes.values()) >= 4 and shapes["norm +-1"] >= 900, shapes
+    assert scalars._sign3(577, -408, 2) == 1 and scalars._sign3(-577, 408, 2) == -1
+
+
+# The hot loops inline _sign3's test; each copy must stay that expression with
+# only its two names changed.  A comparison that weighs a product with disc is
+# what marks a sign test, inline or not.
+INLINE_SIGN_TESTS = Counter({"_locate": 1, "_ranks": 1, "_merge_ends": 1, "_push": 1,
+                             "Iet.growth": 2})
+
+
+def _nodes(node, scope=""):
+    """(scope, node, parent) of every node below node, scope the qualified name
+    of the innermost class or function around it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child, node
+        yield from _nodes(child, inner)
+
+
+def _weighs_disc(node):
+    return isinstance(node, ast.Compare) and any(
+        isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)
+        and "disc" in (getattr(sub.left, "id", None), getattr(sub.right, "id", None))
+        for side in (node.left, *node.comparators) for sub in ast.walk(side))
+
+
+def _renamed(expr):
+    """The dump of expr with its names other than disc renamed an and bn, in
+    the order they first appear."""
+    names = dict.fromkeys(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    names.pop("disc", None)
+    new = dict(zip(names, ("an", "bn")))
+    expr = copy.deepcopy(expr)
+    for n in ast.walk(expr):
+        if isinstance(n, ast.Name):
+            n.id = new.get(n.id, n.id)
+    return ast.dump(expr)
+
+
+def test_every_inline_sign_test_is_sign3s_expression():
+    tests, calls, loose = [], set(), []
+    for path in sorted(Path(scalars.__file__).parent.glob("*.py")):
+        nodes = list(_nodes(ast.parse(path.read_text(encoding="utf-8"))))
+        found = [(scope, node, parent) for scope, node, parent in nodes
+                 if isinstance(node, ast.IfExp) and any(map(_weighs_disc, ast.walk(node)))]
+        inside = {id(sub) for _, node, _ in found for sub in ast.walk(node)}
+        loose += [f"{path.name}:{node.lineno}" for _, node, _ in nodes
+                  if _weighs_disc(node) and id(node) not in inside]
+        calls |= {scope for scope, node, _ in nodes
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_sign3"}
+        tests += [(path.stem, *entry) for entry in found]
+    assert loose == [], "comparisons with disc outside a sign test"
+    (rule,) = [node for _, scope, node, _ in tests if scope == "_sign3"]
+    copies = [(module, scope, node, parent) for module, scope, node, parent in tests
+              if scope != "_sign3"]
+    for module, scope, node, parent in copies:
+        assert _renamed(node) == ast.dump(rule), f"{module}.{scope}: {ast.unparse(node)}"
+        # _push breaks at hi <= start, the rule negated; the others test it as is
+        assert isinstance(parent, ast.UnaryOp if scope == "_push" else ast.If), scope
+    assert Counter(scope for _, scope, _, _ in copies) == INLINE_SIGN_TESTS
+    assert "Iet.l1_distance_to_identity" in calls
+
+
+def test_locate_matches_a_linear_scan_by_squared_terms():
     rng = random.Random(24)
     checked = 0
     for disc in DIFF_DISCS:
@@ -371,7 +477,7 @@ def test_locate_matches_a_linear_scan_with_sign3():
                 xa = rng.randrange(-2 * big, 2 * big) * scale
                 xb = rng.randrange(-2 * big, 2 * big) * scale if disc else 0
             at_or_below = [i for i, (a, b) in enumerate(bps)
-                           if scalars._sign3(xa - a * scale, xb - b * scale, disc) >= 0]
+                           if sign_by_squares(xa - a * scale, xb - b * scale, disc) >= 0]
             assert at_or_below == list(range(len(at_or_below)))  # a prefix, as bps ascend
             if not at_or_below:
                 continue
